@@ -11,10 +11,9 @@ This package is the importable home of the repo's benchmark program:
   and regenerates the committed top-level ``BENCH_*.json`` trajectory
   files that ``scripts/bench_gate.py`` diffs in CI.
 
-The thin wrappers ``benchmarks/smoke.py``, ``benchmarks/bench_chaos.py``
-and ``benchmarks/harness.py`` and the ``trie-hashing reproduce`` CLI all
-route through here, so every artifact in the trajectory comes off one
-code path with one config vocabulary.
+The ``trie-hashing reproduce`` CLI and its thin script twin
+``benchmarks/harness.py`` both route through here, so every artifact in
+the trajectory comes off one code path with one config vocabulary.
 
 Determinism contract: every *structural* number a suite reports (record
 counts, splits, retries, dedup hits, simulated clocks and latencies) is

@@ -8,7 +8,10 @@ client images so the miss rate converges to zero. This package
 reproduces that design over simulated in-process servers:
 
 * :mod:`~repro.distributed.messages` — the op/reply vocabulary and IAMs;
-* :mod:`~repro.distributed.router` — the counted message fabric;
+* :mod:`~repro.distributed.transport` — the transport seam clients
+  are written against;
+* :mod:`~repro.distributed.router` — :class:`InProcessTransport`, the
+  counted in-process message fabric;
 * :mod:`~repro.distributed.server` — one shard: a
   :class:`~repro.core.file.THFile` (optionally a durable session) plus
   forwarding;
@@ -19,9 +22,9 @@ reproduces that design over simulated in-process servers:
   mutating operations;
 * :mod:`~repro.distributed.errors` — the typed error hierarchy
   (transient :class:`RetryableError` subtypes vs. hard failures);
-* :mod:`~repro.distributed.faults` — the fault-injecting fabric:
-  :class:`FaultPlan` schedules, :class:`FaultyRouter`,
-  :class:`RetryPolicy`;
+* :mod:`~repro.distributed.faults` — fault injection:
+  :class:`FaultPlan` schedules, the :class:`FaultyTransport` wrapper
+  that replays them over any transport, :class:`RetryPolicy`;
 * :mod:`~repro.distributed.replication` — primary/backup WAL shipping,
   the failure detector behind automatic failover, and live shard
   migration (:class:`ReplicationPolicy`, :class:`Replicator`,
@@ -59,7 +62,7 @@ from .errors import (
     ShardUnavailableError,
     UnknownShardError,
 )
-from .faults import FaultPlan, FaultyRouter, RetryPolicy
+from .faults import FaultPlan, FaultyTransport, RetryPolicy
 from .messages import Op, Reply
 from .replication import (
     FailureDetector,
@@ -67,7 +70,7 @@ from .replication import (
     ReplicationPolicy,
     Replicator,
 )
-from .router import Router
+from .router import InProcessTransport
 from .server import ShardServer
 
 __all__ = [
@@ -79,7 +82,8 @@ __all__ = [
     "FailoverError",
     "FailureDetector",
     "FaultPlan",
-    "FaultyRouter",
+    "FaultyTransport",
+    "InProcessTransport",
     "MessageLostError",
     "Migration",
     "Op",
@@ -92,7 +96,6 @@ __all__ = [
     "Replicator",
     "RetryPolicy",
     "RetryableError",
-    "Router",
     "ServerDownError",
     "ShardPolicy",
     "ShardServer",

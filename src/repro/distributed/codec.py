@@ -5,10 +5,10 @@ request ids, IAM entries, trace contexts and exception outcomes — is
 encoded here into a self-describing binary form, so a message crossing
 any transport (a real socket or the in-process fabric) is a *value*,
 never a shared Python reference. Routing the in-process
-:class:`~repro.distributed.router.Router` through the same codec is
-what structurally eliminates the aliasing bug where a client mutating a
-``get`` result (or a value it just ``put``) silently mutated the
-shard's stored record.
+:class:`~repro.distributed.router.InProcessTransport` through the same
+codec is what structurally eliminates the aliasing bug where a client
+mutating a ``get`` result (or a value it just ``put``) silently mutated
+the shard's stored record.
 
 Three layers:
 
@@ -266,9 +266,22 @@ def _read_value(stream: io.BytesIO) -> object:
 
 
 def decode_value(data: bytes) -> object:
-    """Decode one value; trailing bytes are a protocol violation."""
+    """Decode one value; trailing bytes are a protocol violation.
+
+    Any bytes either decode or raise :class:`ProtocolError`. The tag
+    walk rejects what it can see; the rest surfaces from Python itself
+    and is converted here, once per payload rather than per value: a
+    big-int literal that is not a number (``ValueError``), an
+    unhashable dict key or set member (``TypeError``), and nesting
+    deeper than the interpreter stack (``RecursionError``).
+    """
     stream = io.BytesIO(data)
-    value = _read_value(stream)
+    try:
+        value = _read_value(stream)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ProtocolError(
+            f"malformed value payload ({type(exc).__name__})"
+        ) from None
     if stream.read(1):
         raise ProtocolError("trailing bytes after value")
     return value

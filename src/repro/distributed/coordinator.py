@@ -13,16 +13,18 @@ applied at the shard level), moves the upper half of the records to a
 freshly created server, and refines the partition. Clients discover the
 new shard lazily, through IAMs.
 
-:class:`Cluster` is the assembly: it wires a coordinator, a router and
-the initial servers together, seeds an optional static pre-partition,
-and hands out client handles.
+:class:`Cluster` is the assembly: it wires a coordinator, the
+in-process fabric (wrapped in a
+:class:`~repro.distributed.faults.FaultyTransport` when given a fault
+plan) and the initial servers together, seeds an optional static
+pre-partition, and hands out client handles.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # import cycle: client builds on the coordinator
     from .client import DistributedFile
@@ -37,6 +39,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
 from ..storage.recovery import DurableFile
 from .errors import ConfigurationError, FailoverError
+from .faults import FaultPlan, FaultyTransport, RetryPolicy
 from .messages import Op
 from .replication import (
     FailureDetector,
@@ -45,7 +48,7 @@ from .replication import (
     ReplicationPolicy,
     Replicator,
 )
-from .router import Router
+from .router import InProcessTransport
 from .server import ShardServer
 
 __all__ = ["ShardPolicy", "Coordinator", "Cluster"]
@@ -87,7 +90,7 @@ class Coordinator:
         alphabet: Alphabet,
         registry: MetricsRegistry,
         shard_policy: ShardPolicy,
-        router: Router,
+        router: Any,
         file_factory: Callable[[], object],
         replication: Optional[ReplicationPolicy] = None,
     ):
@@ -266,10 +269,12 @@ class Coordinator:
     def tick(self, now: float) -> list[int]:
         """Run one health-probe sweep on the caller's clock.
 
-        Wired to the fabric clock in simulation
-        (``FaultyRouter._tick``), to the ``tick`` control frame over a
-        wire transport, and to a wall-clock asyncio loop in the serving
-        tier. Returns the shard ids deposed by this sweep.
+        Wired to the simulated clock of a
+        :class:`~repro.distributed.faults.FaultyTransport` — directly in
+        simulation, through the ``tick`` control frame over a wire — and
+        to a wall-clock asyncio loop in the serving tier. Without
+        replication it does nothing. Returns the shard ids deposed by
+        this sweep.
         """
         if self.detector is None:
             return []
@@ -562,10 +567,10 @@ class Cluster:
         one is created when omitted.
     faults:
         A :class:`~repro.distributed.faults.FaultPlan`; when given the
-        cluster's fabric is a fault-injecting
-        :class:`~repro.distributed.faults.FaultyRouter` driving message
-        drops, duplicates, delays and server crashes off the plan's
-        seeded schedule.
+        in-process fabric is wrapped in a
+        :class:`~repro.distributed.faults.FaultyTransport` driving
+        message drops, duplicates, delays and server crashes off the
+        plan's seeded schedule on every edge.
     retry:
         The default :class:`~repro.distributed.faults.RetryPolicy`
         handed to clients (each :meth:`client` call may override it).
@@ -604,12 +609,12 @@ class Cluster:
                 "replication must be a ReplicationPolicy, "
                 "'semisync'/'async', or None"
             )
-        if faults is not None:
-            from .faults import FaultyRouter
-
-            self.router: Router = FaultyRouter(self.registry, faults)
-        else:
-            self.router = Router(self.registry)
+        fabric = InProcessTransport(self.registry)
+        #: What servers and clients send through: the in-process fabric,
+        #: or a fault-injecting wrapper around it.
+        self.router: Any = (
+            fabric if faults is None else FaultyTransport(fabric, faults)
+        )
         self.coordinator = Coordinator(
             alphabet,
             self.registry,
@@ -621,7 +626,7 @@ class Cluster:
         if replication is not None:
             # Failure detection rides the fabric clock: every tick of a
             # clock-bearing transport runs one health-probe sweep.
-            self.router.on_tick = self.coordinator.tick
+            fabric.on_tick = self.coordinator.tick
         self._clients = 0
         if seed_boundaries is None:
             seed_boundaries = self._even_boundaries(shards)

@@ -1,36 +1,53 @@
 """Fault injection for the TH* message fabric.
 
 The distributed analogue of :class:`~repro.storage.faults.FaultyDisk`:
-:class:`FaultyRouter` wraps the delivery path of
-:class:`~repro.distributed.router.Router` with a seeded deterministic
-:class:`FaultPlan` that injects, per edge kind (``request`` / ``reply``
-/ ``forward``) and per shard:
+:class:`FaultyTransport` wraps a
+:class:`~repro.distributed.transport.Transport` and runs every delivery
+through one seeded deterministic :class:`FaultPlan`, which injects, per
+edge kind (``request`` / ``reply`` / ``forward`` / ``replicate``) and
+per shard:
 
 * **drops** — the message never arrives; the sender sees
   :class:`~repro.distributed.errors.MessageLostError`. A dropped
   *reply* is the interesting case: the server **did** execute the op,
   so a naïve retry would double-apply — the fault that forces the
   request-id dedup protocol.
-* **duplicates** — the request is delivered twice; the second delivery
-  must be absorbed by the owner's dedup window.
-* **delays** — delivery takes simulated time on the router's logical
-  clock; a round trip whose total elapsed time (request, forward and
-  reply delays alike) exceeds the client's per-op ``timeout`` surfaces
-  as :class:`~repro.distributed.errors.OpTimeoutError` (with the same
-  already-executed ambiguity as a lost reply). The deadline is measured
-  against the clock across the *whole* delivery, so a slow forward leg
-  counts — the client's ``RetryPolicy.timeout`` is enforced, not
-  merely carried.
+* **duplicates** — the message is delivered twice; the second delivery
+  must be absorbed by the owner's dedup window (or, for a shipping leg,
+  the backup's sequence numbers).
+* **delays** — delivery takes simulated time on the wrapper's clock; a
+  round trip whose total elapsed time (request, forward and reply
+  delays alike) exceeds the client's per-op ``timeout`` surfaces as
+  :class:`~repro.distributed.errors.OpTimeoutError` (with the same
+  already-executed ambiguity as a lost reply). The client's
+  ``RetryPolicy.timeout`` is enforced, not merely carried.
 * **crashes** — the target server crashes (losing its volatile state;
   a durable shard recovers from WAL + checkpoints on restart) and
   refuses connections with
   :class:`~repro.distributed.errors.ServerDownError` until its
   scheduled restart time on the simulated clock.
 
-Time is simulated: the clock only advances through injected delays and
-through clients sleeping out their retry backoff
-(:meth:`FaultyRouter.sleep`), which is also what brings crashed servers
-back — a client backing off long enough rides out any finite downtime.
+One delivery skeleton, :meth:`FaultyTransport._deliver`, serves every
+edge on both fabrics, drawing the plan's decisions in the same order,
+so one seed replays the same schedule in simulation and over a socket:
+
+* around an :class:`~repro.distributed.router.InProcessTransport`
+  (``Cluster(faults=plan)``) every edge can fault. The shard servers
+  send their ``forward`` and ``replicate`` legs through the wrapper
+  too, so a slow forward leg counts against the client's deadline.
+  Crashes act on the server objects directly.
+* around a :class:`~repro.serving.client.RemoteTransport`
+  (``ServingFixture.open_file(plan=...)``) only the client edge —
+  ``request`` and ``reply`` — can fault. Forwards and shipping legs run
+  inside the serving process on its plain in-process fabric, out of a
+  client-side wrapper's reach. Crashes and restarts ride the ``crash``
+  / ``restart`` / ``restore_all`` / ``tick`` control commands.
+
+Time is simulated on both: the clock only advances through injected
+delays and through clients sleeping out their retry backoff
+(:meth:`FaultyTransport.sleep`) — never through a socket's real
+latency — and that is also what brings crashed servers back: a client
+backing off long enough rides out any finite downtime.
 
 Every injected fault is counted in ``dist_faults_total{kind,edge}`` and
 (tracing on) emitted as a ``net_fault`` event, so a chaos run can be
@@ -40,21 +57,22 @@ reconciled fault by fault.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from collections.abc import Callable
+from typing import Any, Optional
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
-from .codec import decode_op, encode_op, roundtrip_reply
+from .codec import roundtrip_op, roundtrip_reply
 from .errors import (
     ConfigurationError,
     MessageLostError,
     OpTimeoutError,
+    ServerDownError,
     UnknownShardError,
 )
 from .messages import Op, Reply
-from .router import Router
+from .router import InProcessTransport
 
-__all__ = ["FaultPlan", "FaultDecision", "FaultyRouter", "RetryPolicy"]
+__all__ = ["FaultPlan", "FaultDecision", "FaultyTransport", "RetryPolicy"]
 
 #: The edge kinds a plan can schedule faults on.
 EDGES = ("request", "reply", "forward", "replicate")
@@ -218,22 +236,33 @@ class FaultPlan:
         return None
 
 
-class FaultyRouter(Router):
-    """A :class:`Router` whose deliveries run under a :class:`FaultPlan`."""
+class FaultyTransport:
+    """A :class:`~repro.distributed.transport.Transport` decorator whose
+    deliveries run under a :class:`FaultPlan`.
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        plan: Optional[FaultPlan] = None,
-    ):
-        super().__init__(registry)
+    ``inner`` is an
+    :class:`~repro.distributed.router.InProcessTransport` or a
+    :class:`~repro.serving.client.RemoteTransport`. Whatever the plan
+    does not touch — the server map, message and forward counts, the
+    apply audit, control commands — is read through to it.
+    """
+
+    def __init__(self, inner: Any, plan: Optional[FaultPlan] = None):
+        self.inner = inner
         self.plan = plan if plan is not None else FaultPlan()
         #: The simulated clock (seconds); advances only through injected
         #: delays and client backoff sleeps.
         self.now = 0.0
         self.faults_injected = 0
-        self.crash_cycles = 0
         self._restart_at: dict[int, float] = {}
+        self._servers: Any = (
+            _LocalServers(inner)
+            if isinstance(inner, InProcessTransport)
+            else _RemoteServers(inner, self._fault)
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
     # Clock and lifecycle
@@ -248,140 +277,118 @@ class FaultyRouter(Router):
         due = [s for s, at in self._restart_at.items() if at <= self.now]
         for shard_id in due:
             del self._restart_at[shard_id]
-            server = self.servers.get(shard_id)
-            # The id may have been rebound to a promoted server in the
-            # meantime — a live server must not be bounced by the dead
-            # one's leftover restart schedule.
-            if server is not None and server.down:
-                server.restart()
-        if self.on_tick is not None:
-            self.on_tick(self.now)
+            self._servers.restart(shard_id)
+        self._servers.tick(self.now)
 
-    def crash_server(self, shard_id: int, downtime: Optional[float] = None) -> None:
+    def crash_server(
+        self, shard_id: int, downtime: Optional[float] = None
+    ) -> bool:
         """Crash ``shard_id``; auto-restart after ``downtime`` sim-seconds.
 
-        With ``downtime=None`` the server stays down until someone calls
-        its :meth:`~repro.distributed.server.ShardServer.restart`.
+        With ``downtime=None`` the server stays down until someone
+        restarts it. Returns False, changing nothing, when the shard is
+        already down.
         """
-        server = self.servers.get(shard_id)
-        if server is None:
-            raise UnknownShardError(f"no server for shard {shard_id}")
-        if server.down:
-            return
-        server.crash()
-        self.crash_cycles += 1
+        if not self._servers.crash(shard_id):
+            return False
         if downtime is not None:
             self._restart_at[shard_id] = self.now + downtime
+        return True
 
     def restore_all(self) -> None:
         """Restart every crashed server immediately (end of a chaos run)."""
         self._restart_at.clear()
-        for server in self.servers.values():
-            if server.down:
-                server.restart()
+        self._servers.restore_all()
 
     # ------------------------------------------------------------------
-    # Fault bookkeeping
+    # Delivery under faults
     # ------------------------------------------------------------------
     def _fault(self, kind: str, edge: str, shard: int) -> None:
         self.faults_injected += 1
-        self.registry.counter(
+        self.inner.registry.counter(
             "dist_faults_total", {"kind": kind, "edge": edge}
         ).inc()
         if TRACER.enabled:
             TRACER.emit("net_fault", kind=kind, edge=edge, shard=shard)
 
-    def _lookup(self, shard_id: int, edge: str = "request"):
-        from .errors import ServerDownError
-
+    def _reach(self, edge: str, shard_id: int) -> Any:
+        """The delivery target; a down shard refuses before any dice roll."""
         try:
-            return super()._lookup(shard_id, edge)
+            return self._servers.reach(edge, shard_id)
         except ServerDownError:
             self._fault("server_down", edge, shard_id)
             raise
 
-    def _maybe_crash(self, shard_id: int) -> None:
-        downtime = self.plan.decide_crash(shard_id)
-        if downtime is not None:
-            self._fault("crash", "request", shard_id)
-            self.crash_server(shard_id, downtime=downtime)
-
-    # ------------------------------------------------------------------
-    # Delivery under faults
-    # ------------------------------------------------------------------
-    def client_send(
-        self, shard_id: int, op: Op, timeout: Optional[float] = None
+    def _deliver(
+        self,
+        edge: str,
+        target: int,
+        send: Callable[[bool], Reply],
+        timeout: Optional[float] = None,
     ) -> Reply:
-        self._tick()
-        self._maybe_crash(shard_id)
-        server = self._lookup(shard_id, "request")
-        decision = self.plan.decide("request", shard_id)
+        """Run one message on ``edge`` through the plan.
+
+        Drop, delay, deliver, duplicate — then, on the client edge, the
+        reply's fate and the per-op deadline. ``send(again)`` delivers
+        one copy and returns the handler's reply; ``again`` marks the
+        duplicate, which repeats the delivery but not the per-message
+        bookkeeping.
+        """
+        plan = self.plan
+        decision = plan.decide(edge, target)
         if decision.drop:
-            self._fault("drop", "request", shard_id)
-            raise MessageLostError(f"request to shard {shard_id} lost")
+            self._fault("drop", edge, target)
+            raise MessageLostError(f"{edge} to shard {target} lost")
         # The per-op deadline is measured on the clock across the whole
         # delivery: request delay, any forward-leg delays the handler
-        # incurs (they advance ``self.now`` inside ``handle``), and the
+        # incurs (they advance ``self.now`` inside the send), and the
         # reply delay all count against ``timeout``.
         sent_at = self.now
         if decision.delay:
-            self._fault("delay", "request", shard_id)
+            self._fault("delay", edge, target)
             self.now += decision.delay
-        self._count("request")
-        # One encode per logical send: a duplicated delivery hands the
-        # server a second decode of the *same bytes*, exactly what a
-        # network duplicate looks like.
-        wire = encode_op(op)
-        reply = server.handle(decode_op(wire))
+        reply = send(False)
         if decision.duplicate:
-            # The fabric delivered the request twice; the second
-            # execution must be absorbed by the owner's dedup window.
-            self._fault("duplicate", "request", shard_id)
-            self._count("request")
-            reply = server.handle(decode_op(wire))
-        back = self.plan.decide("reply", shard_id)
+            self._fault("duplicate", edge, target)
+            reply = send(True)
+        if edge != "request":
+            return reply
+        back = plan.decide("reply", target)
         if back.drop:
             # The op executed; the client just never hears about it.
-            self._fault("drop", "reply", shard_id)
-            raise MessageLostError(f"reply from shard {shard_id} lost")
+            self._fault("drop", "reply", target)
+            raise MessageLostError(f"reply from shard {target} lost")
         if back.delay:
-            self._fault("delay", "reply", shard_id)
+            self._fault("delay", "reply", target)
             self.now += back.delay
         elapsed = self.now - sent_at
         if timeout is not None and elapsed > timeout:
             # The reply exists but arrived after the client gave up.
-            self._fault("timeout", "reply", shard_id)
+            self._fault("timeout", "reply", target)
             raise OpTimeoutError(
-                f"shard {shard_id} answered in {elapsed:.4f}s > {timeout:.4f}s"
+                f"shard {target} answered in {elapsed:.4f}s > {timeout:.4f}s"
             )
-        self._count("reply")
-        return roundtrip_reply(reply)
+        return reply
+
+    def client_send(
+        self, shard_id: int, op: Op, timeout: Optional[float] = None
+    ) -> Reply:
+        self._tick()
+        downtime = self.plan.decide_crash(shard_id)
+        if downtime is not None and self.crash_server(shard_id, downtime):
+            # Counted only when a server went down: a crash drawn for a
+            # shard that is already down changes nothing.
+            self._fault("crash", "request", shard_id)
+        servers = self._servers
+        target = self._reach("request", shard_id)
+        reply = self._deliver(
+            "request", shard_id, lambda again: servers.send(target, op), timeout
+        )
+        return servers.accept(reply)
 
     def forward(self, source: int, target: int, op: Op) -> Reply:
         self._tick()
-        server = self._lookup(target, "forward")
-        decision = self.plan.decide("forward", target)
-        if decision.drop:
-            self._fault("drop", "forward", target)
-            raise MessageLostError(f"forward {source}->{target} lost")
-        if decision.delay:
-            self._fault("delay", "forward", target)
-            self.now += decision.delay
-        self._count("forward")
-        self.forwards += 1
-        self.registry.counter(
-            "dist_forwards_total", {"src": source, "dst": target}
-        ).inc()
-        if TRACER.enabled:
-            TRACER.emit("forward", src=source, dst=target, op=op.kind)
-        wire = encode_op(op)
-        reply = server.handle(decode_op(wire))
-        if decision.duplicate:
-            self._fault("duplicate", "forward", target)
-            self._count("forward")
-            reply = server.handle(decode_op(wire))
-        self._count("reply")
-        reply = roundtrip_reply(reply)
+        reply = self._leg("forward", source, target, op)
         reply.forwards += 1
         return reply
 
@@ -390,29 +397,132 @@ class FaultyRouter(Router):
 
         A dropped ship surfaces as :class:`MessageLostError` for the
         primary's retry/repair ladder; a duplicated ship delivers the
-        same bytes twice and the backup's sequence numbers absorb the
-        replay — the replication-protocol mirror of the client-edge
-        dedup guarantee.
+        op twice and the backup's sequence numbers absorb the replay —
+        the replication-protocol mirror of the client-edge dedup
+        guarantee.
         """
-        server = self._lookup(target, "replicate")
-        decision = self.plan.decide("replicate", target)
-        if decision.drop:
-            self._fault("drop", "replicate", target)
-            raise MessageLostError(f"ship {source}->{target} lost")
-        if decision.delay:
-            self._fault("delay", "replicate", target)
-            self.now += decision.delay
-        self._count("replicate")
-        self.registry.counter(
-            "dist_replicate_total", {"src": source, "dst": target}
-        ).inc()
-        if TRACER.enabled:
-            TRACER.emit("replicate", src=source, dst=target, op=op.kind)
-        wire = encode_op(op)
-        reply = server.handle(decode_op(wire))
-        if decision.duplicate:
-            self._fault("duplicate", "replicate", target)
-            self._count("replicate")
-            reply = server.handle(decode_op(wire))
-        self._count("reply")
+        return self._leg("replicate", source, target, op)
+
+    def _leg(self, edge: str, source: int, target: int, op: Op) -> Reply:
+        """A server-to-server leg (only in-process servers send these)."""
+        fabric = self.inner
+        servers = self._servers
+        server = self._reach(edge, target)
+
+        def send(again: bool) -> Reply:
+            if not again:
+                fabric._count_leg(edge, source, target, op)
+            return servers.send(server, op, edge)
+
+        return servers.accept(self._deliver(edge, target, send))
+
+
+class _LocalServers:
+    """Shard servers in this process: crashed and reached directly."""
+
+    def __init__(self, fabric: InProcessTransport):
+        self.fabric = fabric
+
+    def reach(self, edge: str, shard_id: int) -> Any:
+        return self.fabric._lookup(shard_id, edge)
+
+    def send(self, server: Any, op: Op, edge: str = "request") -> Reply:
+        # Each copy is a fresh decode, exactly what a network duplicate
+        # hands the server.
+        self.fabric._count(edge)
+        return server.handle(roundtrip_op(op))
+
+    def accept(self, reply: Reply) -> Reply:
+        self.fabric._count("reply")
         return roundtrip_reply(reply)
+
+    def crash(self, shard_id: int) -> bool:
+        server: Any = self.fabric.servers.get(shard_id)
+        if server is None:
+            raise UnknownShardError(f"no server for shard {shard_id}")
+        if server.down:
+            return False
+        server.crash()
+        return True
+
+    def restart(self, shard_id: int) -> None:
+        # The id may have been rebound to a promoted server in the
+        # meantime; restart() leaves a live server alone, so the dead
+        # one's leftover schedule cannot bounce it.
+        server: Any = self.fabric.servers.get(shard_id)
+        if server is not None:
+            server.restart()
+
+    def restore_all(self) -> None:
+        for server in self.fabric.servers.values():
+            server.restart()
+
+    def tick(self, now: float) -> None:
+        if self.fabric.on_tick is not None:
+            self.fabric.on_tick(now)
+
+
+class _RemoteServers:
+    """Shard servers behind a serving socket: reached by frames,
+    crashed and restarted by control commands.
+
+    Which shards are down is the client's own record of the crashes it
+    issued, so a known-down shard refuses before any dice are rolled —
+    the same point at which the in-process lookup refuses.
+    """
+
+    def __init__(self, remote: Any, fault: Callable[[str, str, int], None]):
+        self.remote = remote
+        self.fault = fault
+        self.down: set[int] = set()
+
+    def reach(self, edge: str, shard_id: int) -> int:
+        if shard_id in self.down:
+            raise ServerDownError(f"shard {shard_id} is down ({edge} refused)")
+        return shard_id
+
+    def send(self, shard_id: int, op: Op, edge: str = "request") -> Reply:
+        remote = self.remote
+        wall = remote.wall_timeout
+        try:
+            # The wall deadline is only a hung-server backstop; the
+            # per-op deadline is enforced on the simulated clock.
+            reply = remote.runner.call(
+                remote.conn.request(shard_id, op, wall), wall * 2
+            )
+        except ServerDownError:
+            # Refused server-side (it went down under an op queued
+            # ahead of ours): the same fault as a client-side refusal.
+            self.fault("server_down", edge, shard_id)
+            raise
+        remote.messages += 1
+        return reply
+
+    def accept(self, reply: Reply) -> Reply:
+        self.remote.messages += 1
+        return reply
+
+    def crash(self, shard_id: int) -> bool:
+        if shard_id in self.down:
+            return False
+        if not self.remote.control({"cmd": "crash", "shard": shard_id}):
+            return False
+        self.down.add(shard_id)
+        return True
+
+    def restart(self, shard_id: int) -> None:
+        self.remote.control({"cmd": "restart", "shard": shard_id})
+        self.down.discard(shard_id)
+
+    def restore_all(self) -> None:
+        self.down.clear()
+        self.remote.control({"cmd": "restore_all"})
+
+    def tick(self, now: float) -> None:
+        if not self.down:
+            return
+        # Something is down: run the server-side failure detector on
+        # our clock (a no-op unless the cluster replicates). Ids that a
+        # promoted backup now answers for are no longer down to us.
+        status = self.remote.control({"cmd": "tick", "now": now})
+        self.down.difference_update(status["promoted"])

@@ -1,8 +1,8 @@
 """The message vocabulary of the TH* shard layer.
 
 Clients and servers exchange plain value objects — an :class:`Op` going
-in, a :class:`Reply` coming back — through the
-:class:`~repro.distributed.router.Router`. Every reply may carry Image
+in, a :class:`Reply` coming back — through a
+:class:`~repro.distributed.transport.Transport`. Every reply may carry Image
 Adjustment Message entries (see :mod:`repro.core.image`): the
 authoritative cut points around whatever the operation touched, which
 the client grafts into its trie image. Errors travel as exception

@@ -1,11 +1,11 @@
 """The in-process implementation of the message fabric.
 
-:class:`InProcessTransport` (kept importable under its historical name
-``Router``) is the synchronous, same-process implementation of the
-:class:`~repro.distributed.transport.Transport` seam. What it adds over
-a function call is the *accounting* a distributed design is judged by —
-messages per edge kind (client request, reply, server-to-server
-forward) and per-shard-pair forward counts — surfaced both through a
+:class:`InProcessTransport` is the synchronous, same-process
+implementation of the :class:`~repro.distributed.transport.Transport`
+seam. What it adds over a function call is the *accounting* a
+distributed design is judged by — messages per edge kind (client
+request, reply, server-to-server forward, replication ship) and
+per-shard-pair forward counts — surfaced both through a
 :class:`~repro.obs.metrics.MetricsRegistry` and, when tracing is on,
 as ``forward`` events on the :data:`~repro.obs.tracer.TRACER` bus.
 
@@ -23,11 +23,15 @@ counted once it reaches a live server, a reply only once the handler
 returned one (a raising handler produced no reply, so none is counted),
 and a forwarded op counts both the relayed reply from the owner back to
 the forwarding server and the forwarding server's reply to the client.
+:meth:`InProcessTransport.deliver` is that lookup → count → handle →
+count sequence for one request; both :meth:`~InProcessTransport
+.client_send` and the asyncio server's dispatcher
+(:class:`~repro.serving.server.ServingServer`) run it.
 
 This base transport is a perfect fabric — no losses, no delays, no
 failures beyond an explicitly crashed server (which refuses connections
-with :class:`~repro.distributed.errors.ServerDownError`). The
-fault-injecting variant lives in :mod:`repro.distributed.faults`.
+with :class:`~repro.distributed.errors.ServerDownError`). Faults come
+from wrapping it in a :class:`~repro.distributed.faults.FaultyTransport`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .codec import roundtrip_op, roundtrip_reply
 from .errors import ServerDownError, UnknownShardError
 from .messages import Op, Reply
 
-__all__ = ["Router", "InProcessTransport"]
+__all__ = ["InProcessTransport"]
 
 
 class InProcessTransport:
@@ -56,9 +60,10 @@ class InProcessTransport:
         #: and the serving differential both assert this).
         self.apply_counts: dict[tuple[int, int], int] = {}
         #: Failure-detection hook: called with the fabric clock on every
-        #: tick of a clock-bearing transport (``Cluster`` wires it to
-        #: ``Coordinator.tick`` when replication is on). The perfect
-        #: fabric has no clock, so it fires only from subclasses.
+        #: tick of a :class:`~repro.distributed.faults.FaultyTransport`
+        #: wrapping this one (``Cluster`` wires it to ``Coordinator.tick``
+        #: when replication is on). The perfect fabric has no clock, so
+        #: it never fires it itself.
         self.on_tick = None
 
     def register(self, server: Any) -> None:
@@ -94,6 +99,22 @@ class InProcessTransport:
             raise ServerDownError(f"shard {shard_id} is down ({edge} refused)")
         return server
 
+    def _count_leg(self, edge: str, source: int, target: int, op: Op) -> None:
+        """Per-message accounting of a server-to-server leg.
+
+        Runs once per leg that reaches its target — a duplicated
+        delivery counts a second message on ``edge`` but not a second
+        forward or ship.
+        """
+        if edge == "forward":
+            self.forwards += 1
+            name = "dist_forwards_total"
+        else:
+            name = "dist_replicate_total"
+        self.registry.counter(name, {"src": source, "dst": target}).inc()
+        if TRACER.enabled:
+            TRACER.emit(edge, src=source, dst=target, op=op.kind)
+
     # ------------------------------------------------------------------
     # Fault-tolerance hooks (the clock never moves on the perfect fabric)
     # ------------------------------------------------------------------
@@ -110,6 +131,19 @@ class InProcessTransport:
         return sum(1 for count in self.apply_counts.values() if count > 1)
 
     # ------------------------------------------------------------------
+    def deliver(self, shard_id: int, op: Op) -> Reply:
+        """One request reaching ``shard_id`` and the reply it produced.
+
+        Lookup → count the request → handle → count the reply. ``op``
+        must already be the server's own (decoded) copy; the reply is
+        the handler's, not yet encoded.
+        """
+        server = self._lookup(shard_id, "request")
+        self._count("request")
+        reply = server.handle(op)
+        self._count("reply")
+        return reply
+
     def client_send(
         self, shard_id: int, op: Op, timeout: Optional[float] = None
     ) -> Reply:
@@ -118,24 +152,15 @@ class InProcessTransport:
         ``timeout`` is the client's per-op deadline; the perfect fabric
         has no delays, so it can never be exceeded here.
         """
-        server = self._lookup(shard_id, "request")
-        self._count("request")
         # The wire boundary: the server sees a decoded copy of the op,
         # the client a decoded copy of the reply. No references cross.
-        reply = server.handle(roundtrip_op(op))
-        self._count("reply")
-        return roundtrip_reply(reply)
+        return roundtrip_reply(self.deliver(shard_id, roundtrip_op(op)))
 
     def forward(self, source: int, target: int, op: Op) -> Reply:
         """A server-to-server forward of a misaddressed operation."""
         server = self._lookup(target, "forward")
         self._count("forward")
-        self.forwards += 1
-        self.registry.counter(
-            "dist_forwards_total", {"src": source, "dst": target}
-        ).inc()
-        if TRACER.enabled:
-            TRACER.emit("forward", src=source, dst=target, op=op.kind)
+        self._count_leg("forward", source, target, op)
         reply = server.handle(roundtrip_op(op))
         # The owner's reply relayed back to the forwarding server is a
         # delivered message too — and crosses the codec like one.
@@ -148,16 +173,7 @@ class InProcessTransport:
         """A primary-to-backup shipping leg (never forwarded)."""
         server = self._lookup(target, "replicate")
         self._count("replicate")
-        self.registry.counter(
-            "dist_replicate_total", {"src": source, "dst": target}
-        ).inc()
-        if TRACER.enabled:
-            TRACER.emit("replicate", src=source, dst=target, op=op.kind)
+        self._count_leg("replicate", source, target, op)
         reply = server.handle(roundtrip_op(op))
         self._count("reply")
         return roundtrip_reply(reply)
-
-
-#: The historical name; existing code and tests use the two
-#: interchangeably (``Cluster.router`` *is* an ``InProcessTransport``).
-Router = InProcessTransport

@@ -7,14 +7,14 @@ A :class:`Transport` is whatever delivers an :class:`~repro.distributed
 assumes the shards live in its process — so the same client code runs
 over:
 
-* :class:`~repro.distributed.router.InProcessTransport` (the historical
-  ``Router``) — synchronous, in-process, with a simulated clock; and
-  its fault-injecting subclass
-  :class:`~repro.distributed.faults.FaultyRouter`;
+* :class:`~repro.distributed.router.InProcessTransport` — synchronous
+  and in-process: a perfect fabric with no clock;
 * :class:`~repro.serving.client.RemoteTransport` — a real asyncio
   TCP/UDS connection speaking the length-prefixed frame protocol of
-  :mod:`repro.distributed.codec`; and its fault-injecting wrapper
-  :class:`~repro.serving.faults.FaultyRemoteTransport`.
+  :mod:`repro.distributed.codec`, on wall-clock time;
+* :class:`~repro.distributed.faults.FaultyTransport` — a decorator
+  around either of the two that replays a seeded
+  :class:`~repro.distributed.faults.FaultPlan` on a simulated clock.
 
 Every implementation must preserve two semantic contracts:
 

@@ -90,9 +90,10 @@ class ServingServer:
     cluster:
         The cluster to front. Its router should be the plain
         :class:`~repro.distributed.router.InProcessTransport` — fault
-        injection belongs on the *client* side of a real wire (see
-        :class:`repro.serving.faults.FaultyRemoteTransport`), where
-        drops and delays are visible to the retry loop under test.
+        injection belongs on the *client* side of a real wire (a
+        :class:`~repro.distributed.faults.FaultyTransport` around the
+        client's transport), where drops and delays are visible to the
+        retry loop under test.
     max_queue:
         Bound of the shared op queue — the backpressure valve.
     batch_max:
@@ -332,7 +333,12 @@ class ServingServer:
         if len(payload) < 4:
             raise ProtocolError("request payload is missing its shard id")
         (shard_id,) = _U32.unpack_from(payload)
-        return shard_id, decode_op(payload[4:])
+        op = decode_op(payload[4:])
+        if not isinstance(op.kind, str):
+            # The dispatcher branches on the kind outside any handler's
+            # error boundary, so a hostile one must fail typed here.
+            raise ProtocolError("op kind is not a string")
+        return shard_id, op
 
     @staticmethod
     def _raised(conn: _Conn, corr_id: int, exc: BaseException):
@@ -342,13 +348,8 @@ class ServingServer:
 
     def _execute(self, shard_id: int, op: Op, corr_id: int) -> bytes:
         """Run one op; the response frame (Reply or raised outcome)."""
-        router = self.router
         try:
-            server = router._lookup(shard_id, "request")
-            router._count("request")
-            reply = server.handle(op)
-            router._count("reply")
-            body = b"\x00" + encode_reply(reply)
+            body = b"\x00" + encode_reply(self.router.deliver(shard_id, op))
         except Exception as exc:  # repro-lint: disable=TH002 -- the wire boundary: every failure must become a typed error frame, not a dead dispatcher
             body = b"\x01" + encode_value(exc)
         return pack_frame(FRAME_RESPONSE, corr_id, body)
@@ -419,7 +420,7 @@ class ServingServer:
         if cmd == "restart":
             server = self.router.servers.get(command["shard"])
             # A rebound id must never bounce the live promoted server
-            # answering for it (mirrors FaultyRouter's restart guard).
+            # answering for it.
             if server is None or not server.down:
                 return False
             server.restart()

@@ -28,7 +28,6 @@ from hypothesis.stateful import (
 from repro import Cluster, DuplicateKeyError, ShardPolicy
 from repro.distributed import (
     FaultPlan,
-    FaultyRouter,
     MessageLostError,
     OpTimeoutError,
     RetryPolicy,
@@ -189,6 +188,21 @@ class TestCrashRecovery:
         router.crash_server(0)
         with pytest.raises(ServerDownError):
             router.client_send(0, Op.get("a"))
+
+    def test_crash_fault_counts_only_a_crash_that_happens(self):
+        plan = FaultPlan(crash=1.0, downtime=(1.0, 1.0))
+        cluster = _faulty_cluster(plan, shards=1)
+        for _ in range(2):  # the second crash draw finds shard 0 down
+            with pytest.raises(ServerDownError):
+                cluster.router.client_send(0, Op.get("a"))
+
+        def faults(kind):
+            return cluster.registry.counter(
+                "dist_faults_total", {"kind": kind, "edge": "request"}
+            ).value
+
+        assert (faults("crash"), faults("server_down")) == (1, 2)
+        assert _counter_sum(cluster.registry, "dist_server_crashes_total") == 1
 
     def test_retry_rides_out_downtime(self):
         cluster = _faulty_cluster(FaultPlan(), shards=1, durable=True)

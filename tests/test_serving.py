@@ -4,20 +4,25 @@ Four layers of coverage, innermost first:
 
 * the wire codec — every encodable value roundtrips to an equal value
   of the same type, exceptions come back as fresh typed instances, and
-  malformed payloads raise :class:`ProtocolError` rather than
-  misdecoding;
+  any bytes either decode or raise :class:`ProtocolError` (Hypothesis
+  properties over the tagged-union value space and damaged encodings);
 * the frame envelope — version gating and the length cap;
 * a live server over a Unix-domain socket — point ops, scans, batches,
   IAM convergence, typed errors, pipelining, group fsync amortisation,
-  deadlines with dedup, backpressure, crash controls and TCP;
+  deadlines with dedup, backpressure, crash controls, hostile frames
+  and TCP;
 * the acceptance bridge — the chaos differential schedule replayed
-  over a real socket converges exactly like the simulated fabric.
+  over a real socket converges exactly like the simulated fabric, and
+  one fault plan injects the same faults on both.
 """
 
 import asyncio
+import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Cluster,
@@ -26,6 +31,7 @@ from repro import (
     ShardPolicy,
 )
 from repro.distributed import (
+    FaultPlan,
     MessageLostError,
     OpTimeoutError,
     RetryPolicy,
@@ -36,6 +42,7 @@ from repro.distributed import (
 from repro.distributed.codec import (
     ERROR_CODES,
     FRAME_REQUEST,
+    FRAME_RESPONSE,
     WIRE_VERSION,
     decode_op,
     decode_reply,
@@ -70,6 +77,116 @@ def _keys(count):
         letters[i % 26] + letters[(i * 7) % 26] + letters[(i * 3) % 26]
         for i in range(count)
     ]
+
+
+# The tagged-union value space. Sets decode as mutable ``set``, so set
+# members and dict keys are drawn from scalars and tuples only;
+# exceptions hash by identity and stay out of those positions too.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),  # unbounded: exercises the big-int escape
+    st.floats(allow_nan=False),
+    st.text(),
+    st.binary(),
+)
+_HASHABLES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+_EXCEPTIONS = st.builds(
+    lambda klass, message: klass(message),
+    st.sampled_from(sorted(ERROR_CODES.values(), key=repr)),
+    st.text(),
+)
+_VALUES = st.recursive(
+    _SCALARS | _EXCEPTIONS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_HASHABLES, inner, max_size=4)
+        | st.frozensets(_HASHABLES, max_size=4)
+    ),
+    max_leaves=12,
+)
+_TAGS = [bytes([tag]) for tag in b"NTFiIfsbtldSe"]
+_BYTES = [bytes([byte]) for byte in range(256)]
+
+
+@st.composite
+def _damaged_encodings(draw):
+    """Arbitrary bytes, or a real encoding with a few bytes mangled."""
+    if draw(st.booleans()):
+        data = bytearray(draw(st.binary(max_size=64)))
+    else:
+        data = bytearray(encode_value(draw(_VALUES)))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("byte", "retag", "tag", "cut")))
+        if edit == "tag":
+            data[pos:pos] = draw(st.sampled_from(_TAGS))
+        elif edit == "cut":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        elif pos < len(data):
+            byte = draw(st.sampled_from(_TAGS if edit == "retag" else _BYTES))
+            data[pos:pos + 1] = byte
+    return bytes(data)
+
+
+def _canon(value):
+    """A type-exact, comparable view (exceptions compare by identity)."""
+    if isinstance(value, BaseException):
+        return (type(value), str(value))
+    if isinstance(value, (list, tuple)):
+        return (type(value), tuple(_canon(item) for item in value))
+    if isinstance(value, dict):
+        return (dict, frozenset((_canon(k), _canon(v)) for k, v in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return (set, frozenset(_canon(item) for item in value))
+    return (type(value), value)
+
+
+def _drive_faulty(fabric, client, registry, ops):
+    """A seeded point-op workload with two scripted crash cycles.
+
+    Returns what the plan and the retry/dedup protocol did, so that two
+    fabrics running the same plan can be compared.
+    """
+    rng = random.Random(3)
+    outcomes = []
+    for step in range(ops):
+        if step in (ops // 3, 2 * ops // 3):
+            fabric.crash_server(0, downtime=0.12)
+        key = "".join(rng.choice("abcdefghij") for _ in range(rng.randint(1, 3)))
+        action = rng.random()
+        try:
+            if action < 0.4:
+                outcomes.append(client.insert(key, key.upper()))
+            elif action < 0.6:
+                outcomes.append(client.get(key))
+            elif action < 0.8:
+                outcomes.append(client.delete(key))
+            else:
+                outcomes.append(client.put(key, "v2"))
+        except (DuplicateKeyError, KeyNotFoundError) as exc:
+            outcomes.append(type(exc).__name__)
+    fabric.plan.heal()
+    fabric.restore_all()
+    return {
+        "faults_injected": fabric.faults_injected,
+        "faults_by_label": {
+            inst.labels: inst.value
+            for inst in registry.instruments()
+            if inst.name == "dist_faults_total"
+        },
+        "messages": fabric.messages,
+        "retries": client.retries_total,
+        "dedup_hits": _counter_sum(registry, "dist_dedup_hits_total"),
+        "crashes": _counter_sum(registry, "dist_server_crashes_total"),
+        "clock": fabric.now,
+        "records": list(client.items()),
+        "outcomes": outcomes,
+        "duplicate_applies": fabric.duplicate_applies(),
+    }
 
 
 # ======================================================================
@@ -177,6 +294,35 @@ class TestValueCodec:
         back = decode_value(encode_value(value))
         back["deep"][1]["x"] = 999
         assert value["deep"][1]["x"] == 2
+
+    @given(value=_VALUES)
+    @settings(max_examples=150)
+    def test_every_value_roundtrips(self, value):
+        assert _canon(decode_value(encode_value(value))) == _canon(value)
+
+    @given(data=_damaged_encodings())
+    @settings(max_examples=300)
+    def test_any_bytes_decode_or_raise_protocol_error(self, data):
+        try:
+            decode_value(data)
+        except ProtocolError:
+            pass
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"I" + _U32.pack(3) + b"xyz",
+            b"d" + _U32.pack(1) + b"l" + _U32.pack(0) + b"N",
+            b"S" + _U32.pack(1) + b"d" + _U32.pack(0),
+            (b"l" + _U32.pack(1)) * 5000 + b"N",
+        ],
+        ids=["big-int-not-a-number", "list-dict-key", "dict-set-member", "deep"],
+    )
+    def test_hostile_payloads_raise_protocol_error(self, payload):
+        # Python itself raises ValueError / TypeError / RecursionError
+        # on these; only ProtocolError is the server's typed boundary.
+        with pytest.raises(ProtocolError):
+            decode_value(payload)
 
 
 # ======================================================================
@@ -504,6 +650,34 @@ class TestTransportEdges:
             with pytest.raises(MessageLostError):
                 runner.call(conn.request(0, Op.get("a"), 5.0), 10.0)
 
+    @pytest.mark.parametrize(
+        "op_payload",
+        [
+            b"I" + _U32.pack(3) + b"xyz",
+            encode_value((["get"], "apple", None, None, None, None, None, None)),
+        ],
+        ids=["big-int-not-a-number", "unhashable-op-kind"],
+    )
+    def test_hostile_request_fails_typed_and_spares_other_clients(
+        self, op_payload
+    ):
+        # A framed request whose op cannot be decoded (or dispatched)
+        # must earn its sender a typed error, not take down the
+        # dispatcher and with it every client's connection.
+        with ServingFixture(Cluster(shards=1)) as fx:
+            with fx.open_session() as bystander:
+                bystander.file.insert("apple", "A")
+                runner, conn = fx.open_conn()
+                kind, body = runner.call(
+                    conn._roundtrip(FRAME_REQUEST, _U32.pack(0) + op_payload, 5.0),
+                    10.0,
+                )
+                assert (kind, body[0]) == (FRAME_RESPONSE, 1)
+                assert isinstance(decode_value(body[1:]), ProtocolError)
+                reply = runner.call(conn.request(0, Op.get("apple"), 5.0), 10.0)
+                assert reply.value == "A"
+                assert bystander.file.get("apple") == "A"
+
 
 # ======================================================================
 # The chaos schedule over a real socket
@@ -529,6 +703,43 @@ class TestServingChaos:
         assert report.retries > 0
         assert report.crashes >= 2
         assert report.recoveries >= 2
+
+    def test_one_plan_injects_the_same_faults_in_simulation_and_over_uds(self):
+        # One shard with room for every op: each plan decision falls on
+        # the client edge, the only edge a wrapper around the socket
+        # sees (forward and shipping legs run server-side over UDS).
+        # jitter=0 gives both clients the same backoff whatever their ids.
+        ops = 400
+        retry = RetryPolicy(max_retries=12, jitter=0.0)
+
+        def plan():
+            return FaultPlan(
+                seed=0, drop=0.03, duplicate=0.03, delay=0.03, crash=0.03
+            )
+
+        def cluster(**kwargs):
+            return Cluster(
+                shards=1,
+                durable=True,
+                shard_policy=ShardPolicy(shard_capacity=2 * ops),
+                retry=retry,
+                **kwargs,
+            )
+
+        sim_cluster = cluster(faults=plan())
+        sim = _drive_faulty(
+            sim_cluster.router, sim_cluster.client(), sim_cluster.registry, ops
+        )
+        uds_cluster = cluster()
+        with ServingFixture(uds_cluster) as fx:
+            client, fabric = fx.open_file(
+                plan=plan(), retry=retry, registry=uds_cluster.registry
+            )
+            uds = _drive_faulty(fabric, client, uds_cluster.registry, ops)
+        assert sim["duplicate_applies"] == 0
+        assert sim["retries"] > 0 and sim["dedup_hits"] > 0
+        assert sim["crashes"] > 2  # plan crashes on top of the scripted two
+        assert uds == sim
 
     def test_transport_argument_is_validated(self):
         with pytest.raises(ConfigurationError):
