@@ -3,8 +3,9 @@
 
 The committed ``BENCH_*.json`` files (regenerated by ``trie-hashing
 reproduce``) are the repo's perf trajectory. This gate compares a fresh
-run's documents against them and exits nonzero on regression, under the
-determinism contract of :mod:`repro.bench`:
+run's documents against every one of them found in ``--baseline-dir``
+and exits nonzero on regression, under the determinism contract of
+:mod:`repro.bench`:
 
 * ``timestamp`` / ``python`` / ``version`` / ``platform`` — ignored
   (environment identity, not results);
@@ -28,7 +29,8 @@ Usage::
         --baseline-dir . --fresh-dir bench-out [--perf-tolerance 0.4]
 
 ``--skip-perf`` restricts the gate to structural metrics (useful on
-noisy shared runners). Stdlib only.
+noisy shared runners); ``--files`` narrows the gate to the named files.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-BENCH_FILES = (
-    "BENCH_core.json",
-    "BENCH_distributed.json",
-    "BENCH_chaos.json",
-    "BENCH_compact.json",
-    "BENCH_serving.json",
-)
 
 #: Environment identity, not benchmark results.
 IGNORED_KEYS = frozenset({"timestamp", "python", "version", "platform"})
@@ -180,15 +174,18 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--files",
         nargs="+",
-        choices=BENCH_FILES,
         default=None,
-        help="gate only these trajectory files (default: all)",
+        help="gate only these trajectory files (default: every BENCH_*.json "
+        "in --baseline-dir)",
     )
     args = parser.parse_args(argv)
 
+    names = args.files or sorted(
+        path.name for path in args.baseline_dir.glob("BENCH_*.json")
+    )
     failures = 0
     checked = 0
-    for name in args.files if args.files else BENCH_FILES:
+    for name in names:
         baseline_path = args.baseline_dir / name
         fresh_path = args.fresh_dir / name
         if not baseline_path.exists():

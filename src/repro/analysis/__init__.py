@@ -3,8 +3,10 @@
 ``metrics`` computes the paper's quantities (load factor ``a``, trie size
 ``M``, growth rate ``s``, access counts); ``simulator`` drives files
 through workloads collecting time series; ``experiments`` defines one
-function per reproduced table/figure (see EXPERIMENTS.md for the index);
-``reporting`` renders the rows the way the paper prints them.
+function per reproduced table/figure and the ``EXPERIMENTS`` registry of
+them (see EXPERIMENTS.md for the index); ``validation`` holds the
+paper's claims as predicates over the registry's rows; ``reporting``
+renders the rows the way the paper prints them.
 """
 
 from .experiments import (

@@ -1,16 +1,21 @@
-"""One function per reproduced table or figure.
+"""One function per reproduced table or figure, and the registry of them.
 
 Each function regenerates the data behind one artifact of the paper's
 evaluation (see the per-experiment index in DESIGN.md / EXPERIMENTS.md)
 and returns it as a list of row dictionaries ready for
 :func:`~repro.analysis.reporting.format_table`. Sizes default to the
 paper's (5 000 keys, ``b`` in 10..50) but scale down for fast tests.
+
+:data:`EXPERIMENTS` is the one registry of them: ``trie-hashing list``,
+``run`` and ``validate`` and the ``paper`` bench suite all read it, and
+the claims of :mod:`repro.analysis.validation` name its ids.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Optional
 
 from ..btree import BPlusTree
@@ -20,16 +25,26 @@ from ..core.file import THFile
 from ..core.merge import mergeable_couples
 from ..core.mlth import MLTHFile
 from ..core.policies import SplitPolicy
+from ..core.reconstruct import reconstruct_trie
+from ..distributed.chaos import chaos_table
+from ..distributed.report import distributed_table
 from ..storage.buckets import BucketStore
 from ..storage.disk import SimulatedDisk
 from ..storage.layout import Layout
 from ..workloads.generators import KeyGenerator
+from .capacity import capacity_table
+from .distributions import boundary_length_histogram, summarize
 from .metrics import access_cost, file_metrics
-from .simulator import insert_all
+from .simulator import insert_all, load_series
 
 __all__ = [
+    "EXPERIMENTS",
+    "run_experiment",
+    "settings_of",
     "ablation_overflow",
+    "boundary_length_table",
     "concurrency_table",
+    "fig08_controlled",
     "fig10_ascending",
     "fig11_descending",
     "sec31_random",
@@ -40,10 +55,14 @@ __all__ = [
     "growth_rate_table",
     "sec5_btree_comparison",
     "mlth_access_table",
+    "mlth_split_shift_table",
     "deletions_table",
     "ablation_nil_nodes",
     "ablation_balance",
     "ablation_buffer",
+    "oscillation_table",
+    "reconstruction_table",
+    "seed_stability_table",
 ]
 
 Row = dict[str, object]
@@ -51,6 +70,37 @@ Row = dict[str, object]
 
 def _round(value: float, digits: int = 3) -> float:
     return round(value, digits)
+
+
+# ----------------------------------------------------------------------
+# Figure 8 — split control for descending insertions
+# ----------------------------------------------------------------------
+def fig08_controlled(count: int = 5000, seed: int = 42) -> list[Row]:
+    """The bounding key bounds the split's randomness (b = 4).
+
+    With the bounding key adjacent to the split key the split is
+    deterministic: ``m`` = middle gives a guaranteed 50% load for
+    descending insertions and ``m = 1`` gives 100%; the basic method's
+    uncontrolled ``m = 1`` split stays below 100%.
+    """
+    keys = KeyGenerator(seed).descending_keys(count)
+    rows: list[Row] = []
+    for label, policy in (
+        ("m = b/2+1, bounding m+1 (50% target)", SplitPolicy.thcl_guaranteed_half()),
+        ("m = 1, bounding 2 (100% target)", SplitPolicy.thcl_descending(0)),
+        ("m = 1, bounding 4 (d = 2)", SplitPolicy.thcl_descending(2)),
+        ("basic TH, m = 1 (uncontrolled)", SplitPolicy(split_position=1)),
+    ):
+        f = insert_all(THFile(4, policy), keys)
+        rows.append(
+            {
+                "configuration": label,
+                "a%": _round(100 * f.load_factor(), 1),
+                "M": f.trie_size(),
+                "N": f.bucket_count(),
+            }
+        )
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +178,38 @@ def fig11_descending(
                     "s": _round(f.growth_rate(), 2),
                 }
             )
+    return rows
+
+
+def boundary_length_table(seed: int = 42) -> list[Row]:
+    """Why the Fig 10 trie peaks at ``d = 0`` and then shrinks (b = 20).
+
+    Section 4.5's explanation is distributional: adjacent-key cuts need
+    longer split strings; lowering the split key shortens them but
+    multiplies splits. Fixed at 5 000 sorted keys: smaller files are too
+    short for the mean boundary length to fall monotonically.
+    """
+    keys = KeyGenerator(seed).sorted_keys(5000)
+    rows: list[Row] = []
+    for d in (0, 2, 4, 8):
+        policy = SplitPolicy(
+            split_position=-(d + 1),
+            bounding_offset=None,
+            nil_nodes=False,
+            merge="guaranteed",
+        )
+        f = insert_all(THFile(20, policy), keys)
+        stats = summarize(boundary_length_histogram(f.trie))
+        rows.append(
+            {
+                "d": d,
+                "M": f.trie_size(),
+                "N": f.bucket_count(),
+                "mean boundary len": stats["mean"],
+                "max boundary len": stats["max"],
+                "a%": _round(100 * f.load_factor(), 1),
+            }
+        )
     return rows
 
 
@@ -310,6 +392,34 @@ def sec45_redistribution(
     return rows
 
 
+def oscillation_table(seed: int = 42) -> list[Row]:
+    """The ~87% redistribution load is a peak, not a steady state.
+
+    Section 4.5: buckets fill up almost simultaneously and then split
+    almost simultaneously, so the load oscillates. The series is sampled
+    every 50 inserts after the first 500 (b = 20). Fixed at 5 000 keys:
+    smaller files do not run long enough to show the swing.
+    """
+    keys = KeyGenerator(seed).uniform(5000)
+    rows: list[Row] = []
+    for label, policy in (
+        ("plain THCL", SplitPolicy.thcl_guaranteed_half()),
+        ("with redistribution", SplitPolicy.thcl_redistributing()),
+    ):
+        series = load_series(THFile(20, policy), keys, every=50)
+        loads = [r["load_factor"] for r in series if r["inserted"] > 500]
+        rows.append(
+            {
+                "policy": label,
+                "mean%": _round(100 * sum(loads) / len(loads), 1),
+                "peak%": _round(100 * max(loads), 1),
+                "trough%": _round(100 * min(loads), 1),
+                "swing": _round(100 * (max(loads) - min(loads)), 1),
+            }
+        )
+    return rows
+
+
 # ----------------------------------------------------------------------
 # Section 4.5 — trie growth rate and bytes per split
 # ----------------------------------------------------------------------
@@ -485,6 +595,34 @@ def mlth_access_table(
                 "bucket_a%": _round(100 * f.load_factor(), 1),
                 "page_reads/search": _round(page_reads / len(probes), 2),
                 "bucket_reads/search": _round(bucket_reads / len(probes), 2),
+            }
+        )
+    return rows
+
+
+def mlth_split_shift_table(seed: int = 42) -> list[Row]:
+    """Section 3.2's refinement: shift the split node for ordered loads.
+
+    Page loads of an ascending MLTH load (b = 10, b' = 32) for each
+    split-node pick. Fixed at 5 000 sorted keys: smaller files stop
+    short of the 70-87% page-load band.
+    """
+    keys = KeyGenerator(seed).sorted_keys(5000)
+    rows: list[Row] = []
+    for pick in ("balanced", "first", "last"):
+        f = MLTHFile(
+            bucket_capacity=10,
+            page_capacity=32,
+            policy=SplitPolicy(nil_nodes=False, bounding_offset=None, merge="none"),
+            split_node_pick=pick,
+        )
+        insert_all(f, keys)
+        rows.append(
+            {
+                "split node": pick,
+                "page_load%": _round(100 * f.page_load_factor(), 1),
+                "pages": f.page_count(),
+                "bucket_a%": _round(100 * f.load_factor(), 1),
             }
         )
     return rows
@@ -791,7 +929,7 @@ def ablation_overflow(
 def ablation_buffer(
     count: int = 3000,
     bucket_capacity: int = 10,
-    buffer_sizes: Sequence[int] = (0, 8, 64),
+    buffer_sizes: Sequence[int] = (0, 16, 128),
     seed: int = 42,
 ) -> list[Row]:
     """Bucket buffer-pool size versus disk reads for a probe workload —
@@ -814,3 +952,126 @@ def ablation_buffer(
             }
         )
     return rows
+
+
+# ----------------------------------------------------------------------
+# Robustness and Section 6 reconstruction
+# ----------------------------------------------------------------------
+def seed_stability_table() -> list[Row]:
+    """The headline loads across independent key draws (b = 20).
+
+    The guarantees are distribution-free, so they must hold exactly for
+    every seed (compact ascending 100%, unexpected descending >= 50%);
+    the statistical random load must stay in its ~70% band. Three fixed
+    seeds of 2 000 keys each.
+    """
+    rows: list[Row] = []
+    for seed in (11, 42, 1981):
+        generator = KeyGenerator(seed)
+        keys = generator.sorted_keys(2000)
+        shuffled = generator.uniform(2000, salt=1)
+        compact = insert_all(THFile(20, SplitPolicy.thcl_ascending(0)), keys)
+        half = insert_all(
+            THFile(20, SplitPolicy.thcl_guaranteed_half()), reversed(keys)
+        )
+        random_file = insert_all(THFile(20), shuffled)
+        rows.append(
+            {
+                "seed": seed,
+                "compact a%": _round(100 * compact.load_factor(), 1),
+                "desc half a%": _round(100 * half.load_factor(), 1),
+                "random a%": _round(100 * random_file.load_factor(), 1),
+            }
+        )
+    return rows
+
+
+def reconstruction_table(seed: int = 42) -> list[Row]:
+    """Section 6: the trie rebuilds from the bucket headers alone.
+
+    A basic TH file of 800 random keys (b = 20) loses its trie; the trie
+    rebuilt from the buckets must route 200 of the keys to the same
+    bucket as the original.
+    """
+    keys = KeyGenerator(seed).uniform(800)
+    f = insert_all(THFile(20), keys)
+    rebuilt = reconstruct_trie(f.store, f.alphabet)
+    probes = keys[:200]
+    return [
+        {
+            "records": len(f),
+            "buckets": f.bucket_count(),
+            "probes": len(probes),
+            "same bucket": sum(
+                rebuilt.search(k).bucket == f.trie.search(k).bucket
+                for k in probes
+            ),
+        }
+    ]
+
+
+#: Experiment id -> (runner, description). The one registry of paper
+#: tables: ``trie-hashing list`` / ``run`` / ``validate`` and the
+#: ``paper`` bench suite read it, and every claim names one of its ids.
+EXPERIMENTS: dict[str, tuple[Callable[..., list[Row]], str]] = {
+    "fig8": (fig08_controlled, "split control for descending insertions, b=4"),
+    "fig10": (fig10_ascending, "THCL ascending sweep: a%, M, N vs d = b - m"),
+    "fig11": (fig11_descending, "THCL descending sweep: a%, M, N vs bounding d"),
+    "boundary-length": (boundary_length_table, "Fig 10 mechanics: boundary lengths vs d"),
+    "sec31": (sec31_random, "random insertions: a_r, nil leaves, index bytes"),
+    "sec32-unexpected": (sec32_unexpected, "unexpected ordered insertions"),
+    "sec32-expected": (sec32_expected, "expected ordered insertions, basic TH"),
+    "sec45": (sec45_guarantees, "THCL guarantees (100% / 50% / deletions)"),
+    "sec45-redistribution": (sec45_redistribution, "redistribution loads"),
+    "oscillation": (oscillation_table, "redistribution load oscillation"),
+    "growth": (growth_rate_table, "trie growth rate s and bytes per split"),
+    "capacity": (capacity_table, "Section 3.1 capacity arithmetic"),
+    "sec5": (sec5_btree_comparison, "TH vs B+-tree comparison"),
+    "concurrency": (concurrency_table, "TH vs B-tree lock conflicts (/VID87/)"),
+    "mlth": (mlth_access_table, "MLTH levels, page loads, accesses"),
+    "mlth-split-shift": (mlth_split_shift_table, "MLTH split-node shift, ordered load"),
+    "multikey": (multikey_grid_table, "multikey TH vs grid-file directory"),
+    "deletions": (deletions_table, "deletion/merging behaviour"),
+    "ablation-nil": (ablation_nil_nodes, "nil nodes vs shared leaves"),
+    "ablation-balance": (ablation_balance, "trie balancing depths"),
+    "ablation-buffer": (ablation_buffer, "buffer pool vs disk reads"),
+    "ablation-overflow": (ablation_overflow, "deferred splitting via overflow chains"),
+    "seed-stability": (seed_stability_table, "headline loads across key seeds"),
+    "reconstruction": (reconstruction_table, "trie rebuilt from bucket headers"),
+    "distributed": (distributed_table, "TH* client image convergence vs scale-out"),
+    "chaos": (chaos_table, "TH* differential convergence under injected faults"),
+}
+
+#: A ``run`` setting -> the runner parameters that take it. A runner
+#: sweeping several bucket capacities takes one as a 1-tuple.
+_SETTINGS = {
+    "count": ("count",),
+    "seed": ("seed",),
+    "bucket_capacity": ("bucket_capacity", "bucket_capacities"),
+}
+
+
+def settings_of(experiment_id: str) -> list[str]:
+    """The settings (``count``, ``seed``, ``bucket_capacity``) an
+    experiment takes, in that order."""
+    params = inspect.signature(EXPERIMENTS[experiment_id][0]).parameters
+    return [
+        name
+        for name, takers in _SETTINGS.items()
+        if any(taker in params for taker in takers)
+    ]
+
+
+def run_experiment(experiment_id: str, **settings: int) -> list[Row]:
+    """Run one registry entry with the given settings and return its rows.
+
+    A setting the experiment does not take (see :func:`settings_of`)
+    raises ``TypeError``; it is never silently dropped.
+    """
+    runner = EXPERIMENTS[experiment_id][0]
+    kwargs: dict[str, object] = dict(settings)
+    if "bucket_capacity" in kwargs and (
+        "bucket_capacities" in inspect.signature(runner).parameters
+    ):
+        kwargs["bucket_capacities"] = (kwargs.pop("bucket_capacity"),)
+    return runner(**kwargs)

@@ -1,9 +1,8 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints each reproduced table/figure as an ASCII
-table whose rows mirror what the paper reports, so a run of
-``pytest benchmarks/ --benchmark-only -s`` regenerates the evaluation
-section in readable form.
+``trie-hashing run <id>`` prints each reproduced table/figure as an
+ASCII table whose rows mirror what the paper reports, so the evaluation
+section regenerates in readable form, one experiment at a time.
 """
 
 from __future__ import annotations

@@ -1,197 +1,430 @@
-"""One-command validation: does this build still reproduce the paper?
+"""The paper's claims, as predicates over the experiment registry's rows.
 
-``trie-hashing validate`` runs a condensed version of every reproduced
-claim and prints PASS/FAIL per item — the release-gate a downstream user
-can run in under a minute, without pytest. Each check is a named
-predicate over a freshly built file; sizes are reduced relative to the
-benchmark harness but large enough for the statistical bands to hold.
+:data:`CLAIMS` maps a claim id to the registry experiment whose table
+carries it (:data:`~repro.analysis.experiments.EXPERIMENTS`), the
+paper's statement, and a predicate over that table's rows. It is the
+only copy of the claims: :func:`evaluate` runs every registry entry once
+and judges every claim, and both ``trie-hashing validate``
+(:func:`validate_all`) and the ``paper`` bench suite
+(:func:`repro.bench.suites.paper_suite`) go through it.
+
+A predicate selects rows by the table's own columns (``b``, ``d``,
+``case``, ...). Bounds stated in ``b`` use the experiment's default
+``b``, because the suite varies only ``count`` and ``seed``.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
+from typing import Optional
 
-from ..btree import BPlusTree
-from ..core.file import THFile
-from ..core.mlth import MLTHFile
-from ..core.policies import SplitPolicy
-from ..workloads.generators import KeyGenerator
+from .experiments import EXPERIMENTS, Row, run_experiment, settings_of
 
-__all__ = ["validate_all", "CLAIMS"]
+__all__ = ["CLAIMS", "evaluate", "validate_all"]
 
-
-def _sorted_keys(n=1500, seed=42):
-    return KeyGenerator(seed).sorted_keys(n)
+Predicate = Callable[[list[Row]], bool]
 
 
-def _random_keys(n=1500, seed=42):
-    return KeyGenerator(seed).uniform(n)
+def _rows(rows: list[Row], **match: object) -> list[Row]:
+    """The rows whose columns equal ``match``."""
+    return [r for r in rows if all(r[k] == v for k, v in match.items())]
 
 
-def _fill(policy, keys, b=20):
-    f = THFile(b, policy)
-    for k in keys:
-        f.insert(k)
-    return f
+def _row(rows: list[Row], **match: object) -> Row:
+    """The one row matching ``match``."""
+    (row,) = _rows(rows, **match)
+    return row
 
 
-def _check_compact_ascending() -> bool:
-    f = _fill(SplitPolicy.thcl_ascending(0), _sorted_keys())
-    f.check()
-    return f.load_factor() > 0.99
+def _sweeps(rows: list[Row], column: str = "b") -> list[list[Row]]:
+    """Rows grouped by ``column``, each group in table order."""
+    groups: dict[object, list[Row]] = {}
+    for r in rows:
+        groups.setdefault(r[column], []).append(r)
+    return list(groups.values())
 
 
-def _check_compact_descending() -> bool:
-    f = _fill(SplitPolicy.thcl_descending(0), list(reversed(_sorted_keys())))
-    f.check()
-    return f.load_factor() > 0.99
+def _ascending(values: list) -> bool:
+    return values == sorted(values)
 
 
-def _check_guaranteed_half() -> bool:
-    asc = _fill(SplitPolicy.thcl_guaranteed_half(), _sorted_keys())
-    desc = _fill(
-        SplitPolicy.thcl_guaranteed_half(), list(reversed(_sorted_keys()))
-    )
-    return asc.load_factor() >= 0.495 and desc.load_factor() >= 0.495
+def _descending(values: list) -> bool:
+    return values == sorted(values, reverse=True)
 
 
-def _check_random_seventy() -> bool:
-    f = _fill(SplitPolicy.basic_th(), _random_keys())
-    return 0.60 <= f.load_factor() <= 0.78
+def _method(rows: list[Row], prefix: str, order: str) -> Row:
+    """The one row of ``order`` whose method starts with ``prefix``."""
+    (row,) = [
+        r for r in _rows(rows, order=order) if r["method"].startswith(prefix)
+    ]
+    return row
 
 
-def _check_one_access_search() -> bool:
-    f = _fill(SplitPolicy.basic_th(), _random_keys())
-    keys = _random_keys()
-    before = f.store.disk.stats.reads
-    for k in keys[:100]:
-        f.get(k)
-    return f.store.disk.stats.reads - before == 100
+def _concurrency(column: str, th_wins: Callable[[float, float], bool]) -> Predicate:
+    """TH beats the B-tree on ``column`` at 4 and 16 clients."""
 
-
-def _check_deletion_floor() -> bool:
-    f = _fill(SplitPolicy.thcl(), _random_keys(), b=10)
-    victims = _random_keys()
-    random.Random(1).shuffle(victims)
-    for k in victims[:1200]:
-        f.delete(k)
-    f.check()
-    live = f.store.live_addresses()
-    return len(live) <= 1 or min(len(f.store.peek(a)) for a in live) >= 5
-
-
-def _check_redistribution_load() -> bool:
-    f = _fill(SplitPolicy.thcl_redistributing(), _random_keys())
-    return f.load_factor() >= 0.78
-
-
-def _check_fig10_minimum() -> bool:
-    keys = _sorted_keys(2500)
-    sizes = []
-    for d in (0, 2, 4, 6):
-        policy = SplitPolicy(
-            split_position=-(d + 1),
-            bounding_offset=None,
-            nil_nodes=False,
-            merge="guaranteed",
+    def predicate(rows: list[Row]) -> bool:
+        return all(
+            th_wins(
+                _row(rows, method="TH", clients=n)[column],
+                _row(rows, method="B+-tree", clients=n)[column],
+            )
+            for n in (4, 16)
         )
-        sizes.append(_fill(policy, keys).trie_size())
-    return min(sizes[1:]) < sizes[0]
+
+    return predicate
 
 
-def _check_mlth_two_accesses() -> bool:
-    f = MLTHFile(bucket_capacity=5, page_capacity=16)
-    keys = _random_keys(2500)
-    for k in keys:
-        f.insert(k)
-    f.check()
-    pages, buckets = f.search_cost(keys[0])
-    return buckets == 1 and pages == f.levels() - 1
-
-
-def _check_btree_comparison() -> bool:
-    keys = _random_keys()
-    th = _fill(SplitPolicy.basic_th(), keys)
-    bt = BPlusTree(leaf_capacity=20, pin_root=False)
-    for k in keys:
-        bt.insert(k)
-    th_reads = th.store.disk.stats.snapshot()
-    th.get(keys[0])
-    th_cost = th.store.disk.stats.delta(th_reads).reads
-    bt_reads = bt.disk.stats.snapshot()
-    bt.get(keys[0])
-    bt_cost = bt.disk.stats.delta(bt_reads).reads
-    return th_cost < bt_cost and 6 * th.trie_size() < bt.index_bytes()
-
-
-def _check_reconstruction() -> bool:
-    from ..core.reconstruct import reconstruct_trie
-
-    f = _fill(SplitPolicy.basic_th(), _random_keys(800))
-    rebuilt = reconstruct_trie(f.store, f.alphabet)
-    return all(
-        rebuilt.search(k).bucket == f.trie.search(k).bucket
-        for k in _random_keys(800)[:200]
-    )
-
-
-def _check_concurrency() -> bool:
-    from ..concurrency import (
-        btree_operation_schedule,
-        simulate_clients,
-        th_operation_schedule,
-    )
-
-    gen = KeyGenerator(5)
-    present = gen.uniform(600)
-    fresh = gen.uniform(150, salt=2)
-    f = THFile(10)
-    t = BPlusTree(leaf_capacity=10)
-    for k in present:
-        f.insert(k)
-        t.insert(k)
-    th_ops = [th_operation_schedule(f, "insert", k) for k in fresh]
-    bt_ops = [btree_operation_schedule(t, "insert", k) for k in fresh]
-    th_report = simulate_clients(th_ops, 8)
-    bt_report = simulate_clients(bt_ops, 8)
-    return th_report.conflicts < bt_report.conflicts
-
-
-#: Claim id -> (description, checker).
-CLAIMS: dict[str, tuple] = {
-    "compact-ascending": ("THCL d=0 ascending loads to 100%", _check_compact_ascending),
-    "compact-descending": ("THCL d=0 descending loads to 100%", _check_compact_descending),
-    "guaranteed-half": ("unexpected ordered loads hold >= 50%", _check_guaranteed_half),
-    "random-seventy": ("random insertions load ~70%", _check_random_seventy),
-    "one-access": ("key search costs one disk access", _check_one_access_search),
-    "deletion-floor": ("deletions keep every bucket >= b//2", _check_deletion_floor),
-    "redistribution": ("redistribution lifts random load toward 87%", _check_redistribution_load),
-    "fig10-minimum": ("Fig 10: trie size has an interior minimum", _check_fig10_minimum),
-    "mlth-two-accesses": ("MLTH: levels-1 page reads + 1 bucket read", _check_mlth_two_accesses),
-    "btree-comparison": ("TH beats the B-tree on accesses and index size", _check_btree_comparison),
-    "reconstruction": ("trie rebuilds from bucket headers", _check_reconstruction),
-    "concurrency": ("TH out-concurs the B-tree (/VID87/)", _check_concurrency),
+#: Claim id -> (experiment id, the paper's statement, predicate over the
+#: experiment's rows).
+CLAIMS: dict[str, tuple[str, str, Predicate]] = {
+    # Figure 8 -- split control, descending insertions, b = 4
+    "fig8-half": (
+        "fig8", "bounding key at m+1, m = middle: a guaranteed 50% load",
+        lambda rows: _row(rows, configuration="m = b/2+1, bounding m+1 (50% target)")["a%"] >= 49.5),
+    "fig8-full": (
+        "fig8", "m = 1 with the bounding key at 2: 100% load",
+        lambda rows: _row(rows, configuration="m = 1, bounding 2 (100% target)")["a%"] >= 99),
+    "fig8-uncontrolled": (
+        "fig8", "the uncontrolled basic m = 1 split stays below 100%",
+        lambda rows: _row(rows, configuration="basic TH, m = 1 (uncontrolled)")["a%"] < 99),
+    # Figure 10 -- THCL, expected ascending insertions
+    "fig10-compact": (
+        "fig10", "a = 100% at d = 0, for every b",
+        lambda rows: all(s[0]["d"] == 0 and s[0]["a%"] == 100 for s in _sweeps(rows))),
+    "fig10-minimum": (
+        "fig10", "trie size M falls below its d = 0 peak as d grows",
+        lambda rows: all(min(r["M"] for r in s[1:]) < s[0]["M"] for s in _sweeps(rows))),
+    "fig10-load-declines": (
+        "fig10", "the load a falls as d grows",
+        lambda rows: all(_descending([r["a%"] for r in s]) for s in _sweeps(rows))),
+    "fig10-growth-rate": (
+        "fig10", "growth rate s at full load (d = 0) within 1.4-2.6 (paper 1.6-2.13)",
+        lambda rows: all(1.4 <= s[0]["s"] <= 2.6 for s in _sweeps(rows))),
+    # Figure 11 -- THCL, expected descending insertions
+    "fig11-compact": (
+        "fig11", "a = 100% at d = 0, for every b",
+        lambda rows: all(s[0]["d"] == 0 and s[0]["a%"] == 100 for s in _sweeps(rows))),
+    "fig11-saving": (
+        "fig11", "M drops at once from d = 0 and never returns to its d = 0 peak",
+        lambda rows: all(
+            s[1]["M"] < s[0]["M"] and min(r["M"] for r in s) == min(r["M"] for r in s[1:])
+            for s in _sweeps(rows)
+        )),
+    "fig11-load-high": (
+        "fig11", "a stays above 85% for d <= 4",
+        lambda rows: all(r["a%"] > 85 for r in rows if r["d"] <= 4)),
+    "boundary-length": (
+        "boundary-length", "larger d shortens split strings but multiplies splits",
+        lambda rows: _descending([r["mean boundary len"] for r in rows])
+        and _ascending([r["N"] for r in rows])),
+    # Section 3.1 -- random insertions
+    "random-seventy": (
+        "sec31", "random insertions load ~70% (62-78% for every b)",
+        lambda rows: all(62 <= r["a_r%"] <= 78 for r in rows)),
+    "sec31-nil-negligible": (
+        "sec31", "nil leaves are negligible (< 2%)",
+        lambda rows: all(r["nil%"] < 2.0 for r in rows)),
+    "sec31-trie-smaller": (
+        "sec31", "the trie takes fewer bytes than the B-tree's branch nodes",
+        lambda rows: all(r["trie_bytes"] < r["btree_index_bytes"] for r in rows)),
+    "sec31-cell-per-bucket": (
+        "sec31", "about one trie cell per bucket: M within 25% of N+1",
+        lambda rows: all(abs(r["M"] - r["N+1"]) <= 0.25 * r["N+1"] for r in rows)),
+    # Section 3.2 -- unexpected ordered insertions (rows: m = 0.5b, 0.4b)
+    "sec32-ascending": (
+        "sec32-unexpected", "a_a within 55-80% at m = 0.5b (paper 60-73%)",
+        lambda rows: all(55 <= s[0]["a_a%"] <= 80 for s in _sweeps(rows))),
+    "sec32-descending": (
+        "sec32-unexpected", "a_d within 38-60% at m = 0.5b (paper 40-55%)",
+        lambda rows: all(38 <= s[0]["a_d%"] <= 60 for s in _sweeps(rows))),
+    "sec32-lower-m": (
+        "sec32-unexpected", "lowering m toward 0.4b lifts a_d",
+        lambda rows: all(s[1]["a_d%"] > s[0]["a_d%"] for s in _sweeps(rows))),
+    "sec32-random-unaffected": (
+        "sec32-unexpected", "a_r barely moves with m (< 8 points)",
+        lambda rows: all(abs(s[1]["a_r%"] - s[0]["a_r%"]) < 8 for s in _sweeps(rows))),
+    # Figures 5-6 -- expected ordered insertions, basic method
+    "fig5-6-capped": (
+        "sec32-expected", "basic TH stays below 95% even at m = b / m = 1 (ascending >= 50%)",
+        lambda rows: all(
+            50 <= r["a_a% (m=b)"] < 95 and r["a_d% (m=1)"] < 95 for r in rows
+        )),
+    "fig5-6-band": (
+        "sec32-expected", "at b = 10 both ordered loads lie within 55-90%",
+        lambda rows: all(
+            55 <= _row(rows, b=10)[column] <= 90
+            for column in ("a_a% (m=b)", "a_d% (m=1)")
+        )),
+    "fig5-nil-nodes": (
+        "sec32-expected", "ascending loads leave nil nodes (Fig 5)",
+        lambda rows: all(r["nil_a%"] > 0 for r in rows)),
+    # Section 4.5 -- THCL guarantees (b = 20)
+    "compact-ascending": (
+        "sec45", "THCL d=0 ascending loads to 100%",
+        lambda rows: _row(rows, case="expected ascending, d=0")["a%"] == 100),
+    "compact-descending": (
+        "sec45", "THCL d=0 descending loads to 100%",
+        lambda rows: _row(rows, case="expected descending, d=0")["a%"] == 100),
+    "guaranteed-half": (
+        "sec45", "unexpected ordered loads hold >= 50% either way",
+        lambda rows: all(
+            _row(rows, case=case)["a%"] >= 49.5
+            for case in ("unexpected ascending", "unexpected descending")
+        )),
+    "thcl-random-seventy": (
+        "sec45", "THCL random insertions load ~70% (62-78%)",
+        lambda rows: 62 <= _row(rows, case="random insertions")["a%"] <= 78),
+    "deletion-floor": (
+        "sec45", "after 80% deletions every bucket holds >= b//2 = 10",
+        lambda rows: _row(rows, case="after deleting 80% (floor b//2)")["min_bucket"] >= 10),
+    # Section 4.5 -- redistribution (b = 20)
+    "redistribution": (
+        "sec45-redistribution", "redistribution lifts random load toward 87% (>= 80%)",
+        lambda rows: _row(rows, order="random", policy="with redistribution")["a%"] >= 80),
+    "redistribution-beats-plain": (
+        "sec45-redistribution", "redistribution loads random files above plain THCL",
+        lambda rows: _row(rows, order="random", policy="with redistribution")["a%"]
+        > _row(rows, order="random", policy="plain THCL")["a%"]),
+    "redistribution-ordered": (
+        "sec45-redistribution", "redistribution takes unexpected ascending loads to ~100% (>= 95%)",
+        lambda rows: _row(rows, order="unexpected ascending", policy="with redistribution")["a%"] >= 95),
+    "redistribution-probes": (
+        "sec45-redistribution", "redistributing policies do redistribute",
+        lambda rows: all(r["redistributions"] > 0 for r in rows if r["policy"] != "plain THCL")),
+    "oscillation-peak": (
+        "oscillation", "the redistribution load peaks near 87% (>= 85%)",
+        lambda rows: _row(rows, policy="with redistribution")["peak%"] >= 85),
+    "oscillation-swing": (
+        "oscillation", "the redistribution load oscillates (peak - trough >= 5 points)",
+        lambda rows: _row(rows, policy="with redistribution")["peak%"]
+        - _row(rows, policy="with redistribution")["trough%"] >= 5),
+    "oscillation-mean": (
+        "oscillation", "its mean sits > 10 points above plain THCL's",
+        lambda rows: _row(rows, policy="with redistribution")["mean%"]
+        > _row(rows, policy="plain THCL")["mean%"] + 10),
+    # Section 4.5 -- growth rate
+    "growth-cheaper": (
+        "growth", "the trie grows by fewer bytes per split than a B-tree",
+        lambda rows: all(r["bytes/split"] < r["btree bytes/split"] for r in rows)),
+    "growth-rate-band": (
+        "growth", "growth rate s within 1.0-2.6 cells per split",
+        lambda rows: all(1.0 <= r["s"] <= 2.6 for r in rows)),
+    "growth-full-load": (
+        "growth", "full-load configurations load to 100%",
+        lambda rows: all(r["a%"] == 100 for r in rows if "full load" in r["case"])),
+    "growth-full-load-fastest": (
+        "growth", "full load grows the trie fastest (within 0.2 of the top s), per b",
+        lambda rows: all(
+            min(r["s"] for r in s if "full load" in r["case"]) >= max(r["s"] for r in s) - 0.2
+            for s in _sweeps(rows)
+        )),
+    # Section 3.1 -- capacity arithmetic
+    "capacity-buffer": (
+        "capacity", "a 6 KB trie buffer addresses ~1 000 buckets, 64 KB ~11 000",
+        lambda rows: 950 <= _row(rows, claim="6 KB trie buffer ~ 1000-bucket file")["computed"] <= 1100
+        and 10000 <= _row(rows, claim="64 KB trie buffer ~ 11000-bucket file")["computed"] <= 11500),
+    "capacity-bilevel": (
+        "capacity", "a bi-level trie holds ~16 M records at 10 KB pages, > 600 M at 64 KB",
+        lambda rows: 10e6 < _row(rows, claim="bi-level, p=10KB, b=20: ~16M records")["computed"] < 25e6
+        and _row(rows, claim="bi-level, p=64KB, b=20: >600M records")["computed"] > 600e6),
+    # Section 5 -- the B-tree comparison (b = 20)
+    "btree-comparison": (
+        "sec5", "TH beats the B-tree on search and insert accesses and index size",
+        lambda rows: all(
+            _row(rows, method="TH (basic)", order=order)[column]
+            < _method(rows, "B+-tree", order)[column]
+            for order in ("random", "ascending")
+            for column in ("search_acc", "insert_acc", "index_bytes")
+        )),
+    "sec5-one-access": (
+        "sec5", "TH and THCL search in one access",
+        lambda rows: all(r["search_acc"] == 1 for r in rows if r["method"].startswith("TH"))),
+    "sec5-btree-height": (
+        "sec5", "a B-tree search costs its height (>= 2 accesses)",
+        lambda rows: all(r["search_acc"] >= 2 for r in rows if r["method"].startswith("B+-tree"))),
+    "sec5-ordered-full": (
+        "sec5", "on ordered loads THCL and the compact B-tree both reach 100%",
+        lambda rows: _method(rows, "THCL", "ascending")["a%"] >= 99
+        and _method(rows, "B+-tree", "ascending")["a%"] >= 99),
+    # Section 6 / /VID87/ -- concurrency
+    "concurrency": (
+        "concurrency", "TH out-concurs the B-tree: fewer lock conflicts (/VID87/)",
+        _concurrency("conflicts", lambda th, bt: th < bt)),
+    "concurrency-waits": (
+        "concurrency", "TH clients wait fewer ticks than B-tree clients",
+        _concurrency("wait_ticks", lambda th, bt: th < bt)),
+    "concurrency-throughput": (
+        "concurrency", "TH has the higher throughput",
+        _concurrency("throughput", lambda th, bt: th > bt)),
+    "concurrency-single-client": (
+        "concurrency", "a single client never conflicts",
+        lambda rows: all(r["conflicts"] == 0 for r in _rows(rows, clients=1))),
+    # MLTH -- Sections 2.5 / 3.1 / 3.2
+    "mlth-two-accesses": (
+        "mlth", "MLTH: levels-1 page reads + 1 bucket read per search",
+        lambda rows: all(
+            r["bucket_reads/search"] == 1 and r["page_reads/search"] == r["levels"] - 1
+            for r in rows
+        )),
+    "mlth-levels": (
+        "mlth", "the largest file grows a third trie level",
+        lambda rows: rows[-1]["levels"] >= 3),
+    "mlth-page-load": (
+        "mlth", "page loads within 40-100%",
+        lambda rows: all(40 <= r["page_load%"] <= 100 for r in rows)),
+    "mlth-shift-band": (
+        "mlth-split-shift", "an ordered load reaches the 70-87% page-load band",
+        lambda rows: max(r["page_load%"] for r in rows) >= 70),
+    "mlth-shift-loads": (
+        "mlth-split-shift", "every split-node pick keeps pages 30-100% full",
+        lambda rows: all(30 <= r["page_load%"] <= 100 for r in rows)),
+    # Section 6 future work -- multikey TH vs grid files
+    "multikey-directory": (
+        "multikey", "the grid directory outgrows the trie > 3x at every skew",
+        lambda rows: all(r["grid_directory"] > r["trie_cells"] for r in rows)
+        and min(r["ratio"] for r in rows) > 3),
+    "multikey-empty-cells": (
+        "multikey", "part of the grid directory points at empty cells",
+        lambda rows: all(r["grid_occupied"] < r["grid_directory"] for r in rows)),
+    "multikey-rectangle": (
+        "multikey", "a rectangle query scans at least its matches",
+        lambda rows: all(r["rect_matches"] <= r["rect_scanned"] for r in rows)),
+    # Deletions -- Sections 2.4 / 3.3 / 4.3 (b = 10)
+    "deletions-thcl-floor": (
+        "deletions", "THCL keeps every bucket >= b//2 = 5 after 75% deletions",
+        lambda rows: _row(rows, method="THCL (guaranteed)")["min_bucket"] >= 5),
+    "deletions-basic-unbounded": (
+        "deletions", "basic sibling merging cannot beat THCL's floor",
+        lambda rows: _row(rows, method="basic TH")["min_bucket"]
+        <= _row(rows, method="THCL (guaranteed)")["min_bucket"]),
+    "deletions-thcl-load": (
+        "deletions", "THCL stays >= 50% loaded after 75% deletions",
+        lambda rows: _row(rows, method="THCL (guaranteed)")["a% after 75% deleted"] >= 50),
+    "deletions-rotations": (
+        "deletions", "rotations recover space the sibling rule cannot",
+        lambda rows: _row(rows, method="basic TH + rotations")["a% after 75% deleted"]
+        > _row(rows, method="basic TH")["a% after 75% deleted"]),
+    # Ablations
+    "nil-shared-leaves": (
+        "ablation-nil", "at m = b only shared leaves (THCL) reach 100%; nil nodes strand basic TH below 95%",
+        lambda rows: _row(rows, **{"split key": "m = b"})["thcl a%"] == 100
+        and _row(rows, **{"split key": "m = b"})["basic a%"] < 95),
+    "nil-middle-close": (
+        "ablation-nil", "at m = middle the two tries are within 30% in size",
+        lambda rows: abs(
+            _row(rows, **{"split key": "m = middle"})["basic M"]
+            - _row(rows, **{"split key": "m = middle"})["thcl M"]
+        ) < 0.3 * _row(rows, **{"split key": "m = middle"})["thcl M"]),
+    "balance-shallower": (
+        "ablation-balance", "balancing never deepens a trie and flattens the ascending one",
+        lambda rows: all(r["balanced depth"] <= r["depth"] for r in rows)
+        and _row(rows, workload="ascending")["balanced depth"]
+        < _row(rows, workload="ascending")["depth"]),
+    "one-access": (
+        "ablation-buffer", "key search costs one disk access (500 probes, no cache: 500 reads)",
+        lambda rows: _row(rows, **{"buffer (buckets)": 0})["disk reads / 500 probes"] == 500),
+    "buffer-absorbs-reads": (
+        "ablation-buffer", "a larger buffer pool never costs more reads, and saves some",
+        lambda rows: _descending([r["disk reads / 500 probes"] for r in rows])
+        and rows[-1]["disk reads / 500 probes"] < 500),
+    "overflow-trade": (
+        "ablation-overflow", "overflow chaining lifts the load and shrinks the trie",
+        lambda rows: _row(rows, method="overflow chaining")["a%"] > _row(rows, method="plain TH")["a%"]
+        and _row(rows, method="overflow chaining")["M"] < _row(rows, method="plain TH")["M"]),
+    "overflow-access": (
+        "ablation-overflow", "plain TH reads once per search, chaining 1-2 times",
+        lambda rows: _row(rows, method="plain TH")["reads/search"] == 1
+        and 1 < _row(rows, method="overflow chaining")["reads/search"] <= 2),
+    # Robustness, reconstruction and the TH* layer
+    "seeds-guarantees": (
+        "seed-stability", "the guarantees hold for every seed (100% compact, >= 50% descending)",
+        lambda rows: all(r["compact a%"] >= 99.5 and r["desc half a%"] >= 49.5 for r in rows)),
+    "seeds-random-band": (
+        "seed-stability", "the random load stays within 60-78% for every seed",
+        lambda rows: all(60 <= r["random a%"] <= 78 for r in rows)),
+    "reconstruction": (
+        "reconstruction", "trie rebuilds from bucket headers",
+        lambda rows: rows[0]["same bucket"] == rows[0]["probes"]),
+    "distributed-convergence": (
+        "distributed", "a cold TH* client converges to >= 90% direct hits",
+        lambda rows: rows[-1]["hit%"] >= 90),
+    "chaos-converges": (
+        "chaos", "TH* converges under faults with no duplicate applies",
+        lambda rows: all(r["converged"] and r["dup_applies"] == 0 for r in rows)),
 }
+
+
+def _attempt(fn: Callable, *args, **kwargs) -> tuple[object, Optional[Exception]]:
+    """``(fn(...), None)``, or ``(None, error)`` when it raised."""
+    try:
+        return fn(*args, **kwargs), None
+    # A crashing experiment or predicate is a failed claim with a reason;
+    # it must never abort the evaluation of the others.
+    except Exception as error:  # repro-lint: disable=TH002 -- harness boundary: a crashing claim is a failure with a reason, not an abort
+        return None, error
+
+
+def evaluate(
+    count: Optional[int] = None, seed: Optional[int] = None
+) -> tuple[dict[str, list[Row]], dict[str, Optional[str]]]:
+    """Run every registry entry once and judge every claim.
+
+    ``count`` and ``seed`` reach only the experiments that take them
+    (``None`` keeps each experiment's default). Returns the tables by
+    experiment id, and per claim id ``None`` when it reproduced or the
+    reason it did not. A crashing experiment fails its claims and a
+    crashing predicate fails its own; neither stops the rest.
+    """
+    tables: dict[str, list[Row]] = {}
+    crashes: dict[str, str] = {}
+    for experiment_id in EXPERIMENTS:
+        takes = settings_of(experiment_id)
+        given = {
+            name: value
+            for name, value in (("count", count), ("seed", seed))
+            if value is not None and name in takes
+        }
+        rows, error = _attempt(run_experiment, experiment_id, **given)
+        if error is None:
+            tables[experiment_id] = rows
+        else:
+            crashes[experiment_id] = f"{experiment_id} crashed: {error!r}"
+    verdicts: dict[str, Optional[str]] = {}
+    for claim_id, (experiment_id, _, predicate) in CLAIMS.items():
+        if experiment_id in crashes:
+            verdicts[claim_id] = crashes[experiment_id]
+            continue
+        held, error = _attempt(predicate, tables[experiment_id])
+        if error is not None:
+            verdicts[claim_id] = f"error: {error!r}"
+        else:
+            verdicts[claim_id] = None if held else "not reproduced"
+    return tables, verdicts
 
 
 def validate_all(
     printer: Callable[[str], None] = print,
 ) -> list[dict[str, object]]:
-    """Run every claim check; print and return the results."""
+    """Judge every claim on the quick paper suite's tables; print one
+    PASS/FAIL line per claim and a total, and return the verdicts."""
+    from ..bench import PROFILES, SUITES
+
+    _, verdicts = evaluate(PROFILES["quick"]["paper"], SUITES["paper"][1])
     results = []
-    failures = 0
-    for claim_id, (description, checker) in CLAIMS.items():
-        try:
-            ok = bool(checker())
-        # The claim harness must survive *any* checker crash and report
-        # it as a failed claim rather than abort the whole validation.
-        except Exception as error:  # repro-lint: disable=TH002 -- harness boundary: a crashing claim is a failure with a reason, not an abort
-            ok = False
-            description = f"{description} (error: {error})"
-        failures += 0 if ok else 1
-        printer(f"[{'PASS' if ok else 'FAIL'}] {claim_id:20s} {description}")
-        results.append({"claim": claim_id, "ok": ok, "description": description})
+    for claim_id, (experiment_id, statement, _) in CLAIMS.items():
+        reason = verdicts[claim_id]
+        line = f"[{'FAIL' if reason else 'PASS'}] {claim_id:26s} {statement}"
+        printer(line if reason is None else f"{line} ({reason})")
+        results.append(
+            {
+                "claim": claim_id,
+                "experiment": experiment_id,
+                "ok": reason is None,
+                "reason": reason,
+            }
+        )
+    failures = sum(not r["ok"] for r in results)
     printer(
         f"{len(CLAIMS) - failures}/{len(CLAIMS)} claims reproduced"
         + ("" if failures == 0 else f" - {failures} FAILED")

@@ -13,9 +13,8 @@ One :func:`reproduce` call runs a *profile* of the standard suites
     readable prefix);
   - ``summary.json`` — every suite's results in one document;
 
-* the refreshed **trajectory files** ``BENCH_core.json`` /
-  ``BENCH_distributed.json`` / ``BENCH_chaos.json`` /
-  ``BENCH_compact.json`` in ``bench_dir``
+* the refreshed **trajectory files** named in :data:`BENCH_FILES`
+  (``BENCH_core.json``, ..., ``BENCH_paper.json``) in ``bench_dir``
   (the repo root, when run from there) — the documents committed to git
   that ``scripts/bench_gate.py`` diffs a fresh run against in CI. Each
   carries a ``config`` block naming the profile/count/seed it was
@@ -23,7 +22,8 @@ One :func:`reproduce` call runs a *profile* of the standard suites
 
 Profiles: ``quick`` is the CI size (and the size the committed baseline
 is generated at — comparability demands the same counts); ``full`` is
-the historical local smoke size.
+the historical local smoke size, and for the ``paper`` suite the
+paper's own 5 000-key protocol.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional, Union
 from .. import __version__
 from .suites import SUITES
 
-__all__ = ["PROFILES", "reproduce", "write_bench_files"]
+__all__ = ["BENCH_FILES", "PROFILES", "reproduce", "write_bench_files"]
 
 #: Per-suite workload sizes by profile. ``quick`` is what CI runs and
 #: what the committed ``BENCH_*.json`` baselines are generated at.
@@ -49,6 +49,7 @@ PROFILES: dict[str, dict[str, int]] = {
         "throughput": 2000,
         "compact": 6000,
         "serving": 1200,
+        "paper": 1200,
     },
     "full": {
         "core": 4000,
@@ -57,6 +58,7 @@ PROFILES: dict[str, dict[str, int]] = {
         "throughput": 5000,
         "compact": 12000,
         "serving": 4000,
+        "paper": 5000,
     },
 }
 
@@ -67,6 +69,7 @@ BENCH_FILES: dict[str, tuple[str, ...]] = {
     "BENCH_chaos.json": ("chaos", "throughput"),
     "BENCH_compact.json": ("compact",),
     "BENCH_serving.json": ("serving",),
+    "BENCH_paper.json": ("paper",),
 }
 
 
@@ -125,7 +128,7 @@ def write_bench_files(
 
 def reproduce(
     profile: str = "quick",
-    out_root: Union[str, Path] = "benchmarks/results/runs",
+    out_root: Union[str, Path] = "bench-out/runs",
     bench_dir: Optional[Union[str, Path]] = ".",
     suites: Optional[list[str]] = None,
     counts: Optional[dict[str, int]] = None,
@@ -145,7 +148,7 @@ def reproduce(
         Where the ``BENCH_*.json`` trajectory files are refreshed
         (``None`` skips refreshing them — pure artifact mode).
     suites:
-        Subset of suite names to run (default: all four, in the stable
+        Subset of suite names to run (default: all of them, in the stable
         registry order).
     counts:
         Per-suite count overrides on top of the profile.

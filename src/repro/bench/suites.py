@@ -1,9 +1,9 @@
-"""The four standard benchmark suites of the perf trajectory.
+"""The standard benchmark suites of the perf trajectory.
 
-Each suite is a function ``(count, seed) -> dict`` driving a seeded
-workload and returning one flat-ish JSON-ready document. The documents
-mix two kinds of numbers, and the distinction is load-bearing for the
-CI gate (``scripts/bench_gate.py``):
+Each suite is a function ``(count, seed, trie_backend) -> dict``
+driving a seeded workload and returning one flat-ish JSON-ready
+document. The documents mix two kinds of numbers, and the distinction
+is load-bearing for the CI gate (``scripts/bench_gate.py``):
 
 * **structural** metrics — record counts, load factors, trie sizes,
   shard counts, convergence ratios, retry/dedup/fault counters,
@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 
+from ..analysis.validation import evaluate
 from ..core.bulk import bulk_load_th
 from ..core.cursor import Cursor
 from ..core.file import THFile
@@ -43,6 +44,7 @@ __all__ = [
     "throughput_suite",
     "compact_suite",
     "serving_suite",
+    "paper_suite",
 ]
 
 #: Fault-rate sweep shared by the chaos and throughput suites.
@@ -590,6 +592,29 @@ def serving_suite(
     }
 
 
+# ----------------------------------------------------------------------
+# paper: every registry experiment and every claim's verdict
+# ----------------------------------------------------------------------
+def paper_suite(
+    count: int = 5000, seed: int = 42, trie_backend: str = "cells"
+) -> dict:
+    """Every paper experiment once, and whether each claim reproduced.
+
+    ``count`` and ``seed`` reach only the experiments that take them
+    (:func:`repro.analysis.validation.evaluate`); the scale-dependent
+    ones keep their fixed sizes. Every number is structural, so the gate
+    compares the whole document exactly. A claim that does not hold is a
+    ``false`` verdict, not an exception. The experiments build the
+    paper's cells trie whatever ``trie_backend`` says; it only keeps the
+    suite signature uniform.
+    """
+    tables, verdicts = evaluate(count, seed)
+    return {
+        "tables": tables,
+        "claims": {claim: reason is None for claim, reason in verdicts.items()},
+    }
+
+
 #: Suite name -> (runner, default seed, one-line description).
 SUITES: dict[str, tuple] = {
     "core": (core_suite, 7, "single-node TH rates and structure"),
@@ -598,4 +623,5 @@ SUITES: dict[str, tuple] = {
     "throughput": (throughput_suite, 0, "distributed path throughput"),
     "compact": (compact_suite, 7, "cells vs compact backends, per-key vs batched"),
     "serving": (serving_suite, 0, "concurrent clients over a real UDS server"),
+    "paper": (paper_suite, 42, "every paper table and claim verdict"),
 }

@@ -23,60 +23,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 
 from . import THFile, __version__
-from .analysis import (
-    ablation_balance,
-    capacity_table,
-    ablation_overflow,
-    concurrency_table,
-    ablation_buffer,
-    ablation_nil_nodes,
-    deletions_table,
-    fig10_ascending,
-    fig11_descending,
-    format_table,
-    growth_rate_table,
-    mlth_access_table,
-    multikey_grid_table,
-    sec31_random,
-    sec32_expected,
-    sec32_unexpected,
-    sec45_guarantees,
-    sec45_redistribution,
-    sec5_btree_comparison,
-)
-from .distributed.chaos import chaos_table
-from .distributed.report import distributed_table
+from .analysis.experiments import EXPERIMENTS, run_experiment, settings_of
+from .analysis.reporting import format_table
+from .bench.suites import SUITES
 from .workloads import MOST_USED_WORDS
 
 __all__ = ["main"]
 
-#: Experiment id -> (runner, description). Runners accept count/b kwargs
-#: where meaningful; see ``repro.analysis.experiments`` for semantics.
-EXPERIMENTS: dict[str, tuple] = {
-    "fig10": (fig10_ascending, "THCL ascending sweep: a%, M, N vs d = b - m"),
-    "fig11": (fig11_descending, "THCL descending sweep: a%, M, N vs bounding d"),
-    "sec31": (sec31_random, "random insertions: a_r, nil leaves, index bytes"),
-    "sec32-unexpected": (sec32_unexpected, "unexpected ordered insertions"),
-    "sec32-expected": (sec32_expected, "expected ordered insertions, basic TH"),
-    "sec45": (sec45_guarantees, "THCL guarantees (100% / 50% / deletions)"),
-    "sec45-redistribution": (sec45_redistribution, "redistribution loads"),
-    "growth": (growth_rate_table, "trie growth rate s and bytes per split"),
-    "capacity": (capacity_table, "Section 3.1 capacity arithmetic"),
-    "sec5": (sec5_btree_comparison, "TH vs B+-tree comparison"),
-    "concurrency": (concurrency_table, "TH vs B-tree lock conflicts (/VID87/)"),
-    "mlth": (mlth_access_table, "MLTH levels, page loads, accesses"),
-    "multikey": (multikey_grid_table, "multikey TH vs grid-file directory"),
-    "deletions": (deletions_table, "deletion/merging behaviour"),
-    "ablation-nil": (ablation_nil_nodes, "nil nodes vs shared leaves"),
-    "ablation-balance": (ablation_balance, "trie balancing depths"),
-    "ablation-buffer": (ablation_buffer, "buffer pool vs disk reads"),
-    "ablation-overflow": (ablation_overflow, "deferred splitting via overflow chains"),
-    "distributed": (distributed_table, "TH* client image convergence vs scale-out"),
-    "chaos": (chaos_table, "TH* differential convergence under injected faults"),
-}
+
+def _flags(settings: list[str]) -> str:
+    """``count``/``bucket_capacity`` -> ``--count, --bucket-capacity``."""
+    return ", ".join("--" + name.replace("_", "-") for name in settings)
 
 
 def _demo() -> None:
@@ -313,10 +272,7 @@ def main(argv: list[str] = None) -> int:
         "--suite",
         action="append",
         dest="suites",
-        choices=(
-            "core", "distributed", "chaos", "throughput", "compact",
-            "serving",
-        ),
+        choices=tuple(SUITES),
         help="run only this suite (repeatable; default: all)",
     )
     rep.add_argument(
@@ -328,7 +284,7 @@ def main(argv: list[str] = None) -> int:
     )
     rep.add_argument(
         "--out-root",
-        default="benchmarks/results/runs",
+        default="bench-out/runs",
         help="where per-run artifact directories accumulate",
     )
     rep.add_argument(
@@ -478,24 +434,28 @@ def main(argv: list[str] = None) -> int:
             lint_argv.extend(["--baseline", args.lint_baseline])
         return lint_main(lint_argv)
     if args.command == "run":
+        given = {
+            name: value
+            for name, value in (
+                ("count", args.count),
+                ("seed", args.seed),
+                ("bucket_capacity", args.bucket_capacity),
+            )
+            if value is not None
+        }
+        takes = settings_of(args.experiment)
+        refused = [name for name in given if name not in takes]
+        if refused:
+            print(
+                f"error: {args.experiment} does not take {_flags(refused)}; "
+                f"it takes {_flags(takes) or 'none of them'}",
+                file=sys.stderr,
+            )
+            return 2
         if args.paranoid:
             from .check import set_paranoid
 
             set_paranoid(True)
-        runner: Callable = EXPERIMENTS[args.experiment][0]
-        kwargs = {}
-        import inspect
-
-        accepted = inspect.signature(runner).parameters
-        if args.count is not None and "count" in accepted:
-            kwargs["count"] = args.count
-        if args.bucket_capacity is not None:
-            if "bucket_capacity" in accepted:
-                kwargs["bucket_capacity"] = args.bucket_capacity
-            elif "bucket_capacities" in accepted:
-                kwargs["bucket_capacities"] = (args.bucket_capacity,)
-        if args.seed is not None and "seed" in accepted:
-            kwargs["seed"] = args.seed
         observing = args.metrics or args.trace or args.prometheus
         if observing:
             from .obs import (
@@ -515,7 +475,7 @@ def main(argv: list[str] = None) -> int:
                 print(f"error: cannot write trace: {exc}", file=sys.stderr)
                 return 1
             with trace(sinks=sinks, registry=registry):
-                rows = runner(**kwargs)
+                rows = run_experiment(args.experiment, **given)
             print(format_table(rows, title=args.experiment))
             try:
                 if args.metrics:
@@ -528,7 +488,7 @@ def main(argv: list[str] = None) -> int:
                 return 1
             return 0
         else:
-            rows = runner(**kwargs)
+            rows = run_experiment(args.experiment, **given)
         print(format_table(rows, title=args.experiment))
         return 0
     parser.print_help()

@@ -225,7 +225,7 @@ def _parse_suppressions(source: str, path: str) -> list[_Suppression]:
 def _module_path(path: Path) -> str:
     """The ``repro``-rooted POSIX path of ``path`` (or its plain name)."""
     parts = path.parts
-    for anchor in ("repro", "tests", "benchmarks"):
+    for anchor in ("repro", "tests"):
         if anchor in parts:
             return "/".join(parts[parts.index(anchor):])
     return path.name

@@ -30,8 +30,8 @@ __all__ = [
 
 #: Modules that are observational or tooling surfaces, not part of the
 #: executable protocol: the flight recorder and tracer write files by
-#: design, the linter/benchmarks/CLI never run inside the event loop or
-#: the fabric. Reachability traversals do not descend into them.
+#: design, the linter, bench harness and CLI never run inside the event
+#: loop or the fabric. Reachability traversals do not descend into them.
 TOOLING_MODULES = (
     "repro.obs",
     "repro.lint",

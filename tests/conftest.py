@@ -84,3 +84,17 @@ def build_file(keys, b=8, policy=None, check_every=None):
         if check_every and i % check_every == 0:
             f.check()
     return f
+
+
+@pytest.fixture(scope="session")
+def quick_paper():
+    """The quick paper suite's tables and claim verdicts, computed once.
+
+    These are exactly what ``trie-hashing validate`` judges (the quick
+    profile's count, the paper suite's seed); every claim test in the
+    session shares this one pass over the experiment registry.
+    """
+    from repro.analysis.validation import evaluate
+    from repro.bench import PROFILES, SUITES
+
+    return evaluate(PROFILES["quick"]["paper"], SUITES["paper"][1])

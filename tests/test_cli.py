@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.analysis.experiments import EXPERIMENTS
+from repro.cli import main
 
 
 class TestCLI:
@@ -45,27 +46,49 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.count("\n") >= 4
 
+    def test_run_refuses_flags_the_experiment_does_not_take(self, capsys):
+        assert main(["run", "mlth", "--count", "200"]) == 2
+        err = capsys.readouterr().err
+        assert "mlth does not take --count" in err
+        assert "it takes --seed, --bucket-capacity" in err
+        assert main(["run", "chaos", "--bucket-capacity", "8"]) == 2
+        assert "it takes --count, --seed" in capsys.readouterr().err
+        assert main(["run", "capacity", "--count", "5", "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "does not take --count, --seed; it takes none of them" in err
+
     def test_every_experiment_runs_small(self, capsys):
-        # Smoke: each registered experiment completes at minimal size.
+        # Smoke: each registered experiment completes at minimal size,
+        # given only the flags it takes (the fixed-size ones take none).
+        b = ["--bucket-capacity", "8"]
         small = {
-            "fig10": ["--count", "200"],
-            "fig11": ["--count", "200"],
-            "sec31": ["--count", "200"],
-            "sec32-unexpected": ["--count", "200"],
-            "sec32-expected": ["--count", "200"],
-            "sec45": ["--count", "200"],
-            "sec45-redistribution": ["--count", "200"],
-            "growth": ["--count", "200"],
-            "sec5": ["--count", "200"],
-            "mlth": [],
-            "deletions": ["--count", "200"],
-            "ablation-nil": ["--count", "200"],
-            "ablation-balance": ["--count", "200"],
-            "ablation-buffer": ["--count", "200"],
-            "ablation-overflow": ["--count", "200"],
+            "fig8": ["--count", "200"],
+            "fig10": ["--count", "200", *b],
+            "fig11": ["--count", "200", *b],
+            "boundary-length": [],
+            "sec31": ["--count", "200", *b],
+            "sec32-unexpected": ["--count", "200", *b],
+            "sec32-expected": ["--count", "200", *b],
+            "sec45": ["--count", "200", *b],
+            "sec45-redistribution": ["--count", "200", *b],
+            "oscillation": [],
+            "growth": ["--count", "200", *b],
             "capacity": [],
-            "concurrency": ["--count", "300"],
-            "multikey": ["--count", "300"],
+            "sec5": ["--count", "200", *b],
+            "concurrency": ["--count", "300", *b],
+            "mlth": b,
+            "mlth-split-shift": [],
+            "multikey": ["--count", "300", *b],
+            "deletions": ["--count", "200", *b],
+            "ablation-nil": ["--count", "200", *b],
+            "ablation-balance": ["--count", "200", *b],
+            "ablation-buffer": ["--count", "200", *b],
+            "ablation-overflow": ["--count", "200", *b],
+            "seed-stability": [],
+            "reconstruction": ["--seed", "7"],
+            "distributed": ["--count", "200", *b],
+            "chaos": ["--count", "200"],
         }
+        assert set(small) == set(EXPERIMENTS)
         for name, args in small.items():
-            assert main(["run", name, "--bucket-capacity", "8"] + args) == 0, name
+            assert main(["run", name] + args) == 0, name

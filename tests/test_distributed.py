@@ -330,6 +330,10 @@ class TestScaleOut:
         assert list(f.range_items(window[0], window[-1])) == [
             (k, k[::-1]) for k in window
         ]
+        # A client warmed after the scale-out addresses every get directly.
+        warm = cluster.client(warm=True)
+        assert [warm.get(k) for k in window] == [k[::-1] for k in window]
+        assert warm.ops_forwarded == 0
 
     def test_empty_range_and_empty_cluster(self):
         cluster = Cluster(shards=4)

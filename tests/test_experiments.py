@@ -1,193 +1,81 @@
-"""Small-scale runs of every experiment, asserting the paper's *shapes*.
+"""The paper's shapes at the quick size, as claims.
 
-The benchmark harness runs these at the paper's sizes; here each
-experiment runs at reduced size and the qualitative claims are asserted:
-who wins, what is guaranteed, where curves bend.
+Each test names the claims of :data:`repro.analysis.validation.CLAIMS`
+that carry its assertions: who wins, what is guaranteed, where curves
+bend. All of them read the session's one quick evaluation
+(``quick_paper`` in conftest.py), so no experiment runs twice.
 """
 
 import pytest
 
-from repro.analysis import (
-    ablation_balance,
-    ablation_buffer,
-    ablation_nil_nodes,
-    deletions_table,
-    fig10_ascending,
-    fig11_descending,
-    growth_rate_table,
-    mlth_access_table,
-    sec31_random,
-    sec32_expected,
-    sec32_unexpected,
-    sec45_guarantees,
-    sec45_redistribution,
-    sec5_btree_comparison,
-)
 
-N = 1200  # small but big enough for stable shapes
+@pytest.fixture
+def holds(quick_paper):
+    _, verdicts = quick_paper
+
+    def check(*claims):
+        assert not {claim: verdicts[claim] for claim in claims if verdicts[claim]}
+
+    return check
 
 
 class TestFig10:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig10_ascending(count=N, bucket_capacities=(10,), d_values=(0, 1, 2, 4, 6))
-
-    def test_d0_is_compact(self, rows):
-        assert rows[0]["d"] == 0 and rows[0]["a%"] == 100
-
-    def test_load_declines_with_d(self, rows):
-        loads = [r["a%"] for r in rows]
-        assert loads == sorted(loads, reverse=True)
-
-    def test_m_has_interior_minimum_or_decline(self, rows):
-        # M falls from its d=0 peak: the paper's headline saving.
-        ms = [r["M"] for r in rows]
-        assert min(ms[1:]) < ms[0]
-
-    def test_growth_rate_at_full_load(self, rows):
-        assert 1.4 <= rows[0]["s"] <= 2.6  # the paper's 1.6-2.13 band
+    def test_d0_is_compact(self, holds): holds("fig10-compact")
+    def test_load_declines_with_d(self, holds): holds("fig10-load-declines")
+    def test_m_has_interior_minimum_or_decline(self, holds): holds("fig10-minimum")
+    def test_growth_rate_at_full_load(self, holds): holds("fig10-growth-rate")
 
 
 class TestFig11:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig11_descending(count=N, bucket_capacities=(10,), d_values=(0, 1, 2, 4, 6))
-
-    def test_d0_is_compact(self, rows):
-        assert rows[0]["a%"] == 100
-
-    def test_m_drops_then_flattens(self, rows):
-        ms = [r["M"] for r in rows]
-        assert ms[1] < ms[0]
-        # No interior minimum: the tail is (weakly) lower than the start.
-        assert min(ms) == min(ms[1:])
-
-    def test_load_stays_high_for_small_d(self, rows):
-        assert all(r["a%"] > 85 for r in rows if r["d"] <= 4)
+    def test_d0_is_compact(self, holds): holds("fig11-compact")
+    def test_m_drops_then_flattens(self, holds): holds("fig11-saving")
+    def test_load_stays_high_for_small_d(self, holds): holds("fig11-load-high")
 
 
 class TestSec31:
-    def test_random_loads(self):
-        rows = sec31_random(count=N, bucket_capacities=(10, 20))
-        for r in rows:
-            assert 62 <= r["a_r%"] <= 78  # the ~70% claim
-            assert r["nil%"] < 2.0
-            assert r["trie_bytes"] < r["btree_index_bytes"]
-            # M ~ N: one cell per split.
-            assert r["M"] == pytest.approx(r["N+1"], rel=0.25)
+    def test_random_loads(self, holds):
+        holds("random-seventy", "sec31-nil-negligible", "sec31-trie-smaller",
+              "sec31-cell-per-bucket")
 
 
 class TestSec32:
-    def test_unexpected_ordered(self):
-        rows = sec32_unexpected(count=N, bucket_capacities=(10,), fractions=(0.5, 0.4))
-        mid = rows[0]
-        assert 55 <= mid["a_a%"] <= 80   # paper: 60-73
-        assert 38 <= mid["a_d%"] <= 60   # paper: 40-55
-        low = rows[1]
-        assert low["a_d%"] > mid["a_d%"]  # lowering m helps descending
+    def test_unexpected_ordered(self, holds):
+        holds("sec32-ascending", "sec32-descending", "sec32-lower-m")
 
-    def test_expected_ordered_capped_by_basic_method(self):
-        rows = sec32_expected(count=N, bucket_capacities=(10,))
-        r = rows[0]
-        # Nil nodes / randomness keep the basic method under ~90%.
-        assert 55 <= r["a_a% (m=b)"] <= 90
-        assert 55 <= r["a_d% (m=1)"] <= 90
-        assert r["nil_a%"] > 0
+    def test_expected_ordered_capped_by_basic_method(self, holds):
+        holds("fig5-6-band", "fig5-nil-nodes")
 
 
 class TestSec45:
-    def test_guarantees(self):
-        rows = {r["case"]: r for r in sec45_guarantees(count=N, bucket_capacity=10)}
-        assert rows["expected ascending, d=0"]["a%"] == 100
-        assert rows["expected descending, d=0"]["a%"] == 100
-        assert rows["unexpected ascending"]["a%"] >= 49
-        assert rows["unexpected descending"]["a%"] >= 49
-        assert 60 <= rows["random insertions"]["a%"] <= 80
-        floor_row = rows["after deleting 80% (floor b//2)"]
-        assert floor_row["min_bucket"] >= 5
+    def test_guarantees(self, holds):
+        holds("compact-ascending", "compact-descending", "guaranteed-half",
+              "thcl-random-seventy", "deletion-floor")
 
-    def test_redistribution(self):
-        rows = sec45_redistribution(count=N, bucket_capacity=10)
-        by = {(r["order"], r["policy"]): r for r in rows}
-        assert (
-            by[("random", "with redistribution")]["a%"]
-            > by[("random", "plain THCL")]["a%"]
-        )
-        assert by[("random", "with redistribution")]["a%"] >= 80
-        assert by[("unexpected ascending", "with redistribution")]["a%"] >= 95
+    def test_redistribution(self, holds):
+        holds("redistribution-beats-plain", "redistribution", "redistribution-ordered")
 
 
 class TestGrowthRate:
-    def test_trie_grows_cheaper_than_btree(self):
-        rows = growth_rate_table(count=N, bucket_capacities=(10,))
-        for r in rows:
-            assert r["bytes/split"] < r["btree bytes/split"]
-        full = [r for r in rows if "full load" in r["case"]]
-        tuned = [r for r in rows if "d=" in r["case"]]
-        assert min(f["s"] for f in full) >= max(t["s"] for t in tuned) - 0.2
+    def test_trie_grows_cheaper_than_btree(self, holds):
+        holds("growth-cheaper", "growth-full-load-fastest")
 
 
 class TestSec5:
-    def test_th_beats_btree_on_accesses(self):
-        rows = sec5_btree_comparison(count=N, bucket_capacity=10)
-        th = [r for r in rows if r["method"].startswith("TH (basic)")]
-        bt = [r for r in rows if r["method"].startswith("B+-tree")]
-        for t, b in zip(th, bt):
-            assert t["search_acc"] < b["search_acc"]
-            assert t["insert_acc"] < b["insert_acc"]
-            assert t["index_bytes"] < b["index_bytes"]
-
-    def test_compact_parity_on_ordered(self):
-        rows = sec5_btree_comparison(count=N, bucket_capacity=10)
-        asc = {r["method"]: r for r in rows if r["order"] == "ascending"}
-        thcl = [v for k, v in asc.items() if k.startswith("THCL")][0]
-        btree = [v for k, v in asc.items() if k.startswith("B+-tree")][0]
-        assert thcl["a%"] >= 99 and btree["a%"] >= 99  # both reach 100%
-
-    def test_th_search_is_one_access(self):
-        rows = sec5_btree_comparison(count=N, bucket_capacity=10)
-        for r in rows:
-            if r["method"].startswith("TH") or r["method"].startswith("THCL"):
-                assert r["search_acc"] == 1
+    def test_th_beats_btree_on_accesses(self, holds): holds("btree-comparison")
+    def test_compact_parity_on_ordered(self, holds): holds("sec5-ordered-full")
+    def test_th_search_is_one_access(self, holds): holds("sec5-one-access")
 
 
 class TestMLTH:
-    def test_two_page_levels_suffice(self):
-        rows = mlth_access_table(counts=(300, 1500), bucket_capacity=5, page_capacity=16)
-        assert rows[-1]["levels"] >= 2
-        assert rows[-1]["bucket_reads/search"] == 1
-        # With the root pinned, page reads = levels - 1.
-        assert rows[-1]["page_reads/search"] == rows[-1]["levels"] - 1
+    def test_two_page_levels_suffice(self, holds): holds("mlth-levels", "mlth-two-accesses")
 
 
 class TestDeletions:
-    def test_table_shape(self):
-        rows = deletions_table(count=800, bucket_capacity=8)
-        basic, rotating, thcl = rows
-        assert basic["method"] == "basic TH"
-        assert thcl["min_bucket"] >= 4
-        # Basic merging cannot guarantee the floor.
-        assert basic["min_bucket"] <= thcl["min_bucket"]
-        # Rotations recover space the sibling rule cannot.
-        assert (
-            rotating["a% after 75% deleted"]
-            >= basic["a% after 75% deleted"]
-        )
+    def test_table_shape(self, holds):
+        holds("deletions-thcl-floor", "deletions-basic-unbounded", "deletions-rotations")
 
 
 class TestAblations:
-    def test_nil_nodes(self):
-        rows = ablation_nil_nodes(count=N, bucket_capacity=10)
-        at_b = [r for r in rows if r["split key"] == "m = b"][0]
-        assert at_b["thcl a%"] == 100
-        assert at_b["basic a%"] < 95  # nil stranding
-
-    def test_balance(self):
-        rows = ablation_balance(count=N, bucket_capacity=8)
-        asc = [r for r in rows if r["workload"] == "ascending"][0]
-        assert asc["balanced depth"] < asc["depth"]
-
-    def test_buffer(self):
-        rows = ablation_buffer(count=N, bucket_capacity=8, buffer_sizes=(0, 64))
-        assert rows[0]["disk reads / 500 probes"] == 500
-        assert rows[1]["disk reads / 500 probes"] < 500
+    def test_nil_nodes(self, holds): holds("nil-shared-leaves")
+    def test_balance(self, holds): holds("balance-shallower")
+    def test_buffer(self, holds): holds("one-access", "buffer-absorbs-reads")
