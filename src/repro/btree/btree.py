@@ -75,10 +75,6 @@ class BPlusTree:
         self.pin_root = pin_root
         self._size = 0
         self._height = 1
-        #: Optional :class:`~repro.storage.wal.WALWriter` recording node
-        #: splits and merges (attached by a durable session, so recovery
-        #: comparisons against trie hashing use the same log machinery).
-        self.journal = None
         self.splits = 0
         self.redistributions = 0
         self.merges = 0
@@ -198,8 +194,6 @@ class BPlusTree:
         separator = leaf.keys[-1]
         self.pool.write(leaf_id, leaf)
         self.pool.write(right_id, right)
-        if self.journal is not None:
-            self.journal.log_node_split("leaf", leaf_id, right_id)
         if TRACER.enabled:
             TRACER.emit(
                 "split",
@@ -242,8 +236,6 @@ class BPlusTree:
         new_right_id = self.pool.allocate(right)
         self.pool.write(node_id, node)
         self.pool.write(new_right_id, right)
-        if self.journal is not None:
-            self.journal.log_node_split("branch", node_id, new_right_id)
         if TRACER.enabled:
             TRACER.emit("page_split", page=node_id, new_page=new_right_id)
         self._insert_up(steps, index - 1, promoted, node_id, new_right_id)
@@ -382,9 +374,6 @@ class BPlusTree:
         else:  # single child under the root: cannot happen in a B+-tree
             return
         self.merges += 1
-        if self.journal is not None:
-            self.journal.log_merge("leaf", left_id if left is not None else leaf_id,
-                                   leaf_id if left is not None else right_id)
         if TRACER.enabled:
             TRACER.emit("merge", kind="leaf")
         self.pool.write(parent_id, parent)

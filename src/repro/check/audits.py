@@ -319,6 +319,16 @@ def audit_manifest(manifest: object) -> list:
                 )
             )
     if not found:
+        for name in manifest["chain"]:
+            if not isinstance(name, str):
+                found.append(
+                    Violation(
+                        "AUD-MANIFEST-TYPE",
+                        Severity.CRITICAL,
+                        f"chain entry {name!r} is not a checkpoint name",
+                        "MANIFEST",
+                    )
+                )
         if manifest["lsn"] < 0:
             found.append(
                 Violation(

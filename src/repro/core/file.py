@@ -128,9 +128,6 @@ class THFile:
         #: ``(structure_generation, BoundaryModel)`` snapshot reused by
         #: the batched APIs between structural changes.
         self._model_cache: Optional[tuple[int, BoundaryModel]] = None
-        #: Optional :class:`~repro.storage.wal.WALWriter` recording every
-        #: structure modification (attached by a durable session).
-        self.journal = None
         # Validate the policy's positions against this capacity up front.
         self.policy.split_index(bucket_capacity)
         self.policy.bounding_index(bucket_capacity)
@@ -269,7 +266,6 @@ class THFile:
                 self.capacity,
                 self.policy,
                 self.alphabet,
-                journal=self.journal,
             )
             if outcome is not None:
                 self.stats.redistributions += 1
@@ -305,7 +301,6 @@ class THFile:
                 plan.boundary,
                 result.bucket,
                 new_address,
-                journal=self.journal,
             )
             repointed = 0
         else:
@@ -316,7 +311,6 @@ class THFile:
                 result.bucket,
                 new_address,
                 result.bucket,
-                journal=self.journal,
             )
             added, repointed = insertion
         new_bucket = self.store.peek(new_address)
@@ -408,7 +402,7 @@ class THFile:
         self._size -= 1
         if self.policy.merge == "siblings":
             action = basic_delete_maintenance(
-                self.trie, self.store, result, self.capacity, journal=self.journal
+                self.trie, self.store, result, self.capacity
             )
             if action == "merge":
                 self.stats.merges += 1
@@ -451,7 +445,6 @@ class THFile:
                 result,
                 self.capacity,
                 self.alphabet,
-                journal=self.journal,
             )
             if action == "merge":
                 self.stats.merges += 1

@@ -30,7 +30,6 @@ from .trie import Location, ROOT_LOCATION, SearchResult, Trie
 
 if TYPE_CHECKING:  # import cycles: storage <-> core at runtime
     from ..storage.buckets import BucketStore
-    from ..storage.wal import WALWriter
     from .file import THFile
 
 __all__ = [
@@ -52,7 +51,6 @@ def basic_delete_maintenance(
     store: BucketStore,
     result: SearchResult,
     capacity: int,
-    journal: Optional[WALWriter] = None,
 ) -> Optional[str]:
     """Post-delete maintenance of the basic method.
 
@@ -114,8 +112,6 @@ def basic_delete_maintenance(
     trie.cells.free(cell_index)
     store.write(survivor_addr, survivor)
     store.free(victim_addr)
-    if journal is not None:
-        journal.log_merge("siblings", survivor_addr, victim_addr)
     return "merge"
 
 
@@ -133,9 +129,7 @@ def rotation_delete_maintenance(file: THFile, result: SearchResult) -> Optional[
     Falls back to the plain sibling merge when that already applies.
     Returns an action string or ``None``.
     """
-    action = basic_delete_maintenance(
-        file.trie, file.store, result, file.capacity, journal=file.journal
-    )
+    action = basic_delete_maintenance(file.trie, file.store, result, file.capacity)
     if action is not None:
         return action
 
@@ -174,8 +168,6 @@ def rotation_delete_maintenance(file: THFile, result: SearchResult) -> Optional[
                 model.set_child(j, survivor)
         file.store.free(victim)
         file.trie = Trie.from_model(model)
-        if file.journal is not None:
-            file.journal.log_merge("rotation", survivor, victim)
         return True
 
     # Try the successor first: the boundary between is our leaf's path.
@@ -242,7 +234,6 @@ def guaranteed_delete_maintenance(
     result: SearchResult,
     capacity: int,
     alphabet: Alphabet,
-    journal: Optional[WALWriter] = None,
 ) -> Optional[str]:
     """THCL post-delete maintenance guaranteeing >= ``b // 2`` records.
 
@@ -274,8 +265,6 @@ def guaranteed_delete_maintenance(
                     break
             store.write(address, bucket)
             store.free(successor)
-            if journal is not None:
-                journal.log_merge("successor", address, successor)
             return "merge"
 
     # --- Merge with the predecessor: survivor is the (left) predecessor.
@@ -287,8 +276,6 @@ def guaranteed_delete_maintenance(
             _repoint_run(trie, result.trail, address, predecessor, result.location)
             store.write(predecessor, p_bucket)
             store.free(address)
-            if journal is not None:
-                journal.log_merge("predecessor", predecessor, address)
             return "merge"
 
     # --- Borrow from the successor: move its lowest keys down.
@@ -300,9 +287,7 @@ def guaranteed_delete_maintenance(
             anchor = combined[keep - 1][0]
             bound = combined[keep][0]
             cut = split_string(anchor, bound, alphabet)
-            insert_boundary(
-                trie, anchor, cut, address, successor, successor, journal=journal
-            )
+            insert_boundary(trie, anchor, cut, address, successor, successor)
             moved = combined[len(bucket) : keep]
             for key, _ in moved:
                 s_bucket.remove(key)
@@ -310,8 +295,6 @@ def guaranteed_delete_maintenance(
             bucket.header_path = cut  # the re-cut boundary is our right cut
             store.write(address, bucket)
             store.write(successor, s_bucket)
-            if journal is not None:
-                journal.log_borrow(cut, address, successor, len(moved))
             return "borrow"
 
     # --- Borrow from the predecessor: move its highest keys up.
@@ -323,9 +306,7 @@ def guaranteed_delete_maintenance(
             anchor = combined[keep_left - 1][0]
             bound = combined[keep_left][0]
             cut = split_string(anchor, bound, alphabet)
-            insert_boundary(
-                trie, anchor, cut, predecessor, address, predecessor, journal=journal
-            )
+            insert_boundary(trie, anchor, cut, predecessor, address, predecessor)
             moved = combined[keep_left : len(p_bucket)]
             for key, _ in moved:
                 p_bucket.remove(key)
@@ -333,8 +314,6 @@ def guaranteed_delete_maintenance(
             p_bucket.header_path = cut  # predecessor's new right cut
             store.write(address, bucket)
             store.write(predecessor, p_bucket)
-            if journal is not None:
-                journal.log_borrow(cut, predecessor, address, len(moved))
             return "borrow"
 
     return None

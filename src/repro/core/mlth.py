@@ -102,9 +102,6 @@ class MLTHFile:
             self.page_pool.pin(self.root_id)
         self.stats = FileStats()
         self._size = 0
-        #: Optional :class:`~repro.storage.wal.WALWriter` recording every
-        #: structure modification (attached by a durable session).
-        self.journal = None
         self.policy.split_index(bucket_capacity)
         self.policy.bounding_index(bucket_capacity)
 
@@ -260,7 +257,7 @@ class MLTHFile:
             children: list[Optional[int]] = (
                 [address, new_address] + [None] * (new_digits - 1)
             )
-            page.splice(gap, chain, children, journal=self.journal)
+            page.splice(gap, chain, children)
             self.page_pool.write(page_id, page)
             self.stats.nodes_added += new_digits
             self._split_page_if_needed(steps, len(steps) - 1)
@@ -312,7 +309,7 @@ class MLTHFile:
         new_digits = len(boundary) - shared
         if new_digits >= 1:
             chain = [boundary[:l] for l in range(len(boundary), shared, -1)]
-            page.splice(gap, chain, [left] + [right] * new_digits, journal=self.journal)
+            page.splice(gap, chain, [left] + [right] * new_digits)
             self.page_pool.write(page_id, page)
             if right != old:
                 self._repoint_forward(steps, gap + new_digits, old, right)
@@ -421,8 +418,6 @@ class MLTHFile:
         page.invalidate()
         self.page_pool.write(page_id, page)
         self.page_pool.write(right_id, right)
-        if self.journal is not None:
-            self.journal.log_page_split(page_id, right_id, page.level, separator)
         if TRACER.enabled:
             TRACER.emit(
                 "page_split",
@@ -474,9 +469,7 @@ class MLTHFile:
                     else:
                         parent_id, parent = ancestry[level - 1]
                         gap = self._gap_for(parent, separator)
-                        parent.splice(
-                            gap, [separator], [page_id, right_id], journal=self.journal
-                        )
+                        parent.splice(gap, [separator], [page_id, right_id])
                         self.page_pool.write(parent_id, parent)
                     if right.cell_count > self.page_capacity:
                         worklist.append((right_id, right))
@@ -577,8 +570,6 @@ class MLTHFile:
                     self._merge_repoint(steps, successor, address)
                     self.store.free(successor)
                     self.stats.merges += 1
-                    if self.journal is not None:
-                        self.journal.log_merge("successor", address, successor)
                     if TRACER.enabled:
                         TRACER.emit("merge", kind="successor", bucket=address)
                     continue
@@ -595,8 +586,6 @@ class MLTHFile:
                     self._repoint_backward(steps, gap, address, predecessor)
                     self.store.free(address)
                     self.stats.merges += 1
-                    if self.journal is not None:
-                        self.journal.log_merge("predecessor", predecessor, address)
                     if TRACER.enabled:
                         TRACER.emit("merge", kind="predecessor", bucket=address)
                     continue
@@ -617,8 +606,6 @@ class MLTHFile:
                 self.store.write(address, bucket)
                 self.store.write(successor, s_bucket)
                 self.stats.borrows += 1
-                if self.journal is not None:
-                    self.journal.log_borrow(cut, address, successor, len(moved))
                 if TRACER.enabled:
                     TRACER.emit("rebalance", kind="borrow", bucket=address)
                 continue
@@ -639,8 +626,6 @@ class MLTHFile:
                 self.store.write(address, bucket)
                 self.store.write(predecessor, p_bucket)
                 self.stats.borrows += 1
-                if self.journal is not None:
-                    self.journal.log_borrow(cut, predecessor, address, len(moved))
                 if TRACER.enabled:
                     TRACER.emit("rebalance", kind="borrow", bucket=address)
                 continue
@@ -857,6 +842,23 @@ class MLTHFile:
             if page.level > 0:
                 stack.extend(page.children)
         return ids
+
+    def restore_pages(self, root_id: int, page_specs: dict) -> None:
+        """Adopt a saved page hierarchy (page id -> ``TriePage`` spec).
+
+        Ids are allocated densely up to the largest saved one; ids the
+        hierarchy does not use keep an empty page nothing points to.
+        """
+        specs = {int(pid): spec for pid, spec in page_specs.items()}
+        while len(self.page_disk) <= max(specs):
+            self.page_pool.allocate(TriePage(0, [], [None]))
+        for pid, spec in specs.items():
+            self.page_pool.write(pid, TriePage.from_spec(spec))
+        if self.pin_root:
+            self.page_pool.unpin(self.root_id)
+        self.root_id = root_id
+        if self.pin_root:
+            self.page_pool.pin(self.root_id)
 
     # ------------------------------------------------------------------
     # Validation

@@ -16,15 +16,12 @@ across page hops.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .alphabet import Alphabet
 from .boundaries import BoundaryModel, gap_index
 from .errors import TrieCorruptionError
 from .trie import Trie
-
-if TYPE_CHECKING:  # runtime cycle: storage imports core
-    from ..storage.wal import WALWriter
 
 __all__ = ["TriePage"]
 
@@ -93,14 +90,11 @@ class TriePage:
         gap: int,
         new_boundaries: list[str],
         new_children: list[Optional[int]],
-        journal: Optional[WALWriter] = None,
     ) -> None:
         """Replace gap ``gap`` by a run of boundaries and children.
 
         ``new_children`` must have exactly ``len(new_boundaries) + 1``
-        entries; the old child of the gap is discarded. When a
-        ``journal`` (a :class:`~repro.storage.wal.WALWriter`) is given,
-        the edit is recorded as a ``page_edit`` WAL record.
+        entries; the old child of the gap is discarded.
         """
         if len(new_children) != len(new_boundaries) + 1:
             raise TrieCorruptionError(
@@ -110,8 +104,6 @@ class TriePage:
         self.boundaries[gap:gap] = new_boundaries
         self.children[gap : gap + 1] = new_children
         self.invalidate()
-        if journal is not None:
-            journal.log_page_edit(gap, list(new_boundaries))
 
     def to_spec(self) -> dict:
         """A JSON-encodable description (for snapshots and checkpoints)."""

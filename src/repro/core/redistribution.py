@@ -28,7 +28,6 @@ from .trie import SearchResult, Trie
 
 if TYPE_CHECKING:  # runtime cycle: storage imports core
     from ..storage.buckets import BucketStore
-    from ..storage.wal import WALWriter
 
 __all__ = ["RedistributionOutcome", "try_redistribute"]
 
@@ -68,7 +67,6 @@ def try_redistribute(
     capacity: int,
     policy: SplitPolicy,
     alphabet: Alphabet,
-    journal: Optional[WALWriter] = None,
 ) -> Optional[RedistributionOutcome]:
     """Attempt redistribution for an overflowing bucket.
 
@@ -111,25 +109,13 @@ def try_redistribute(
         boundary = split_string(anchor, bound, alphabet)
         if direction == "successor":
             insertion = insert_boundary(
-                trie,
-                anchor,
-                boundary,
-                overflowing,
-                neighbour,
-                overflowing,
-                journal=journal,
+                trie, anchor, boundary, overflowing, neighbour, overflowing
             )
             moving = records[cut_at:]
             staying = records[:cut_at]
         else:
             insertion = insert_boundary(
-                trie,
-                anchor,
-                boundary,
-                neighbour,
-                overflowing,
-                overflowing,
-                journal=journal,
+                trie, anchor, boundary, neighbour, overflowing, overflowing
             )
             moving = records[:cut_at]
             staying = records[cut_at:]
@@ -145,8 +131,6 @@ def try_redistribute(
             n_bucket.header_path = boundary
         store.write(overflowing, bucket)
         store.write(neighbour, n_bucket)
-        if journal is not None:
-            journal.log_redistribute(direction, boundary, len(moving))
         return RedistributionOutcome(
             direction, len(moving), insertion.nodes_added, insertion.leaves_repointed
         )

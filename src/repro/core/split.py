@@ -12,16 +12,13 @@ leaves (step 3.3 of A2), THCL's never does (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple
 
 from .alphabet import Alphabet
 from .cells import NIL
 from .errors import TrieCorruptionError
 from .keys import common_prefix_length, prefix_gt, split_string
 from .trie import Location, Trie
-
-if TYPE_CHECKING:  # runtime cycle: storage imports core
-    from ..storage.wal import WALWriter
 
 __all__ = ["SplitPlan", "plan_split", "expand_basic"]
 
@@ -91,7 +88,6 @@ def expand_basic(
     boundary: str,
     bucket_a: int,
     bucket_n: int,
-    journal: Optional[WALWriter] = None,
 ) -> int:
     """Step 3 of Algorithm A2 — expand the trie after a basic-TH split.
 
@@ -119,6 +115,4 @@ def expand_basic(
         bottom_right=bucket_n,
     )
     trie.set_ptr(leaf_location, chain)
-    if journal is not None:
-        journal.log_trie_expand(boundary, bucket_a, bucket_n, len(new_digits))
     return len(new_digits)

@@ -24,15 +24,12 @@ The primitive follows the paper's modified step 3 exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple
 
 from .cells import edge_target, is_edge, is_leaf
 from .errors import TrieCorruptionError
 from .keys import common_prefix_length
 from .trie import Location, Trie
-
-if TYPE_CHECKING:  # runtime cycle: storage imports core
-    from ..storage.wal import WALWriter
 
 __all__ = ["BoundaryInsertion", "insert_boundary", "collapse_equal_leaf_nodes"]
 
@@ -53,7 +50,6 @@ def insert_boundary(
     left_bucket: int,
     right_bucket: int,
     old_bucket: int,
-    journal: Optional[WALWriter] = None,
 ) -> BoundaryInsertion:
     """Install boundary ``s`` so the old bucket's region is re-cut.
 
@@ -126,10 +122,6 @@ def insert_boundary(
                 repointed += 1
             else:
                 break
-    if journal is not None:
-        journal.log_boundary_insert(
-            boundary, left_bucket, right_bucket, len(new_digits), repointed
-        )
     return BoundaryInsertion(len(new_digits), repointed)
 
 

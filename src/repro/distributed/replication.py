@@ -50,16 +50,16 @@ otherwise.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from contextlib import nullcontext
 from typing import Any, Optional
 
 from ..obs.tracer import TRACER
 from ..storage.dedup import DedupWindow
-from ..storage.recovery import DurableFile
-from ..storage.wal import REC_DELETE, REC_INSERT, REC_PUT, WALRecord, stream_ops
+from ..storage.recovery import DurableFile, apply_op
+from ..storage.wal import WALRecord, stream_ops
 from .errors import (
     ConfigurationError,
     MessageLostError,
-    ReplicationError,
     ServerDownError,
     UnknownShardError,
 )
@@ -200,37 +200,18 @@ def apply_records(file: Any, dedup: DedupWindow, recs: Iterable[list]) -> None:
     with the op's result in the caller's window.
 
     The primary only ever logs *successful* operations, so replay on an
-    in-sync copy cannot raise; an exception here means the copy has
-    diverged and the caller must fall back to resync.
+    in-sync copy cannot raise; an exception here (including the
+    :class:`~repro.core.errors.StorageError` of an unknown record type)
+    means the copy has diverged and the caller must fall back to resync.
     """
-    if isinstance(file, DurableFile):
-        with file.group_commit():
-            for _lsn, rec_type, key, value, rid in recs:
-                rid_t = (int(rid[0]), int(rid[1])) if rid is not None else None
-                if rec_type == REC_INSERT:
-                    file.insert(key, value, rid=rid_t)
-                elif rec_type == REC_PUT:
-                    file.put(key, value, rid=rid_t)
-                elif rec_type == REC_DELETE:
-                    file.delete(key, rid=rid_t)
-                else:
-                    raise ReplicationError(
-                        f"unknown replicated record type {rec_type}"
-                    )
-        return
-    for _lsn, rec_type, key, value, rid in recs:
-        rid_t = (int(rid[0]), int(rid[1])) if rid is not None else None
-        if rec_type == REC_INSERT:
-            out = file.insert(key, value)
-        elif rec_type == REC_PUT:
-            out = file.put(key, value)
-        elif rec_type == REC_DELETE:
-            out = file.delete(key)
-        else:
-            raise ReplicationError(
-                f"unknown replicated record type {rec_type}"
-            )
-        dedup.record(rid_t, out)
+    durable = isinstance(file, DurableFile)
+    with file.group_commit() if durable else nullcontext():
+        for _lsn, rec_type, key, value, rid in recs:
+            rid_t = (int(rid[0]), int(rid[1])) if rid is not None else None
+            if durable:
+                file.apply(rec_type, key, value, rid=rid_t)
+            else:
+                dedup.record(rid_t, apply_op(file, rec_type, key, value))
 
 
 class Replicator:

@@ -10,11 +10,13 @@ trie-hashing and B-tree files.
 
 On top of the substrate sits crash-safe durability (see
 ``docs/DURABILITY.md``): a stable store with POSIX crash semantics
-(:class:`StableStore`), a checksummed logical write-ahead log
-(:class:`WALWriter`), atomic incremental checkpoints with REDO recovery
+(:class:`StableStore`), a checksummed logical write-ahead log of
+insert/put/delete records only (:class:`WALWriter`), atomic incremental
+checkpoints of the buckets the store marked dirty, with REDO recovery
 (:class:`DurableFile`), and the crash-point harness
 (:class:`RecordingStableStore`, :class:`CrashingStore`) that kills and
-recovers the file at every physical write.
+recovers the file at every physical write. The engines never see the
+log: only :class:`DurableFile` writes it.
 """
 
 from .buckets import Bucket, BucketStore

@@ -10,13 +10,15 @@ uses to reconstruct a destroyed trie (see
 :class:`BucketStore` allocates bucket addresses ``0, 1, 2, ...`` (the
 paper's ``N`` counter), recycles freed addresses, and funnels every access
 through a buffer pool so the benchmark harness sees exact disk-access
-counts.
+counts. A durable session gives the store a :attr:`~BucketStore.dirty`
+set: every allocated or written address lands in it, and the
+incremental checkpointer drains it.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Optional
 
 from ..core.errors import DuplicateKeyError, KeyNotFoundError, StorageError
@@ -137,9 +139,11 @@ class BucketStore:
         self.pool = BufferPool(self.disk, buffer_capacity)
         self._blocks: list[Optional[int]] = []  # bucket address -> block id
         self._free: list[int] = []
-        #: Optional :class:`~repro.storage.wal.WALWriter`; when attached
-        #: (by a durable session) every allocate/write/free is journalled.
-        self.journal = None
+        #: Addresses allocated or written since the last checkpoint, or
+        #: ``None`` when no durable session tracks this store. Freed
+        #: addresses stay in the set: a checkpoint keeps only the ones
+        #: still in :meth:`live_addresses`.
+        self.dirty: Optional[set[int]] = None
 
     @property
     def stats(self) -> DiskStats:
@@ -163,8 +167,8 @@ class BucketStore:
         else:
             self._blocks.append(self.pool.allocate(bucket))
             address = len(self._blocks) - 1
-        if self.journal is not None:
-            self.journal.log_bucket_create(address)
+        if self.dirty is not None:
+            self.dirty.add(address)
         return address
 
     def read(self, address: int) -> Bucket:
@@ -174,16 +178,32 @@ class BucketStore:
     def write(self, address: int, bucket: Bucket) -> None:
         """Write bucket ``address`` back (metered)."""
         self.pool.write(self._block(address), bucket)
-        if self.journal is not None:
-            self.journal.log_bucket_write(address, len(bucket))
+        if self.dirty is not None:
+            self.dirty.add(address)
 
     def free(self, address: int) -> None:
         """Release bucket ``address`` for reuse."""
         self.pool.free(self._block(address))
         self._blocks[address] = None
         self._free.append(address)
-        if self.journal is not None:
-            self.journal.log_bucket_free(address)
+
+    def restore(
+        self, max_address: int, live: Iterable[int], buckets: dict[int, Bucket]
+    ) -> None:
+        """Recreate a saved address space on a store holding only bucket 0.
+
+        Allocates every address up to ``max_address``, frees the ones not
+        in ``live`` (so recycled addresses come back in the saved order)
+        and writes ``buckets``.
+        """
+        keep = set(live)
+        while self.max_address() < max_address:
+            self.allocate()
+        for address in range(max_address + 1):
+            if address not in keep:
+                self.free(address)
+        for address, bucket in buckets.items():
+            self.write(address, bucket)
 
     def live_addresses(self) -> list[int]:
         """All currently allocated bucket addresses, ascending."""

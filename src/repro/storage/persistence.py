@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # runtime cycle: core.mlth pulls in storage
 from ..core.errors import StorageError
 from ..core.file import THFile
 from ..core.policies import SplitPolicy
-from .buckets import BucketStore
+from .buckets import Bucket, BucketStore
 from .serializer import (
     deserialize_bucket,
     deserialize_trie,
@@ -89,6 +89,34 @@ def _parsing(what: str):
         raise StorageError(f"corrupt {what}: {exc}") from None
 
 
+def _write_bucket_area(out: io.BytesIO, store: BucketStore) -> None:
+    """Append every live bucket as ``address, length, payload``."""
+    for address in store.live_addresses():
+        bucket_bytes = serialize_bucket(store.peek(address))
+        out.write(struct.pack(">II", address, len(bucket_bytes)))
+        out.write(bucket_bytes)
+
+
+def _load_bucket_area(
+    stream: io.BytesIO, store: BucketStore, header: dict, what: str
+) -> int:
+    """Parse the bucket area into ``store``; returns the records found.
+
+    Rebuilds the image's address space (``max_address``, ``live``) so
+    recycled addresses line up with the index's leaves.
+    """
+    buckets: dict[int, Bucket] = {}
+    with _parsing(what):
+        while True:
+            chunk = stream.read(8)
+            if not chunk:
+                break
+            address, length = struct.unpack(">II", chunk)
+            buckets[address] = deserialize_bucket(stream.read(length))
+        store.restore(header["max_address"], header["live"], buckets)
+    return sum(len(bucket) for bucket in buckets.values())
+
+
 def dump_bytes(file: THFile) -> bytes:
     """Serialise the whole file (trie + every bucket) to bytes."""
     out = io.BytesIO()
@@ -106,10 +134,7 @@ def dump_bytes(file: THFile) -> bytes:
     trie_bytes = serialize_trie(file.trie)
     out.write(struct.pack(">I", len(trie_bytes)))
     out.write(trie_bytes)
-    for address in file.store.live_addresses():
-        bucket_bytes = serialize_bucket(file.store.peek(address))
-        out.write(struct.pack(">II", address, len(bucket_bytes)))
-        out.write(bucket_bytes)
+    _write_bucket_area(out, file.store)
     return _seal(out.getvalue())
 
 
@@ -130,27 +155,7 @@ def load_bytes(data: bytes) -> THFile:
         bucket_capacity=header["capacity"], policy=policy, alphabet=trie.alphabet
     )
     file.trie = trie
-
-    # Recreate the address space: allocate up to max_address, then free
-    # the holes, so recycled addresses line up with the trie's leaves.
-    store: BucketStore = file.store
-    live = set(header["live"])
-    for _address in range(1, header["max_address"] + 1):
-        store.allocate()
-    for address in range(header["max_address"] + 1):
-        if address not in live:
-            store.free(address)
-
-    total = 0
-    with _parsing(what):
-        while True:
-            chunk = stream.read(8)
-            if not chunk:
-                break
-            address, length = struct.unpack(">II", chunk)
-            bucket = deserialize_bucket(stream.read(length))
-            store.write(address, bucket)
-            total += len(bucket)
+    total = _load_bucket_area(stream, file.store, header, what)
     if total != header["records"]:
         raise StorageError(
             f"image promised {header['records']} records, found {total}"
@@ -188,10 +193,7 @@ def dump_mlth_bytes(file: MLTHFile) -> bytes:
     header_bytes = json.dumps(header, separators=(",", ":")).encode()
     out.write(struct.pack(">I", len(header_bytes)))
     out.write(header_bytes)
-    for address in file.store.live_addresses():
-        bucket_bytes = serialize_bucket(file.store.peek(address))
-        out.write(struct.pack(">II", address, len(bucket_bytes)))
-        out.write(bucket_bytes)
+    _write_bucket_area(out, file.store)
     return _seal(out.getvalue())
 
 
@@ -199,7 +201,6 @@ def load_mlth_bytes(data: bytes) -> MLTHFile:
     """Rebuild an :class:`~repro.core.mlth.MLTHFile` from its image."""
     from ..core.alphabet import Alphabet
     from ..core.mlth import MLTHFile
-    from ..core.pages import TriePage
 
     what = "multilevel trie-hashing file image"
     stream = io.BytesIO(_unseal(data, what))
@@ -217,38 +218,8 @@ def load_mlth_bytes(data: bytes) -> MLTHFile:
         pin_root=header["pin_root"],
         split_node_pick=header["split_node_pick"],
     )
-    # Rebuild the page space: allocate ids densely up to the maximum,
-    # then overwrite those the image defines (unused ids stay as junk
-    # never referenced by the hierarchy).
-    page_specs = {int(k): v for k, v in header["pages"].items()}
-    top = max(page_specs)
-    while len(file.page_disk) <= top:
-        file.page_pool.allocate(TriePage(0, [], [None]))
-    for pid, spec in page_specs.items():
-        file.page_pool.write(pid, TriePage.from_spec(spec))
-    if file.pin_root:
-        file.page_pool.unpin(file.root_id)
-    file.root_id = header["root"]
-    if file.pin_root:
-        file.page_pool.pin(file.root_id)
-
-    store = file.store
-    live = set(header["live"])
-    for _address in range(1, header["max_address"] + 1):
-        store.allocate()
-    for address in range(header["max_address"] + 1):
-        if address not in live:
-            store.free(address)
-    total = 0
-    with _parsing(what):
-        while True:
-            chunk = stream.read(8)
-            if not chunk:
-                break
-            address, length = struct.unpack(">II", chunk)
-            bucket = deserialize_bucket(stream.read(length))
-            store.write(address, bucket)
-            total += len(bucket)
+    file.restore_pages(header["root"], header["pages"])
+    total = _load_bucket_area(stream, file.store, header, what)
     if total != header["records"]:
         raise StorageError("record count mismatch in MLTH image")
     file._size = total

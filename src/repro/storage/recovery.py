@@ -7,16 +7,22 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
   :meth:`~repro.storage.wal.StableStore.write_atomic` temp-file + rename
   semantics, so a checkpoint is never half-visible. Checkpoints are
   *incremental*: only the buckets dirtied since the previous checkpoint
-  are rewritten, and the manifest keeps a short *chain* of checkpoint
-  names whose newest-wins union reconstitutes every live bucket. Every
-  ``max_chain``-th checkpoint is full and resets the chain.
+  (the bucket store's :attr:`~repro.storage.buckets.BucketStore.dirty`
+  set, which the session installs and drains) are rewritten, and the
+  manifest keeps a short *chain* of checkpoint names whose newest-wins
+  union reconstitutes every live bucket. Every ``max_chain``-th
+  checkpoint is full and resets the chain.
 
 * **Recovery** — :func:`DurableFile.open` on a store holding a MANIFEST
   loads the chain newest-to-oldest, re-materialises the file, and
-  replays the committed operation records with LSN beyond the checkpoint
-  (logical REDO: the operations are deterministic, so re-executing them
-  rebuilds an equivalent structure). A torn or corrupt log tail is
-  discarded — those operations were never acknowledged. When the
+  replays every committed record with LSN beyond the checkpoint straight
+  into the engine (logical REDO: the operations are deterministic, so
+  re-executing them rebuilds an equivalent structure). A torn or corrupt
+  log tail is discarded — those operations were never acknowledged.
+  Durable input that parses but does not fit the schema (a MANIFEST
+  key of the wrong type, engine params that build no file, a checkpoint
+  header or a logged payload of the wrong shape, an unknown record
+  type) raises :class:`RecoveryError`. When the
   checkpoint's *index* section (the trie image) is lost but the bucket
   sections survive, trie-hashing files fall back to the Section-6
   reconstruction of /TOR83/ (:func:`~repro.core.reconstruct
@@ -42,7 +48,7 @@ import struct
 import zlib
 from contextlib import contextmanager, nullcontext
 from collections.abc import Iterable, Iterator
-from typing import Optional
+from typing import Any, Optional
 
 from ..check.hook import maybe_audit
 from ..core.alphabet import DEFAULT_ALPHABET, Alphabet
@@ -63,11 +69,12 @@ from .wal import (
     REC_INSERT,
     REC_PUT,
     StableStore,
+    WALRecord,
     WALWriter,
     read_records,
 )
 
-__all__ = ["DurableFile", "RecoveryReport", "MANIFEST_NAME"]
+__all__ = ["DurableFile", "RecoveryReport", "MANIFEST_NAME", "apply_op"]
 
 MANIFEST_NAME = "MANIFEST"
 _CKPT_MAGIC = b"THCK1\n"
@@ -127,6 +134,8 @@ def decode_checkpoint(
         header = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RecoveryError(f"corrupt checkpoint header in {name}: {exc}") from None
+    if not _header_ok(header):
+        raise RecoveryError(f"malformed checkpoint header in {name}")
     index, index_ok = _read_section(stream)
     buckets: dict[int, bytes] = {}
     while True:
@@ -143,8 +152,56 @@ def decode_checkpoint(
     return header, (index if index_ok else None), buckets
 
 
-def _apply_op(file, rec_type: int, key: str, value) -> object:
-    """Execute one operation record against an engine (live path & REDO)."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_rid(rid) -> bool:
+    return isinstance(rid, list) and len(rid) == 2 and all(map(_is_int, rid))
+
+
+def _header_ok(header) -> bool:
+    """Do the fields recovery reads from a checkpoint header fit?"""
+    if not isinstance(header, dict):
+        return False
+    live, top = header.get("live"), header.get("max_address")
+    dedup = header.get("dedup", [])  # absent in headers older than the window
+    return (
+        _is_int(top)
+        and isinstance(live, list)
+        and all(_is_int(a) and 0 <= a <= top for a in live)
+        and isinstance(dedup, list)
+        and all(isinstance(e, list) and len(e) == 3 and _is_rid(e[:2]) for e in dedup)
+    )
+
+
+def _op_payload(key: str, value: Optional[str], rid: Optional[RequestId]) -> dict:
+    """The logged body of one operation record (read by :func:`_op_fields`)."""
+    payload = {"k": key} if value is None else {"k": key, "v": value}
+    if rid is not None:
+        payload["rid"] = [rid[0], rid[1]]
+    return payload
+
+
+def _op_fields(record: WALRecord) -> tuple[str, Optional[str], Optional[RequestId]]:
+    """``(key, value, rid)`` of a logged operation; a bad shape fails typed."""
+    payload = record.payload
+    if isinstance(payload, dict):
+        key, value, rid = payload.get("k"), payload.get("v"), payload.get("rid")
+        if (
+            isinstance(key, str)
+            and (value is None or isinstance(value, str))
+            and (rid is None or _is_rid(rid))
+        ):
+            return key, value, None if rid is None else (rid[0], rid[1])
+    raise RecoveryError(f"malformed operation record at LSN {record.lsn}")
+
+
+def apply_op(file: Any, rec_type: int, key: str, value: object) -> object:
+    """Execute one operation record against an engine.
+
+    The one dispatch of the live path, REDO replay and log shipping.
+    """
     if rec_type == REC_INSERT:
         return file.insert(key, value)
     if rec_type == REC_PUT:
@@ -199,11 +256,6 @@ class _THEngine:
     def index_bytes(file) -> bytes:
         return serialize_trie(file.trie)
 
-    @staticmethod
-    def attach(file, journal: Optional[WALWriter]) -> None:
-        file.journal = journal
-        file.store.journal = journal
-
     @classmethod
     def materialize(
         cls, params: dict, header: dict, index: Optional[bytes], buckets, report
@@ -216,14 +268,14 @@ class _THEngine:
                 trie = deserialize_trie(index)
             except StorageError:
                 trie = None
-        file = cls.create(
-            params, alphabet=trie.alphabet if trie is not None else None
+        file = _create(
+            cls, params, alphabet=trie.alphabet if trie is not None else None
         )
         # Checkpoints serialise the standard cell layout regardless of
         # backend; a compact-configured file re-adopts the deserialised
         # trie column-for-column (cell indices and free order preserved).
         backend = type(file.trie)
-        _rebuild_bucket_space(file.store, header, buckets)
+        file.store.restore(header["max_address"], header["live"], buckets)
         if trie is not None:
             file.trie = trie if type(trie) is backend else backend.from_trie(trie)
         else:
@@ -284,25 +336,18 @@ class _MLTHEngine:
         }
         return json.dumps(spec, separators=(",", ":")).encode()
 
-    @staticmethod
-    def attach(file, journal: Optional[WALWriter]) -> None:
-        file.journal = journal
-        file.store.journal = journal
-
     @classmethod
     def materialize(
         cls, params: dict, header: dict, index: Optional[bytes], buckets, report
     ):
-        from ..core.pages import TriePage
-
         spec = None
         if index is not None:
             try:
                 spec = json.loads(index.decode("utf-8"))
                 page_specs = {int(k): v for k, v in spec["pages"].items()}
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, ValueError):
-                spec = None
-        file = cls.create(params)
+            except (KeyError, ValueError, TypeError, AttributeError):
+                spec = None  # a decode or JSON error is a ValueError too
+        file = _create(cls, params)
         if spec is None:
             # The page hierarchy is gone; the buckets still hold every
             # record, so rebuild the file by re-inserting them.
@@ -312,17 +357,8 @@ class _MLTHEngine:
                 for key, value in zip(bucket.keys, bucket.values):
                     file.insert(key, value)
             return file
-        top = max(page_specs)
-        while len(file.page_disk) <= top:
-            file.page_pool.allocate(TriePage(0, [], [None]))
-        for pid, page_spec in page_specs.items():
-            file.page_pool.write(pid, TriePage.from_spec(page_spec))
-        if file.pin_root:
-            file.page_pool.unpin(file.root_id)
-        file.root_id = spec["root"]
-        if file.pin_root:
-            file.page_pool.pin(file.root_id)
-        _rebuild_bucket_space(file.store, header, buckets)
+        file.restore_pages(spec["root"], page_specs)
+        file.store.restore(header["max_address"], header["live"], buckets)
         file._size = sum(len(bucket) for bucket in buckets.values())
         return file
 
@@ -372,10 +408,6 @@ class _BTreeEngine:
         items = [[key, value] for key, value in file.items()]
         return json.dumps(items, separators=(",", ":")).encode()
 
-    @staticmethod
-    def attach(file, journal: Optional[WALWriter]) -> None:
-        file.journal = journal
-
     @classmethod
     def materialize(
         cls, params: dict, header: dict, index: Optional[bytes], buckets, report
@@ -389,7 +421,7 @@ class _BTreeEngine:
             items = json.loads(index.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RecoveryError(f"corrupt b+-tree checkpoint index: {exc}") from None
-        file = cls.create(params)
+        file = _create(cls, params)
         for key, value in items:
             file.insert(key, value)
         return file
@@ -402,16 +434,15 @@ _ENGINES = {
 }
 
 
-def _rebuild_bucket_space(store, header: dict, buckets) -> None:
-    """Recreate a BucketStore's address space and contents (load_bytes idiom)."""
-    live = set(header["live"])
-    for _ in range(1, header["max_address"] + 1):
-        store.allocate()
-    for address in range(header["max_address"] + 1):
-        if address not in live:
-            store.free(address)
-    for address, bucket in buckets.items():
-        store.write(address, bucket)
+def _create(adapter, params: dict, **kwargs):
+    """Build an engine from MANIFEST ``params``; params that build no file
+    (a missing key, a wrong type, a value the engine refuses) fail typed."""
+    try:
+        return adapter.create(params, **kwargs)
+    except (KeyError, TypeError, ValueError, TrieHashingError) as exc:
+        raise RecoveryError(
+            f"MANIFEST params build no {adapter.kind} file: {exc!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -487,6 +518,11 @@ class DurableFile:
         #: travel inside WAL op records and checkpoint headers, so the
         #: window survives crashes together with the data it guards.
         self.dedup = DedupWindow()
+        # From here on every bucket the engine allocates or writes is
+        # dirty; a recovered file's rebuild writes came before, so only
+        # its replayed operations reach the next incremental checkpoint.
+        if adapter.uses_buckets:
+            file.store.dirty = set()
         return self
 
     # -- opening -------------------------------------------------------
@@ -520,7 +556,6 @@ class DurableFile:
         adapter = _ENGINES[engine]
         file = adapter.create(adapter.fresh_params(**params))
         wal = WALWriter(stable, "wal-0", next_lsn=1)
-        adapter.attach(file, wal)
         manifest = {
             "engine": adapter.kind,
             "params": adapter.fresh_params(**params),
@@ -538,6 +573,8 @@ class DurableFile:
 
     @classmethod
     def _recover(cls, stable, checkpoint_every, max_chain, engine_hint):
+        from ..check.audits import audit_manifest  # runtime cycle: check -> core
+
         report = RecoveryReport()
         span = (
             TRACER.span("recovery") if TRACER.enabled else nullcontext()
@@ -549,7 +586,10 @@ class DurableFile:
                 raise RecoveryError("stable store has no MANIFEST") from exc
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise RecoveryError(f"corrupt MANIFEST: {exc}") from None
-            kind = manifest.get("engine")
+            problems = audit_manifest(manifest)
+            if problems:
+                raise RecoveryError(f"malformed MANIFEST: {problems[0].message}")
+            kind = manifest["engine"]
             adapter = _ENGINES.get(kind)
             if adapter is None:
                 raise RecoveryError(f"MANIFEST names unknown engine {kind!r}")
@@ -599,47 +639,37 @@ class DurableFile:
                 manifest["params"], newest_header, newest_index, buckets, report
             )
 
-            # REDO: replay committed operations past the checkpoint. The
-            # journal is attached in replay mode so the re-executed
-            # operations mark their buckets dirty (the next incremental
-            # checkpoint must include them) without re-logging records.
+            # REDO: replay committed operations past the checkpoint,
+            # straight into the engine — it holds no log, so nothing is
+            # re-logged or re-shipped. The session is built first, so the
+            # replayed operations mark their buckets dirty: the next
+            # incremental checkpoint must include them.
             wal_name = manifest["wal"]
             log_image = stable.read(wal_name) if stable.exists(wal_name) else b""
             records, clean = read_records(log_image)
             report.torn_tail = not clean
             top_lsn = max([manifest["lsn"]] + [r.lsn for r in records])
             wal = WALWriter(stable, wal_name, next_lsn=top_lsn + 1)
-            adapter.attach(file, wal)
+            self = cls._build(
+                stable, adapter, file, wal, manifest, checkpoint_every, max_chain
+            )
             # The dedup window recovers alongside the data it guards:
             # the checkpointed window is the base, and every replayed
             # record re-records its request id with the re-executed
             # result — so a retry arriving after the crash still hits.
-            dedup = DedupWindow.from_spec(newest_header.get("dedup", []))
-            wal.suppress_appends = True
-            try:
-                for record in records:
-                    if not record.is_op or record.lsn <= manifest["lsn"]:
-                        continue
-                    payload = record.payload
-                    try:
-                        out = _apply_op(
-                            file, record.type, payload["k"], payload.get("v")
-                        )
-                    except TrieHashingError as exc:
-                        raise RecoveryError(
-                            f"replay of operation LSN {record.lsn} failed: {exc}"
-                        ) from exc
-                    rid = payload.get("rid")
-                    if rid is not None:
-                        dedup.record((rid[0], rid[1]), out)
-                    report.replayed += 1
-            finally:
-                wal.suppress_appends = False
-
-            self = cls._build(
-                stable, adapter, file, wal, manifest, checkpoint_every, max_chain
-            )
-            self.dedup = dedup
+            self.dedup = DedupWindow.from_spec(newest_header.get("dedup", []))
+            for record in records:
+                if record.lsn <= manifest["lsn"]:
+                    continue
+                key, value, rid = _op_fields(record)
+                try:
+                    out = apply_op(file, record.type, key, value)
+                except TrieHashingError as exc:
+                    raise RecoveryError(
+                        f"replay of operation LSN {record.lsn} failed: {exc}"
+                    ) from exc
+                self.dedup.record(rid, out)
+                report.replayed += 1
             self.last_recovery = report
             if TRACER.enabled:
                 TRACER.emit(
@@ -670,22 +700,30 @@ class DurableFile:
         else:
             self.wal.commit()  # the fsync barrier: returning == durable
 
-    def _do(self, rec_type: int, key: str, value=None, rid=None):
+    def apply(
+        self,
+        rec_type: int,
+        key: str,
+        value: Optional[str] = None,
+        rid: Optional[RequestId] = None,
+    ) -> object:
+        """Apply one operation of record type ``rec_type`` under the ack
+        protocol — the entry point of log shipping; :meth:`insert`,
+        :meth:`put` and :meth:`delete` are its named forms."""
         self._check_usable()
+        if rec_type not in (REC_INSERT, REC_PUT, REC_DELETE):
+            raise StorageError(f"unknown operation record type {rec_type}")
         if value is not None and not isinstance(value, str):
             raise StorageError("durable files store str or None values only")
         try:
-            out = _apply_op(self.file, rec_type, key, value)
+            out = apply_op(self.file, rec_type, key, value)
         except (InvalidKeyError, DuplicateKeyError, KeyNotFoundError):
             raise  # rejected before any mutation: nothing to log
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: any mid-mutation failure (CrashError, device fault) must poison the session before re-raising
             self._poisoned = True
             raise
         try:
-            payload = {"k": key} if value is None else {"k": key, "v": value}
-            if rid is not None:
-                payload["rid"] = [rid[0], rid[1]]
-            self.wal.append(rec_type, payload)
+            self.wal.append(rec_type, _op_payload(key, value, rid))
             self._commit_barrier()
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a failure before the fsync ack leaves WAL state unknown; poison, then re-raise
             self._poisoned = True
@@ -755,7 +793,7 @@ class DurableFile:
         rid: Optional[RequestId] = None,
     ) -> None:
         """Insert a new key (acknowledged-durable on return)."""
-        self._do(REC_INSERT, key, value, rid=rid)
+        self.apply(REC_INSERT, key, value, rid=rid)
 
     def put(
         self,
@@ -764,11 +802,11 @@ class DurableFile:
         rid: Optional[RequestId] = None,
     ) -> None:
         """Insert or overwrite (acknowledged-durable on return)."""
-        self._do(REC_PUT, key, value, rid=rid)
+        self.apply(REC_PUT, key, value, rid=rid)
 
     def delete(self, key: str, rid: Optional[RequestId] = None) -> object:
         """Delete a key, returning its value (acknowledged on return)."""
-        return self._do(REC_DELETE, key, rid=rid)
+        return self.apply(REC_DELETE, key, rid=rid)
 
     # -- reads (no logging) -------------------------------------------
     def get(self, key: str) -> object:
@@ -845,16 +883,13 @@ class DurableFile:
                 batched(pending)
             else:
                 for key, value in pending:
-                    _apply_op(self.file, REC_PUT, key, value)
+                    apply_op(self.file, REC_PUT, key, value)
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a partially applied batch (crash, device fault, per-key reject mid-loop) must poison the session before re-raising
             self._poisoned = True
             raise
         try:
             for key, value in pending:
-                payload = {"k": key} if value is None else {"k": key, "v": value}
-                if rid is not None:
-                    payload["rid"] = [rid[0], rid[1]]
-                self.wal.append(REC_PUT, payload)
+                self.wal.append(REC_PUT, _op_payload(key, value, rid))
             self._commit_barrier()  # one fsync barrier for the whole batch
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a failure before the group fsync leaves WAL state unknown; poison, then re-raise
             self._poisoned = True
@@ -888,7 +923,6 @@ class DurableFile:
 
     def _checkpoint(self, full: Optional[bool]) -> str:
         adapter = self.engine
-        dirty, _freed = self.wal.drain_dirty()
         chain = list(self.manifest["chain"])
         if full is None:
             full = (
@@ -899,10 +933,12 @@ class DurableFile:
         ckpt_id = self.manifest["next_ckpt"]
         name = f"ckpt-{ckpt_id}"
         if adapter.uses_buckets:
-            live = self.file.store.live_addresses()
+            store = self.file.store
+            dirty, store.dirty = store.dirty, set()
+            live = store.live_addresses()
             included = list(live) if full else sorted(set(live) & dirty)
             buckets = [
-                (address, serialize_bucket(self.file.store.peek(address)))
+                (address, serialize_bucket(store.peek(address)))
                 for address in included
             ]
             header = {
@@ -912,7 +948,7 @@ class DurableFile:
                 "engine": adapter.kind,
                 "records": len(self.file),
                 "live": live,
-                "max_address": self.file.store.max_address(),
+                "max_address": store.max_address(),
                 "buckets": included,
                 "dedup": self.dedup.to_spec(),
             }

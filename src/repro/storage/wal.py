@@ -11,17 +11,15 @@ durability substrate in two layers:
   away every un-fsynced byte, except possibly a *torn* prefix of the
   unflushed tail (a partially written last block).
 
-* The WAL itself — a stream of checksummed, LSN-stamped records.
-  Operation records (``insert``/``put``/``delete``) are the REDO unit:
-  a record is appended after the in-memory apply succeeds and the
-  operation is acknowledged only once the record is fsynced. Structural
-  detail records (bucket create/write/free, trie-node edits, merges,
-  redistributions, page splits) are interleaved by the storage and core
-  layers through the same :class:`WALWriter`; recovery does not replay
-  them — re-executing the deterministic operation records rebuilds the
-  identical structure — but they make the log a faithful, inspectable
-  account of every structure modification and drive the incremental
-  checkpointer's dirty-bucket tracking.
+* The WAL itself — a stream of checksummed, LSN-stamped operation
+  records (``insert``/``put``/``delete``), the REDO unit: a record is
+  appended after the in-memory apply succeeds and the operation is
+  acknowledged only once the record is fsynced. Nothing else is logged.
+  Re-executing the deterministic operations rebuilds the identical
+  structure, and a lost trie is rebuilt from the bucket headers
+  (Section 6, /TOR83/), so no reader needs a log of structure edits.
+  LSNs count operation records: consecutive records carry consecutive
+  LSNs.
 
 Record wire format (see ``docs/DURABILITY.md``)::
 
@@ -50,45 +48,19 @@ __all__ = [
     "WALWriter",
     "read_records",
     "stream_ops",
-    "OP_TYPES",
     "REC_INSERT",
     "REC_PUT",
     "REC_DELETE",
-    "REC_BUCKET_CREATE",
-    "REC_BUCKET_WRITE",
-    "REC_BUCKET_FREE",
-    "REC_TRIE_EXPAND",
-    "REC_BOUNDARY_INSERT",
-    "REC_MERGE",
-    "REC_BORROW",
-    "REC_REDISTRIBUTE",
-    "REC_PAGE_EDIT",
-    "REC_PAGE_SPLIT",
-    "REC_NODE_SPLIT",
 ]
 
 # ----------------------------------------------------------------------
 # Record types
 # ----------------------------------------------------------------------
-#: Operation records — the REDO unit replayed by recovery.
+#: Operation records — the REDO unit replayed by recovery, and the only
+#: record types the log holds.
 REC_INSERT = 1
 REC_PUT = 2
 REC_DELETE = 3
-
-#: Structural detail records — logged for inspection and dirty tracking.
-REC_BUCKET_CREATE = 16
-REC_BUCKET_WRITE = 17
-REC_BUCKET_FREE = 18
-REC_TRIE_EXPAND = 19
-REC_BOUNDARY_INSERT = 20
-REC_MERGE = 21
-REC_BORROW = 22
-REC_REDISTRIBUTE = 23
-REC_PAGE_EDIT = 24
-REC_PAGE_SPLIT = 25
-REC_NODE_SPLIT = 26
-
-OP_TYPES = frozenset((REC_INSERT, REC_PUT, REC_DELETE))
 
 _REC_MAGIC = b"\xd7\x1e"  # two fixed marker bytes
 _HEADER = struct.Struct(">QBI")  # lsn, type, payload length
@@ -242,7 +214,7 @@ class StableStore:
 # Record codec
 # ----------------------------------------------------------------------
 class WALRecord:
-    """One decoded log record."""
+    """One decoded operation record."""
 
     __slots__ = ("lsn", "type", "payload")
 
@@ -250,11 +222,6 @@ class WALRecord:
         self.lsn = lsn
         self.type = rec_type
         self.payload = payload
-
-    @property
-    def is_op(self) -> bool:
-        """True for operation (REDO) records."""
-        return self.type in OP_TYPES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WALRecord(lsn={self.lsn}, type={self.type}, {self.payload!r})"
@@ -304,7 +271,7 @@ def read_records(data: bytes) -> tuple[list[WALRecord], bool]:
 def stream_ops(
     store: StableStore, name: str, after_lsn: int = 0
 ) -> Iterator[WALRecord]:
-    """Operation records in segment ``name`` with ``lsn > after_lsn``.
+    """Records in segment ``name`` with ``lsn > after_lsn``.
 
     The catch-up primitive of replication: a backup that fell behind but
     still overlaps the primary's current segment (its last applied LSN is
@@ -317,41 +284,28 @@ def stream_ops(
         return
     records, _clean = read_records(store.read(name))
     for record in records:
-        if record.is_op and record.lsn > after_lsn:
+        if record.lsn > after_lsn:
             yield record
 
 
 # ----------------------------------------------------------------------
-# Writer / journal
+# Writer
 # ----------------------------------------------------------------------
 class WALWriter:
-    """Appends records to one log segment on a :class:`StableStore`.
+    """Appends operation records to one log segment on a :class:`StableStore`.
 
-    Doubles as the *journal* the storage and core layers thread their
-    structural detail records through: :class:`~repro.storage.buckets.
-    BucketStore` and the split/merge/redistribution/page modules call the
-    ``log_*`` helpers when a journal is attached. Bucket-touching records
-    feed :attr:`dirty_buckets`, which the incremental checkpointer
-    drains.
+    Only :class:`~repro.storage.recovery.DurableFile` holds a writer; the
+    engines it wraps never see the log. Recovery replays into the engine
+    directly, so replayed operations are neither re-logged nor re-shipped.
     """
 
     def __init__(self, store: StableStore, name: str, next_lsn: int = 1):
         self.store = store
         self.name = name
         self.next_lsn = next_lsn
-        #: Bucket addresses touched since the last checkpoint drain.
-        self.dirty_buckets = set()
-        #: Addresses freed since the last checkpoint drain.
-        self.freed_buckets = set()
-        #: Recovery replay mode: the re-executed operations must update
-        #: the dirty-bucket sets (their mutations belong in the next
-        #: incremental checkpoint) without appending duplicate records.
-        self.suppress_appends = False
         #: Commit-time subscribers: each callable receives the list of
         #: operation records made durable by one :meth:`commit` — the
-        #: shipping unit of primary/backup replication. Replay modes
-        #: (``suppress_appends``) never reach the taps, so recovery does
-        #: not re-ship.
+        #: shipping unit of primary/backup replication.
         self.taps: list = []
         self._pending_ops: list = []
 
@@ -362,13 +316,11 @@ class WALWriter:
 
     def append(self, rec_type: int, payload: dict) -> int:
         """Append one record (volatile until :meth:`commit`)."""
-        if self.suppress_appends:
-            return self.last_lsn
         lsn = self.next_lsn
         self.next_lsn += 1
         encoded = encode_record(lsn, rec_type, payload)
         self.store.append(self.name, encoded)
-        if self.taps and rec_type in OP_TYPES:
+        if self.taps:
             self._pending_ops.append(WALRecord(lsn, rec_type, payload))
         if TRACER.enabled:
             TRACER.emit("wal_append", lsn=lsn, type=rec_type, bytes=len(encoded))
@@ -383,67 +335,3 @@ class WALWriter:
             batch, self._pending_ops = self._pending_ops, []
             for tap in list(self.taps):
                 tap(batch)
-
-    # -- journal API (structural detail records) -----------------------
-    def log_bucket_create(self, address: int) -> None:
-        self.dirty_buckets.add(address)
-        self.freed_buckets.discard(address)
-        self.append(REC_BUCKET_CREATE, {"a": address})
-
-    def log_bucket_write(self, address: int, records: int) -> None:
-        self.dirty_buckets.add(address)
-        self.append(REC_BUCKET_WRITE, {"a": address, "n": records})
-
-    def log_bucket_free(self, address: int) -> None:
-        self.dirty_buckets.discard(address)
-        self.freed_buckets.add(address)
-        self.append(REC_BUCKET_FREE, {"a": address})
-
-    def log_trie_expand(self, boundary: str, old: int, new: int, added: int) -> None:
-        self.append(
-            REC_TRIE_EXPAND, {"b": boundary, "old": old, "new": new, "added": added}
-        )
-
-    def log_boundary_insert(
-        self, boundary: str, left: int, right: int, added: int, repointed: int
-    ) -> None:
-        self.append(
-            REC_BOUNDARY_INSERT,
-            {"b": boundary, "l": left, "r": right, "added": added, "rp": repointed},
-        )
-
-    def log_merge(self, kind: str, survivor: int, victim: int) -> None:
-        self.append(REC_MERGE, {"kind": kind, "s": survivor, "v": victim})
-
-    def log_borrow(self, cut: str, lower: int, upper: int, moved: int) -> None:
-        self.append(REC_BORROW, {"cut": cut, "lo": lower, "hi": upper, "n": moved})
-
-    def log_redistribute(self, direction: str, cut: str, moved: int) -> None:
-        self.append(REC_REDISTRIBUTE, {"dir": direction, "cut": cut, "n": moved})
-
-    def log_page_edit(self, gap: int, boundaries: list[str]) -> None:
-        self.append(REC_PAGE_EDIT, {"gap": gap, "b": boundaries})
-
-    def log_page_split(
-        self, page: int, new_page: int, level: int, separator: str
-    ) -> None:
-        self.append(
-            REC_PAGE_SPLIT,
-            {"page": page, "new": new_page, "level": level, "sep": separator},
-        )
-
-    def log_node_split(self, kind: str, node: int, new_node: int) -> None:
-        self.append(REC_NODE_SPLIT, {"kind": kind, "node": node, "new": new_node})
-
-    def drain_dirty(self) -> tuple[set, set]:
-        """Hand the (dirty, freed) sets to a checkpoint and reset them."""
-        dirty, freed = self.dirty_buckets, self.freed_buckets
-        self.dirty_buckets, self.freed_buckets = set(), set()
-        return dirty, freed
-
-
-def replay_ops(records: Iterator[WALRecord]) -> Iterator[WALRecord]:
-    """Filter a record stream down to the operation (REDO) records."""
-    for record in records:
-        if record.is_op:
-            yield record

@@ -20,11 +20,14 @@ at every Nth write costs one run plus one recovery per point.
 
 from __future__ import annotations
 
+import json
 import random
 import string
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.boundaries import gap_index
 from repro.core.errors import CrashError, RecoveryError, StorageError
@@ -32,9 +35,12 @@ from repro.core.policies import SplitPolicy
 from repro.core.reconstruct import reconstruct_model
 from repro.obs.tracer import trace
 from repro.storage.crashpoints import CrashingStore, RecordingStableStore
-from repro.storage.recovery import DurableFile
+from repro.storage.recovery import DurableFile, decode_checkpoint, encode_checkpoint
+from repro.storage.serializer import deserialize_bucket
 from repro.storage.wal import (
+    REC_DELETE,
     REC_INSERT,
+    REC_PUT,
     StableStore,
     encode_record,
     read_records,
@@ -361,8 +367,6 @@ def test_wal_codec_roundtrip_and_tear_points():
 # Checkpoint-corruption fallbacks
 # ----------------------------------------------------------------------
 def _newest_checkpoint(store):
-    import json
-
     manifest = json.loads(store.read("MANIFEST").decode("utf-8"))
     return manifest["chain"][-1]
 
@@ -648,3 +652,207 @@ def test_rid_payloads_do_not_disturb_old_records():
     assert recovered.get("stamped") == "S"
     assert (2, 5) in recovered.dedup
     recovered.check()
+
+
+# ----------------------------------------------------------------------
+# The log contract: operation records only
+# ----------------------------------------------------------------------
+CONTRACT_CONFIGS = {
+    "th": ("th", dict(capacity=4)),
+    "th-rotations": ("th", dict(capacity=4, policy=SplitPolicy(merge="rotations"))),
+    "thcl": ("th", dict(capacity=4, policy=SplitPolicy.thcl_redistributing())),
+    "mlth": SWEEP_CONFIGS["mlth"],
+    "btree": ("btree", dict(leaf_capacity=4)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONTRACT_CONFIGS))
+def test_live_segment_holds_one_op_record_per_acked_mutation(config):
+    engine, params = CONTRACT_CONFIGS[config]
+    store = StableStore()
+    f = DurableFile.open(store, engine=engine, checkpoint_every=37, **params)
+    ops = mixed_ops(700, seed=5)
+    batch_at = len(ops) // 2
+    since_checkpoint = []  # (type, key) of every acked mutation
+    for i, (kind, key, value) in enumerate(ops):
+        generation = f.manifest["next_ckpt"]
+        if i == batch_at:
+            batch = [(_word(random.Random(j)), f"b{j}") for j in range(12)]
+            f.put_many(batch)
+            since_checkpoint += [(REC_PUT, k) for k in sorted(dict(batch))]
+        if kind == "insert" and key not in f:
+            f.insert(key, value)
+            since_checkpoint.append((REC_INSERT, key))
+        elif kind == "put":
+            f.put(key, value)
+            since_checkpoint.append((REC_PUT, key))
+        elif kind == "delete" and key in f:
+            f.delete(key)
+            since_checkpoint.append((REC_DELETE, key))
+        if f.manifest["next_ckpt"] != generation:
+            since_checkpoint = []  # a checkpoint rotated the segment
+    assert since_checkpoint, "the workload must end between checkpoints"
+    records, clean = read_records(store.read(f.manifest["wal"]))
+    assert clean
+    assert [(r.type, r.payload["k"]) for r in records] == since_checkpoint
+    first = f.manifest["lsn"] + 1
+    assert [r.lsn for r in records] == list(range(first, first + len(records)))
+
+
+def test_freed_then_reallocated_bucket_reaches_the_next_checkpoint():
+    # A merge frees an address and a split reuses it before the next
+    # checkpoint: the incremental image must carry the bucket's new
+    # contents, or recovery would resurrect the pre-merge bucket.
+    store = StableStore()
+    f = DurableFile.open(store, engine="th", capacity=4, checkpoint_every=10_000)
+    buckets = f.file.store
+    rng = random.Random(3)
+    model = {}
+    while buckets.allocated_count() < 6:
+        key = _word(rng)
+        if key not in model:
+            f.insert(key, key)
+            model[key] = key
+    f.checkpoint()
+    while buckets.allocated_count() == buckets.max_address() + 1:  # no hole yet
+        key = rng.choice(sorted(model))
+        f.delete(key)
+        del model[key]
+    assert f.file.stats.merges == 1  # the hole is a merged-away bucket
+    holes = set(range(buckets.max_address() + 1)) - set(buckets.live_addresses())
+    while not holes & set(buckets.live_addresses()):
+        key = _word(rng)
+        if key not in model:
+            f.insert(key, key)
+            model[key] = key
+    (reused,) = holes & set(buckets.live_addresses())
+    name = f.checkpoint()
+    header, _index, sections = decode_checkpoint(store.read(name), name)
+    assert not header["full"] and reused in header["buckets"]
+    assert deserialize_bucket(sections[reused]).keys == buckets.peek(reused).keys
+    store.lose_volatile()
+    g = DurableFile.open(store)
+    assert dict(g.items()) == model
+    g.check()
+
+
+# ----------------------------------------------------------------------
+# Malformed durable input fails typed
+# ----------------------------------------------------------------------
+def _durable_image():
+    """A TH store with a checkpoint chain and three logged operations."""
+    store = StableStore()
+    f = DurableFile.open(store, engine="th", capacity=4, checkpoint_every=1000)
+    for key in ("alpha", "bravo", "charlie", "delta", "echo"):
+        f.insert(key, key[0])
+    f.checkpoint()
+    f.put("foxtrot", "f", rid=(1, 1))
+    f.delete("alpha")
+    f.insert("golf")
+    return store.snapshot_durable()
+
+
+def _edit_manifest(edit):
+    def apply(store):
+        manifest = json.loads(store.read("MANIFEST"))
+        store.write_atomic("MANIFEST", json.dumps(edit(manifest)).encode())
+
+    return apply
+
+
+def _without(key):
+    return _edit_manifest(lambda m: {k: v for k, v in m.items() if k != key})
+
+
+def _with(key, value):
+    return _edit_manifest(lambda m: {**m, key: value})
+
+
+def _edit_header(**fields):
+    def apply(store):
+        name = _newest_checkpoint(store)
+        header, index, buckets = decode_checkpoint(store.read(name), name)
+        header.update(fields)
+        image = encode_checkpoint(header, index, sorted(buckets.items()))
+        store.write_atomic(name, image)
+
+    return apply
+
+
+def _logged(payload, rec_type=REC_INSERT):
+    def apply(store):
+        manifest = json.loads(store.read("MANIFEST"))
+        records, _clean = read_records(store.read(manifest["wal"]))
+        frame = encode_record(records[-1].lsn + 1, rec_type, payload)
+        store.append(manifest["wal"], frame)
+        store.fsync(manifest["wal"])
+
+    return apply
+
+
+def _params_without(key):
+    def edit(manifest):
+        params = {k: v for k, v in manifest["params"].items() if k != key}
+        return {**manifest, "params": params}
+
+    return _edit_manifest(edit)
+
+
+MALFORMED = {
+    "manifest-without-lsn": _without("lsn"),
+    "manifest-without-chain": _without("chain"),
+    "manifest-without-wal": _without("wal"),
+    "manifest-without-params": _without("params"),
+    "manifest-is-a-list": lambda store: store.write_atomic("MANIFEST", b"[1, 2]"),
+    "chain-is-an-int": _with("chain", 5),
+    "chain-entry-is-a-list": _with("chain", [["ckpt-1"]]),
+    "params-without-policy": _params_without("policy"),
+    "params-policy-unknown-field": _edit_manifest(
+        lambda m: {**m, "params": {**m["params"], "policy": {"bogus": 1}}}
+    ),
+    "header-live-not-a-list": _edit_header(live=7),
+    "header-live-beyond-max-address": _edit_header(live=[0, 10_000]),
+    "header-max-address-a-string": _edit_header(max_address="nine"),
+    "header-dedup-an-int": _edit_header(dedup=5),
+    "header-dedup-entry-short": _edit_header(dedup=[[1, 2]]),
+    "op-without-key": _logged({"v": "x"}),
+    "op-key-an-int": _logged({"k": 5}),
+    "op-value-an-int": _logged({"k": "hotel", "v": 5}),
+    "op-rid-an-int": _logged({"k": "hotel", "rid": 5}),
+    "op-rid-strings": _logged({"k": "hotel", "rid": ["a", "b"]}),
+    "op-payload-a-list": _logged(["hotel"]),
+    "op-type-unknown": _logged({"k": "hotel"}, rec_type=99),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_durable_input_raises_recovery_error(case):
+    store = StableStore.from_snapshot(_durable_image())
+    MALFORMED[case](store)
+    with pytest.raises(RecoveryError):
+        DurableFile.open(store)
+
+
+_DROP = object()
+_MANIFEST_KEYS = ("engine", "params", "chain", "wal", "lsn", "next_ckpt")
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(0, 3), st.text(max_size=6)), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@given(key=st.sampled_from(_MANIFEST_KEYS), value=st.one_of(st.just(_DROP), _ANY_JSON))
+def test_manifest_key_dropped_or_retyped_opens_or_fails_typed(key, value):
+    store = StableStore.from_snapshot(_durable_image())
+    edit = _without(key) if value is _DROP else _with(key, value)
+    edit(store)
+    try:
+        g = DurableFile.open(store)
+    except RecoveryError:
+        return
+    g.check()
