@@ -10,8 +10,10 @@ Scale-out is the TH* file expansion: when a shard's load crosses the
 :class:`ShardPolicy` threshold, the coordinator cuts the shard's region
 at the split string of its two median records (Algorithm A2's step 1,
 applied at the shard level), moves the upper half of the records to a
-freshly created server, and refines the partition. Clients discover the
-new shard lazily, through IAMs.
+freshly created server, and refines the partition. Both halves are born
+holding their records and the parent's dedup window
+(:meth:`~repro.distributed.server.ShardServer.refill`), so a durable
+split logs nothing. Clients discover the new shard lazily, through IAMs.
 
 :class:`Cluster` is the assembly: it wires a coordinator, the
 in-process fabric (wrapped in a
@@ -37,7 +39,9 @@ from ..core.policies import SplitPolicy
 from ..obs.flight import FLIGHT
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
+from ..storage.dedup import DedupWindow
 from ..storage.recovery import DurableFile
+from ..storage.wal import StableStore
 from .errors import ConfigurationError, FailoverError
 from .faults import FaultPlan, FaultyTransport, RetryPolicy
 from .messages import Op
@@ -91,7 +95,7 @@ class Coordinator:
         registry: MetricsRegistry,
         shard_policy: ShardPolicy,
         router: Any,
-        file_factory: Callable[[], object],
+        file_factory: Callable[..., object],
         replication: Optional[ReplicationPolicy] = None,
     ):
         self.alphabet = alphabet
@@ -122,17 +126,15 @@ class Coordinator:
             self.ensure_backup(first)
 
     def _new_server(self) -> ShardServer:
-        shard_id = self._next_shard
-        self._next_shard += 1
-        server = ShardServer(shard_id, self.file_factory(), self, self.router)
-        self.servers[shard_id] = server
+        server = self.spawn_detached_server()
+        self.servers[server.shard_id] = server
         return server
 
-    def spawn_detached_server(self) -> ShardServer:
-        """A fresh server outside the partition (a migration target)."""
+    def spawn_detached_server(self, role: str = "primary") -> ShardServer:
+        """A fresh empty server outside the partition (a migration target, a backup)."""
         shard_id = self._next_shard
         self._next_shard += 1
-        return ShardServer(shard_id, self.file_factory(), self, self.router)
+        return ShardServer(shard_id, self, self.router, role=role)
 
     # ------------------------------------------------------------------
     # Authoritative addressing (what servers consult)
@@ -221,11 +223,7 @@ class Coordinator:
             self._seed_backup(primary)
 
     def _new_backup(self, primary: ShardServer) -> ShardServer:
-        backup_id = self._next_shard
-        self._next_shard += 1
-        backup = ShardServer(
-            backup_id, self.file_factory(), self, self.router, role="backup"
-        )
+        backup = self.spawn_detached_server(role="backup")
         backup.replica_of = primary.shard_id
         self.replicas[primary.shard_id] = backup
         primary.replicator = Replicator(primary, backup, self.replication)
@@ -249,16 +247,7 @@ class Coordinator:
         if backup.down:
             rep.degraded = True
             return
-        items = primary.items()
-        rebuilt = self.file_factory()
-        if items:
-            rebuilt.put_many(items)
-        backup.replace_file(rebuilt)
-        backup.dedup.merge(primary.dedup)
-        if isinstance(rebuilt, DurableFile) and len(backup.dedup):
-            # The window arrived out-of-band; checkpoint it so a backup
-            # crash cannot forget pre-copy request ids.
-            rebuilt.checkpoint(full=True)
+        backup.refill(primary.items(), primary.dedup)
         wal = getattr(primary.file, "wal", None)
         backup.replica_state = ReplicaState(
             epoch=rep.epoch,
@@ -391,12 +380,7 @@ class Coordinator:
         retired_backup = self.replicas.pop(migration.source_id, None)
         if retired_backup is not None:
             retired_backup.replica_state = None
-        source.replace_file(self.file_factory())
-        if isinstance(target.file, DurableFile):
-            # The merged dedup window arrived out-of-band of the
-            # target's WAL; a full checkpoint persists it so a crash on
-            # the new owner cannot forget pre-cutover request ids.
-            target.file.checkpoint(full=True)
+        source.refill()
         self.registry.counter("dist_migrations_total").inc()
         self.registry.gauge("dist_replicas").set(len(self.replicas))
         if TRACER.enabled:
@@ -441,8 +425,9 @@ class Coordinator:
         """Split gap ``gap`` at boundary ``cut``; returns the new shard id.
 
         Records above the cut move to a freshly created server; both
-        sides are rebuilt compactly. Works on empty regions too (static
-        pre-partitioning).
+        halves are born holding their records and the parent's dedup
+        window (:meth:`ShardServer.refill`). Works on empty regions too
+        (static pre-partitioning).
 
         With tracing on, the whole move runs in a ``shard_split`` span:
         triggered by a mutation it nests under that op's shard span, so
@@ -463,18 +448,12 @@ class Coordinator:
         items = server.items()
         keep = [(k, v) for k, v in items if prefix_le(k, cut, self.alphabet)]
         move = items[len(keep):]
-        new_server = self._new_server()
-        for key, value in move:
-            new_server.file.insert(key, value)
-        rebuilt = self.file_factory()
-        for key, value in keep:
-            rebuilt.insert(key, value)
-        server.replace_file(rebuilt)
         # Both halves inherit the full dedup window: a retried mutation
         # may land on either side of the fresh cut, and surplus entries
         # are harmless (a hit only short-circuits an op that did apply).
-        server.dedup.merge(old_dedup)
-        new_server.dedup.merge(old_dedup)
+        new_server = self._new_server()
+        new_server.refill(move, old_dedup)
+        server.refill(keep, old_dedup)
         self.model.split_region(gap, cut, new_server.shard_id)
         # Both halves changed contents wholesale; their backups restart
         # from fresh direct copies (and fresh shipping epochs).
@@ -646,25 +625,29 @@ class Cluster:
             cuts.append(digits[(i * len(digits)) // shards])
         return sorted(set(cuts))
 
-    def _make_file(self):
+    def _make_file(self, items=(), window: Optional[DedupWindow] = None):
+        """A fresh shard file born holding ``items`` (in key order) and,
+        when durable, ``window``: its genesis checkpoint is their first
+        durable copy (an in-memory shard's window stays on its server)."""
         if self.durable:
-            from ..storage.recovery import DurableFile
-            from ..storage.wal import StableStore
-
             return DurableFile.open(
                 StableStore(),
                 engine="th",
+                records=items,
+                dedup=window,
                 capacity=self.bucket_capacity,
                 policy=self.policy,
                 alphabet=self.alphabet,
                 trie_backend=self.trie_backend,
             )
-        return THFile(
+        file = THFile(
             bucket_capacity=self.bucket_capacity,
             policy=self.policy,
             alphabet=self.alphabet,
             trie_backend=self.trie_backend,
         )
+        file.put_many(items)
+        return file
 
     # ------------------------------------------------------------------
     def client(

@@ -217,11 +217,11 @@ def apply_records(file: Any, dedup: DedupWindow, recs: Iterable[list]) -> None:
 class Replicator:
     """The primary-side half of one primary/backup pair.
 
-    Subscribes to the primary's WAL taps (durable shards) or is fed
-    applied records directly (in-memory shards) and ships each batch to
-    the backup. Keeps the ``(epoch, seq)`` shipping stream and runs the
-    repair ladder when the backup reports a gap: segment catch-up
-    first, full snapshot resync as the last resort.
+    Its server feeds it every committed batch (from the WAL commit tap
+    on durable shards, right after the apply on in-memory ones) and it
+    ships each batch to the backup. Keeps the ``(epoch, seq)`` shipping
+    stream and runs the repair ladder when the backup reports a gap:
+    segment catch-up first, full snapshot resync as the last resort.
     """
 
     __slots__ = (
@@ -253,14 +253,6 @@ class Replicator:
         self.resyncs = 0
 
     # -- wiring --------------------------------------------------------
-    def attach_wal(self, wal: Any) -> None:
-        """Subscribe to ``wal``'s commit taps (idempotent)."""
-        if wal is not None and self._on_commit not in wal.taps:
-            wal.taps.append(self._on_commit)
-
-    def _on_commit(self, wal_records) -> None:
-        self.ship(wire_records(wal_records))
-
     def seed_direct(self) -> None:
         """Start a fresh epoch after a direct (in-process) copy.
 
@@ -565,7 +557,7 @@ class Migration:
         self._detach()
         # Retries of pre-cutover mutations must short-circuit on the
         # new owner even when their record predates the snapshot.
-        self.target.dedup.merge(self.source.dedup)
+        self.target.adopt_window(self.source.dedup)
         self.done = True
         self.coordinator.cutover_migration(self, replayed)
         return self.target.shard_id

@@ -66,11 +66,11 @@ __all__ = ["ShardServer"]
 
 
 class ShardServer:
-    """A single simulated server of the distributed file."""
+    """A single simulated server of the distributed file; every file it
+    holds, its first (empty) one included, comes from :meth:`refill`."""
 
-    def __init__(self, shard_id: int, file, coordinator, router, role: str = "primary"):
+    def __init__(self, shard_id: int, coordinator, router, role: str = "primary"):
         self.shard_id = shard_id
-        self.file = file
         self.coordinator = coordinator
         self.router = router
         self.registry = coordinator.registry
@@ -88,6 +88,7 @@ class ShardServer:
         #: Commit-time subscribers beyond replication (migration
         #: catch-up buffers); each receives shipped-form record batches.
         self.taps: list = []
+        self.refill()
         router.register(self)
 
     # ------------------------------------------------------------------
@@ -120,11 +121,26 @@ class ShardServer:
         """This shard's records in key order (a materialized snapshot)."""
         return list(self.file.items())
 
-    def replace_file(self, file: Any) -> None:
-        """Swap in a rebuilt file (the scale-out record move)."""
-        self.file = file
+    def refill(self, items=(), window: Optional[DedupWindow] = None) -> None:
+        """Swap in a fresh file born holding ``items`` and ``window``.
+
+        The one way a shard file is filled. A durable file's genesis
+        checkpoint already holds both, so the move logs nothing and a
+        crash right behind it still dedups; an in-memory shard keeps
+        the window itself.
+        """
+        self.file = self.coordinator.file_factory(items, window)
         self._local_dedup = None
+        if window is not None and not isinstance(self.file, DurableFile):
+            self.dedup.merge(window)
         self.wire_replication()
+
+    def adopt_window(self, window: DedupWindow) -> None:
+        """Merge a window that arrived outside the WAL (a migration
+        cutover); a durable shard checkpoints it so no crash forgets it."""
+        self.dedup.merge(window)
+        if isinstance(self.file, DurableFile):
+            self.file.checkpoint(full=True)
 
     # ------------------------------------------------------------------
     # Replication feed
@@ -583,17 +599,7 @@ class ShardServer:
             )
         payload = op.value if isinstance(op.value, dict) else {}
         items = [(k, v) for k, v in payload.get("items") or []]
-        rebuilt = self.coordinator.file_factory()
-        if items:
-            rebuilt.put_many(items)
-        self.replace_file(rebuilt)
-        window = DedupWindow.from_spec(payload.get("dedup") or [])
-        self.dedup.merge(window)
-        if isinstance(rebuilt, DurableFile):
-            # The merged window arrived out-of-band (not through logged
-            # records), so force it into a checkpoint header now — a
-            # backup crash must not forget pre-snapshot request ids.
-            rebuilt.checkpoint(full=True)
+        self.refill(items, DedupWindow.from_spec(payload.get("dedup") or []))
         self.replica_state = ReplicaState(
             epoch=int(payload.get("epoch", 0)),
             applied_seq=int(payload.get("seq", 0)),

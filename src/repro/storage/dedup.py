@@ -71,11 +71,12 @@ class DedupWindow:
         maybe_audit(self, "DedupWindow.record")
 
     def merge(self, other: DedupWindow) -> None:
-        """Absorb every entry of ``other`` (shard-split handover).
+        """Absorb every entry of ``other`` (a shard handover: split
+        halves, seeded and resynced backups, a migration target).
 
         Extra entries are harmless — a dedup hit only ever short-circuits
-        an op that *did* already apply — so the split handover copies the
-        whole window rather than filtering by moved region.
+        an op that *did* already apply — so a handover copies the whole
+        window rather than filtering by moved region.
         """
         for rid, result in other._entries.items():
             self.record(rid, result)

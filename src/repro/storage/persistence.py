@@ -69,9 +69,9 @@ def _unseal(data: bytes, what: str) -> bytes:
 def _parsing(what: str):
     """Convert low-level decoding failures into a clean StorageError.
 
-    Without this, a truncated or bit-flipped image surfaces as a raw
-    ``struct.error``/``UnicodeDecodeError``/``KeyError`` traceback from
-    the codec internals; callers should only ever see StorageError.
+    Without this, a truncated, bit-flipped or resealed image surfaces as
+    a raw ``struct.error``/``KeyError``/``TypeError``/... traceback from
+    the codec or the constructors; callers should only see StorageError.
     """
     try:
         yield
@@ -97,23 +97,21 @@ def _write_bucket_area(out: io.BytesIO, store: BucketStore) -> None:
         out.write(bucket_bytes)
 
 
-def _load_bucket_area(
-    stream: io.BytesIO, store: BucketStore, header: dict, what: str
-) -> int:
+def _load_bucket_area(stream: io.BytesIO, store: BucketStore, header: dict) -> int:
     """Parse the bucket area into ``store``; returns the records found.
 
     Rebuilds the image's address space (``max_address``, ``live``) so
-    recycled addresses line up with the index's leaves.
+    recycled addresses line up with the index's leaves (under
+    :func:`_parsing`, like the rest of a load).
     """
     buckets: dict[int, Bucket] = {}
-    with _parsing(what):
-        while True:
-            chunk = stream.read(8)
-            if not chunk:
-                break
-            address, length = struct.unpack(">II", chunk)
-            buckets[address] = deserialize_bucket(stream.read(length))
-        store.restore(header["max_address"], header["live"], buckets)
+    while True:
+        chunk = stream.read(8)
+        if not chunk:
+            break
+        address, length = struct.unpack(">II", chunk)
+        buckets[address] = deserialize_bucket(stream.read(length))
+    store.restore(header["max_address"], header["live"], buckets)
     return sum(len(bucket) for bucket in buckets.values())
 
 
@@ -149,17 +147,17 @@ def load_bytes(data: bytes) -> THFile:
         header = json.loads(stream.read(header_len).decode("utf-8"))
         (trie_len,) = struct.unpack(">I", stream.read(4))
         trie = deserialize_trie(stream.read(trie_len))
-
-    policy = SplitPolicy(**header["policy"])
-    file = THFile(
-        bucket_capacity=header["capacity"], policy=policy, alphabet=trie.alphabet
-    )
-    file.trie = trie
-    total = _load_bucket_area(stream, file.store, header, what)
-    if total != header["records"]:
-        raise StorageError(
-            f"image promised {header['records']} records, found {total}"
+        file = THFile(
+            bucket_capacity=header["capacity"],
+            policy=SplitPolicy(**header["policy"]),
+            alphabet=trie.alphabet,
         )
+        file.trie = trie
+        total = _load_bucket_area(stream, file.store, header)
+        if total != header["records"]:
+            raise StorageError(
+                f"image promised {header['records']} records, found {total}"
+            )
     file._size = total
     return file
 
@@ -209,19 +207,18 @@ def load_mlth_bytes(data: bytes) -> MLTHFile:
     with _parsing(what):
         (header_len,) = struct.unpack(">I", stream.read(4))
         header = json.loads(stream.read(header_len).decode("utf-8"))
-
-    file = MLTHFile(
-        bucket_capacity=header["capacity"],
-        page_capacity=header["page_capacity"],
-        policy=SplitPolicy(**header["policy"]),
-        alphabet=Alphabet(header["alphabet"]),
-        pin_root=header["pin_root"],
-        split_node_pick=header["split_node_pick"],
-    )
-    file.restore_pages(header["root"], header["pages"])
-    total = _load_bucket_area(stream, file.store, header, what)
-    if total != header["records"]:
-        raise StorageError("record count mismatch in MLTH image")
+        file = MLTHFile(
+            bucket_capacity=header["capacity"],
+            page_capacity=header["page_capacity"],
+            policy=SplitPolicy(**header["policy"]),
+            alphabet=Alphabet(header["alphabet"]),
+            pin_root=header["pin_root"],
+            split_node_pick=header["split_node_pick"],
+        )
+        file.restore_pages(header["root"], header["pages"])
+        total = _load_bucket_area(stream, file.store, header)
+        if total != header["records"]:
+            raise StorageError("record count mismatch in MLTH image")
     file._size = total
     return file
 

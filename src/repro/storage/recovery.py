@@ -197,6 +197,24 @@ def _op_fields(record: WALRecord) -> tuple[str, Optional[str], Optional[RequestI
     raise RecoveryError(f"malformed operation record at LSN {record.lsn}")
 
 
+def _str_values(items: Iterable[tuple[str, Optional[str]]]) -> list:
+    """``items`` as a list; a value that is neither str nor None fails typed."""
+    pending = list(items)
+    if any(value is not None and not isinstance(value, str) for _, value in pending):
+        raise StorageError("durable files store str or None values only")
+    return pending
+
+
+def _put_all(file: Any, pending: list) -> None:
+    """Upsert ``pending`` through the engine's batch path, if it has one."""
+    batched = getattr(file, "put_many", None)
+    if batched is not None:
+        batched(pending)
+    else:
+        for key, value in pending:
+            apply_op(file, REC_PUT, key, value)
+
+
 def apply_op(file: Any, rec_type: int, key: str, value: object) -> object:
     """Execute one operation record against an engine.
 
@@ -533,6 +551,8 @@ class DurableFile:
         engine: str = "th",
         checkpoint_every: int = 64,
         max_chain: int = 8,
+        records: Iterable[tuple[str, Optional[str]]] = (),
+        dedup: Optional[DedupWindow] = None,
         **params,
     ) -> DurableFile:
         """Open (recovering) or create a durable file on ``stable``.
@@ -540,11 +560,15 @@ class DurableFile:
         ``params`` configure a *fresh* file (engine constructor options,
         e.g. ``capacity=4, policy=SplitPolicy(...)``); when a MANIFEST
         exists the stored parameters win and ``params`` must be empty or
-        match the stored engine.
+        match the stored engine. ``records`` and ``dedup`` fill a fresh
+        file unlogged: its genesis checkpoint is their first durable copy.
         """
         if checkpoint_every < 1:
             raise StorageError("checkpoint_every must be at least 1")
+        records = _str_values(records)
         if stable.exists(cls.MANIFEST):
+            if records or dedup is not None:
+                raise StorageError("only a fresh durable file takes records or dedup")
             return cls._recover(stable, checkpoint_every, max_chain, engine)
         if engine not in _ENGINES:
             raise StorageError(f"unknown durable engine {engine!r}")
@@ -555,6 +579,7 @@ class DurableFile:
             stable.delete(stale)
         adapter = _ENGINES[engine]
         file = adapter.create(adapter.fresh_params(**params))
+        _put_all(file, records)
         wal = WALWriter(stable, "wal-0", next_lsn=1)
         manifest = {
             "engine": adapter.kind,
@@ -565,9 +590,11 @@ class DurableFile:
             "next_ckpt": 0,
         }
         self = cls._build(stable, adapter, file, wal, manifest, checkpoint_every, max_chain)
-        # The genesis checkpoint makes the empty file durable and writes
-        # the first MANIFEST; until it lands, a crash simply yields a
-        # store with no file on it.
+        if dedup is not None:
+            self.dedup.merge(dedup)
+        # The genesis checkpoint makes the file durable and writes the
+        # first MANIFEST; until it lands, a crash simply yields a store
+        # with no file on it.
         self.checkpoint(full=True)
         return self
 
@@ -861,13 +888,8 @@ class DurableFile:
         re-records it per record, converging on the same ``None`` reply.
         """
         self._check_usable()
-        pending: list[tuple[str, Optional[str]]] = []
-        for key, value in items:
-            if value is not None and not isinstance(value, str):
-                raise StorageError("durable files store str or None values only")
-            pending.append((key, value))
-        batched = getattr(self.file, "put_many", None)
-        if batched is not None:
+        pending = _str_values(items)
+        if hasattr(self.file, "put_many"):
             # Canonicalise up front: an invalid key is rejected before
             # any mutation, exactly like the per-key ack protocol.
             validate = self.file.alphabet.validate_key
@@ -879,11 +901,7 @@ class DurableFile:
             self.dedup.record(rid, None)
             return
         try:
-            if batched is not None:
-                batched(pending)
-            else:
-                for key, value in pending:
-                    apply_op(self.file, REC_PUT, key, value)
+            _put_all(self.file, pending)
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a partially applied batch (crash, device fault, per-key reject mid-loop) must poison the session before re-raising
             self._poisoned = True
             raise

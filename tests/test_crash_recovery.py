@@ -35,6 +35,7 @@ from repro.core.policies import SplitPolicy
 from repro.core.reconstruct import reconstruct_model
 from repro.obs.tracer import trace
 from repro.storage.crashpoints import CrashingStore, RecordingStableStore
+from repro.storage.dedup import DedupWindow
 from repro.storage.recovery import DurableFile, decode_checkpoint, encode_checkpoint
 from repro.storage.serializer import deserialize_bucket
 from repro.storage.wal import (
@@ -734,6 +735,49 @@ def test_freed_then_reallocated_bucket_reaches_the_next_checkpoint():
     g = DurableFile.open(store)
     assert dict(g.items()) == model
     g.check()
+
+
+# ----------------------------------------------------------------------
+# A fresh file born holding records and a dedup window
+# ----------------------------------------------------------------------
+def born_file(engine, params, records, window):
+    """A fresh durable file whose genesis checkpoint holds ``records``
+    and ``window``, on its own store."""
+    store = StableStore()
+    return store, DurableFile.open(
+        store, engine=engine, records=records, dedup=window, **params
+    )
+
+
+@pytest.mark.parametrize("config", sorted(CONTRACT_CONFIGS))
+def test_born_file_logs_nothing_and_survives_a_crash_behind_its_birth(config):
+    engine, params = CONTRACT_CONFIGS[config]
+    rng = random.Random(11)
+    keys = sorted({_word(rng) for _ in range(40)})
+    records = [(key, key.upper() if i % 3 else None) for i, key in enumerate(keys)]
+    window = DedupWindow()
+    window.record((4, 1), None)
+    window.record((4, 2), "old")
+    store, f = born_file(engine, params, records, window)
+    assert (store.stats.appends, store.stats.fsyncs) == (0, 0)
+    assert f.wal.last_lsn == 0
+    store.lose_volatile()  # a crash right behind the birth
+    g = DurableFile.open(store)
+    assert g.last_recovery.replayed == 0
+    assert list(g.items()) == records
+    assert g.dedup.to_spec() == window.to_spec()
+    g.check()
+
+
+def test_born_file_refuses_bad_values_and_an_existing_manifest():
+    with pytest.raises(StorageError, match="str or None"):
+        born_file("th", {}, [("apple", 42)], None)
+    store, _ = born_file("th", {}, [("apple", "A")], None)
+    with pytest.raises(StorageError, match="fresh"):
+        DurableFile.open(store, records=[("bird", "B")])
+    with pytest.raises(StorageError, match="fresh"):
+        DurableFile.open(store, dedup=DedupWindow())
+    assert list(DurableFile.open(store).items()) == [("apple", "A")]
 
 
 # ----------------------------------------------------------------------

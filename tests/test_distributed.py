@@ -22,7 +22,10 @@ from repro import (
 )
 from repro.core.alphabet import DEFAULT_ALPHABET
 from repro.core.errors import TrieCorruptionError, TrieHashingError
+from repro.core.policies import SplitPolicy
+from repro.distributed.messages import Op
 from repro.obs.metrics import MetricsRegistry
+from repro.storage.persistence import dump_bytes
 from repro.workloads import KeyGenerator
 
 
@@ -581,3 +584,83 @@ class TestScanEdgeCases:
         new_shard = max(cluster.coordinator.servers)
         assert new_shard in f.image.shards
         assert f.ops_forwarded >= 1
+
+
+# ======================================================================
+# One fill path: split halves, backups and resyncs are born holding
+# their records and dedup window (ShardServer.refill)
+# ======================================================================
+def _stamped_puts(cluster, count):
+    """``count`` rid-stamped puts sent straight to shard 0, in key order."""
+    ops = []
+    for i, key in enumerate(sorted(set(KeyGenerator(41).uniform(count)))):
+        op = Op.put(key, key.upper())
+        op.rid = (7, i + 1)
+        assert cluster.router.client_send(0, op).error is None
+        ops.append(op)
+    return ops
+
+
+class TestOneFillPath:
+    @pytest.mark.parametrize("half", ["low", "high"])
+    def test_split_then_crash_still_dedups_on_each_half(self, half):
+        cluster = Cluster(shards=1, durable=True)
+        ops = _stamped_puts(cluster, 20)
+        assert cluster.coordinator.split_shard(0)
+        op = ops[0] if half == "low" else ops[-1]
+        owner = cluster.coordinator.owner_of(op.key)
+        assert (owner == 0) == (half == "low")
+        server = cluster.coordinator.servers[owner]
+        server.crash()  # right behind the split: only the birth checkpoint
+        server.restart()
+        reply = cluster.router.client_send(owner, op)
+        assert reply.error is None and reply.dedup
+        assert cluster.router.duplicate_applies() == 0
+
+    def test_durable_split_logs_nothing_for_the_moved_records(self):
+        cluster = Cluster(shards=1, durable=True)
+        ops = _stamped_puts(cluster, 60)
+        assert cluster.coordinator.split_shard(0)
+        halves = list(cluster.coordinator.servers.values())
+        assert len(halves) == 2
+        assert sum(len(server) for server in halves) == len(ops)
+        for server in halves:
+            stats = server.file.stable.stats
+            assert (stats.appends, stats.fsyncs) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "durable, policy",
+        [(False, None), (True, None), (False, SplitPolicy.thcl_redistributing())],
+        ids=["memory", "durable", "thcl"],
+    )
+    def test_split_halves_match_per_record_insertion(self, durable, policy):
+        cluster = Cluster(shards=1, bucket_capacity=4, policy=policy, durable=durable)
+        _stamped_puts(cluster, 150)
+        assert cluster.coordinator.split_shard(0)
+        for server in cluster.coordinator.servers.values():
+            oracle = THFile(bucket_capacity=4, policy=policy)
+            for key, value in server.items():
+                oracle.insert(key, value)
+            assert dump_bytes(server.engine) == dump_bytes(oracle)
+
+    @pytest.mark.parametrize("copy", ["seed", "resync"])
+    def test_rebuilt_backup_dedups_a_pre_copy_rid_after_a_crash(self, copy):
+        cluster = Cluster(shards=1, durable=True, replication="semisync")
+        coordinator, router = cluster.coordinator, cluster.router
+        ops = _stamped_puts(cluster, 20)
+        primary, backup = coordinator.servers[0], coordinator.replicas[0]
+        if copy == "seed":
+            coordinator.ensure_backup(primary)  # the coordinator's direct copy
+        else:
+            backup.crash()
+            backup.restart()  # back with no shipping position
+            resyncs = primary.replicator.resyncs
+            assert router.client_send(0, Op.put("zz", "late")).error is None
+            assert primary.replicator.resyncs == resyncs + 1
+        backup.crash()  # the copy's genesis checkpoint is all it has
+        backup.restart()
+        primary.crash()
+        assert coordinator.failover(0)
+        reply = router.client_send(0, ops[0])  # rebound to the promoted backup
+        assert reply.error is None and reply.dedup
+        assert router.duplicate_applies() == 0

@@ -1,6 +1,7 @@
 """Whole-file persistence round trips and corrupted-image handling."""
 
 import io
+import json
 import struct
 import zlib
 
@@ -151,6 +152,47 @@ def _reseal(data):
     """
     body = data[:-4]
     return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _reheader(data, magic, edit):
+    """Apply ``edit`` to an image's JSON header and reseal the image."""
+    body = data[:-4]
+    at = len(magic)
+    (length,) = struct.unpack(">I", body[at : at + 4])
+    header = json.loads(body[at + 4 : at + 4 + length])
+    edit(header)
+    raw = json.dumps(header).encode()
+    rest = body[at + 4 + length :]
+    return _reseal(body[:at] + struct.pack(">I", len(raw)) + raw + rest + data[-4:])
+
+
+HEADER_EDITS = {
+    "policy-not-a-mapping": lambda h: h.update(policy=[]),
+    "policy-unknown-field": lambda h: h["policy"].update(bogus=1),
+    "capacity-not-an-int": lambda h: h.update(capacity="x"),
+    "capacity-too-small": lambda h: h.update(capacity=1),
+    "records-missing": lambda h: h.pop("records"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["thcl1", "mlth1"])
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_resealed_header_that_builds_no_file_raises_storage_error(
+    small_keys, fmt, edit
+):
+    from repro import MLTHFile
+    from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
+
+    if fmt == "thcl1":
+        data, magic, load = dump_bytes(build(small_keys)), b"THCL1\n", load_bytes
+    else:
+        f = MLTHFile(bucket_capacity=5, page_capacity=8)
+        for k in small_keys[:60]:
+            f.insert(k)
+        data, magic, load = dump_mlth_bytes(f), b"MLTH1\n", load_mlth_bytes
+    load(_reheader(data, magic, lambda h: None))  # the untouched header loads
+    with pytest.raises(StorageError, match="corrupt"):
+        load(_reheader(data, magic, HEADER_EDITS[edit]))
 
 
 class TestCorruption:
