@@ -7,9 +7,12 @@ record, re-reading buckets only at bucket borders. The order-preserving
 partition of trie hashing makes this natural — successive buckets hold
 successive key ranges.
 
-The cursor is a read-only snapshot navigator: structural file
-modifications (splits, merges) invalidate it, which it detects through
-the file's modification counter.
+The cursor holds the A1 search trail of the bucket it has loaded: a seek
+is one trie search, and a step across a bucket border moves the trail to
+the next distinct bucket (:meth:`THFile._buckets
+<repro.core.file.THFile._buckets>`), so nothing is listed up front.
+Structural file modifications (splits, merges) invalidate the trail,
+which the cursor detects through the file's structure generation.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-from .cells import is_nil
 from .errors import TrieHashingError
 from .file import THFile
-from .keys import prefix_gt
 
 __all__ = ["Cursor", "CursorInvalidError"]
 
@@ -44,22 +45,10 @@ class Cursor:
     def __init__(self, file: THFile):
         self._file = file
         self._generation = file.structure_generation
-        # The ordered list of distinct buckets, derived once per cursor,
-        # with the logical path of each bucket's first leaf and a
-        # pointer -> ordinal map so seeks cost O(log b) instead of a
-        # linear rescan of the bucket list (or of the trie's leaves).
-        self._buckets: list[int] = []
-        self._paths: list[str] = []
-        self._bucket_pos: dict[int, int] = {}
-        previous: Optional[int] = None
-        for _, ptr, path in file.trie.leaves_in_order():
-            if is_nil(ptr) or ptr == previous:
-                continue
-            previous = ptr
-            self._bucket_pos[ptr] = len(self._buckets)
-            self._buckets.append(ptr)
-            self._paths.append(path)
-        self._bucket_index = -1
+        # The trail of a leaf of the loaded bucket (None before the
+        # first positioning), the bucket's address and its records.
+        self._trail: Optional[list[tuple[int, str]]] = None
+        self._address: Optional[int] = None
         self._record_index = -1
         self._keys: list[str] = []
         self._values: list[object] = []
@@ -71,11 +60,34 @@ class Cursor:
                 "the file split or merged buckets since this cursor opened"
             )
 
-    def _load(self, bucket_index: int) -> None:
-        bucket = self._file.store.read(self._buckets[bucket_index])
-        self._bucket_index = bucket_index
-        self._keys = list(bucket.keys)
-        self._values = list(bucket.values)
+    def _start(self, key: str, pad: str = "min") -> None:
+        """Stand before the bucket of ``key``'s leaf (one A1 search)."""
+        self._trail = list(self._file.trie.search(key, pad=pad).trail)
+        self._address = None
+        self._keys, self._values = [], []
+
+    def _walk(self, forward: bool, key: Optional[str] = None) -> bool:
+        """Load the next bucket holding a record in the walk direction.
+
+        Skips the loaded bucket, and (forward) every bucket holding only
+        keys below ``key``. Stands on the first (last) such record, or
+        past the end (before the start) when there is none.
+        """
+        for address in self._file._buckets(self._trail, forward):
+            if address == self._address:
+                continue
+            keys, values = self._file._records(address)
+            self._address = address
+            self._keys, self._values = list(keys), list(values)
+            if forward:
+                at = 0 if key is None else bisect.bisect_left(self._keys, key)
+            else:
+                at = len(self._keys) - 1
+            if 0 <= at < len(self._keys):
+                self._record_index = at
+                return True
+        self._record_index = len(self._keys) if forward else -1
+        return False
 
     @property
     def valid(self) -> bool:
@@ -104,58 +116,30 @@ class Cursor:
     def first(self) -> bool:
         """Move to the smallest record; False when the file is empty."""
         self._check_generation()
-        for i in range(len(self._buckets)):
-            self._load(i)
-            if self._keys:
-                self._record_index = 0
-                return True
-        self._record_index = -1
-        return False
+        # The empty key pads to all min digits: A1 maps it to the first leaf.
+        self._start("")
+        return self._walk(True)
 
     def last(self) -> bool:
         """Move to the largest record; False when the file is empty."""
         self._check_generation()
-        for i in range(len(self._buckets) - 1, -1, -1):
-            self._load(i)
-            if self._keys:
-                self._record_index = len(self._keys) - 1
-                return True
-        self._record_index = -1
-        return False
+        # Max-padded, the empty key sorts after every key: A1 maps it to
+        # the last leaf whose range can hold a record.
+        self._start("", pad="max")
+        return self._walk(False)
 
     def seek(self, key: str) -> bool:
         """Position at the first record with key >= ``key``.
 
-        Returns True when such a record exists. Uses one trie search
-        plus at most a bucket-chain walk past empty tails.
+        Returns True when such a record exists; otherwise the cursor
+        stands past the end, so :meth:`prev` reaches the largest key.
+        Costs one trie search plus a walk past buckets holding only
+        smaller keys.
         """
         self._check_generation()
         key = self._file.alphabet.validate_key(key)
-        result = self._file.trie.search(key)
-        start = (
-            self._bucket_pos.get(result.bucket)
-            if result.bucket is not None
-            else None
-        )
-        if start is None:
-            # Nil leaf: start from the next bucket in order.
-            start = self._first_bucket_at_or_after(key)
-        for i in range(start, len(self._buckets)):
-            self._load(i)
-            at = bisect.bisect_left(self._keys, key) if i == start else 0
-            if at < len(self._keys):
-                self._record_index = at
-                return True
-        self._record_index = -1
-        return False
-
-    def _first_bucket_at_or_after(self, key: str) -> int:
-        # The first bucket whose range can contain >= key, from the
-        # first-leaf paths snapshotted at construction (no trie re-walk).
-        for index, path in enumerate(self._paths):
-            if not prefix_gt(key, path, self._file.alphabet) or path == "":
-                return index
-        return len(self._buckets)
+        self._start(key)
+        return self._walk(True, key)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -163,31 +147,19 @@ class Cursor:
     def next(self) -> bool:
         """Advance one record; False (and invalid) past the end."""
         self._check_generation()
+        if self._trail is None:
+            return self.first()
         if self._record_index + 1 < len(self._keys):
             self._record_index += 1
             return True
-        i = self._bucket_index + 1
-        while i < len(self._buckets):
-            self._load(i)
-            if self._keys:
-                self._record_index = 0
-                return True
-            i += 1
-        self._record_index = len(self._keys)  # past the end
-        return False
+        return self._walk(True)
 
     def prev(self) -> bool:
         """Step back one record; False (and invalid) before the start."""
         self._check_generation()
-        if self._record_index - 1 >= 0 and self._keys:
+        if self._record_index > 0:
             self._record_index -= 1
             return True
-        i = self._bucket_index - 1
-        while i >= 0:
-            self._load(i)
-            if self._keys:
-                self._record_index = len(self._keys) - 1
-                return True
-            i -= 1
-        self._record_index = -1
-        return False
+        if self._trail is None:
+            return False
+        return self._walk(False)

@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Optional
 
 from ..check.hook import maybe_audit
@@ -37,7 +37,7 @@ from .policies import SplitPolicy
 from .redistribution import try_redistribute
 from .split import expand_basic, plan_split
 from .thcl_split import collapse_equal_leaf_nodes, insert_boundary
-from .trie import SearchResult, Trie
+from .trie import ROOT_LOCATION, Location, SearchResult, Trie
 
 __all__ = ["FileStats", "THFile"]
 
@@ -462,12 +462,45 @@ class THFile:
     # ------------------------------------------------------------------
     def items(self) -> Iterator[tuple[str, object]]:
         """Iterate every record in key order (reads each bucket once)."""
+        for address in self._buckets(list(self.trie.search("").trail)):
+            keys, values = self._records(address)
+            yield from zip(keys, values)
+
+    def _buckets(
+        self,
+        trail: list[tuple[int, str]],
+        forward: bool = True,
+        stop: Optional[Location] = None,
+    ) -> Iterator[int]:
+        """Walk the distinct buckets from ``trail``'s leaf on, in key order.
+
+        The walk steps ``trail`` in place (:meth:`Trie.step`), so at each
+        yield it names a leaf of the yielded bucket. Nil leaves, and the
+        repeated leaves of a bucket shared by several leaves, are skipped
+        (Section 4.1: they cost no access). The walk ends after the leaf
+        at ``stop``, or at the last (first) leaf of the trie. The caller
+        must not resume it across a structural change of the file.
+        """
+        trie = self.trie
         previous = None
-        for _, ptr, _path in self.trie.leaves_in_order():
-            if is_nil(ptr) or ptr == previous:
-                continue
-            previous = ptr
-            yield from self.store.read(ptr).items()
+        while True:
+            here = Location(*trail[-1]) if trail else ROOT_LOCATION
+            ptr = trie.get_ptr(here)
+            if ptr != previous and not is_nil(ptr):
+                previous = ptr
+                yield ptr
+            if here == stop or trie.step(trail, forward) is None:
+                return
+
+    def _records(self, address: int) -> tuple[list[str], list[object]]:
+        """The sorted keys and values of bucket ``address`` (one read).
+
+        The one bucket read behind ordered and batched access; a variant
+        that keeps records outside the bucket (overflow chains) merges
+        them in here.
+        """
+        bucket = self.store.read(address)
+        return bucket.keys, bucket.values
 
     def keys(self) -> Iterator[str]:
         """Iterate every key in order."""
@@ -524,7 +557,6 @@ class THFile:
         model = self._snapshot_model()
         gaps = model.locate_sorted(unique)
         children = model.children
-        read = self.store.read
         buckets_visited = 0
         i = 0
         n = len(unique)
@@ -535,10 +567,8 @@ class THFile:
                 j += 1
             self.stats.searches += j - i
             if address is not None:
-                bucket = read(address)
+                bucket_keys, bucket_values = self._records(address)
                 buckets_visited += 1
-                bucket_keys = bucket.keys
-                bucket_values = bucket.values
                 size = len(bucket_keys)
                 for key in unique[i:j]:
                     at = bisect.bisect_left(bucket_keys, key)
@@ -629,43 +659,6 @@ class THFile:
             self.store.write(address, bucket)
             for key, value in fresh:
                 self._store_record(key, value, replace=True)
-
-    def bulk_range_items(
-        self, low: Optional[str] = None, high: Optional[str] = None
-    ) -> list[tuple[str, object]]:
-        """Materialised range scan reading each bucket exactly once.
-
-        The batched sibling of :meth:`range_items`: same inclusive
-        ``low <= key <= high`` semantics and ordering, but the gap span
-        is computed from a model snapshot up front and the records come
-        back as one list — no cursor, no staleness window.
-        """
-        if low is not None:
-            low = self.alphabet.validate_key(low)
-        if high is not None:
-            high = self.alphabet.validate_key(high)
-        model = self._snapshot_model()
-        children = model.children
-        first = 0 if low is None else model.locate(low)[0]
-        last = len(children) - 1 if high is None else model.locate(high)[0]
-        out: list[tuple[str, object]] = []
-        previous = None
-        for gap in range(first, last + 1):
-            address = children[gap]
-            if address is None or address == previous:
-                continue
-            previous = address
-            bucket = self.store.read(address)
-            keys = bucket.keys
-            lo = 0 if low is None else bisect.bisect_left(keys, low)
-            hi = len(keys) if high is None else bisect.bisect_right(keys, high)
-            out.extend(zip(keys[lo:hi], bucket.values[lo:hi]))
-        if TRACER.enabled:
-            TRACER.emit(
-                "batch", op="bulk_range", keys=len(out),
-                buckets=last - first + 1,
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Metrics

@@ -136,9 +136,9 @@ def rotation_delete_maintenance(file: THFile, result: SearchResult) -> Optional[
     trie = file.trie
     address = result.bucket
     bucket = file.store.peek(address)
-    boundaries = trie.boundaries()
+    model = trie.to_model()
     prefixes = set()
-    for s in boundaries:
+    for s in model.boundaries:
         for l in range(1, len(s)):
             prefixes.add(s[:l])
 
@@ -148,7 +148,6 @@ def rotation_delete_maintenance(file: THFile, result: SearchResult) -> Optional[
         other_bucket = file.store.read(other)
         if len(bucket) + len(other_bucket) > file.capacity:
             return False
-        model = trie.to_model()
         model.remove_boundary(
             own_cut, keep="left" if survivor_first else "right"
         )
@@ -179,11 +178,9 @@ def rotation_delete_maintenance(file: THFile, result: SearchResult) -> Optional[
     # Then the predecessor: the boundary is *its* path (its right cut).
     for _location, ptr in trie.predecessor_leaves(list(result.trail)):
         if is_leaf(ptr) and ptr != address:
-            index = [p for _, p, _ in trie.leaves_in_order()].index(address)
-            if index > 0:
-                previous_cut = trie.boundaries()[index - 1]
-                if try_merge(previous_cut, False, ptr):
-                    return "rotation-merge"
+            index = model.children.index(address)
+            if index > 0 and try_merge(model.boundaries[index - 1], False, ptr):
+                return "rotation-merge"
         break
     return None
 

@@ -21,6 +21,7 @@ regime the paper itself analyses for MLTH.
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections.abc import Iterable, Iterator
 from typing import Optional
 
@@ -32,7 +33,7 @@ from ..storage.disk import SimulatedDisk
 from .alphabet import DEFAULT_ALPHABET, Alphabet
 from .errors import CapacityError, DuplicateKeyError, KeyNotFoundError, TrieCorruptionError
 from .file import FileStats
-from .keys import common_prefix_length, prefix_gt
+from .keys import common_prefix_length
 from .policies import SplitPolicy
 from .split import plan_split
 from .boundaries import BoundaryModel, boundary_sort_key
@@ -651,29 +652,9 @@ class MLTHFile:
     # ------------------------------------------------------------------
     # Ordered iteration
     # ------------------------------------------------------------------
-    def _file_pages(self) -> Iterator[tuple[int, TriePage]]:
-        """File-level pages left to right (via the leaf chain)."""
-        page_id = self.root_id
-        page = self.page_pool.read(page_id)
-        while page.level > 0:
-            page_id = page.children[0]
-            page = self.page_pool.read(page_id)
-        while True:
-            yield page_id, page
-            if page.next_page is None:
-                return
-            page_id = page.next_page
-            page = self.page_pool.read(page_id)
-
     def items(self) -> Iterator[tuple[str, object]]:
         """All records in key order."""
-        previous = None
-        for _, page in self._file_pages():
-            for child in page.children:
-                if child is None or child == previous:
-                    continue
-                previous = child
-                yield from self.store.read(child).items()
+        return self._range_items()
 
     def keys(self) -> Iterator[str]:
         """All keys in key order."""
@@ -692,28 +673,28 @@ class MLTHFile:
     def _range_items(
         self, low: Optional[str] = None, high: Optional[str] = None
     ) -> Iterator[tuple[str, object]]:
+        # One descent to the low bound's file page, then the walk along
+        # the file-page chain. Finding the high bound's position would
+        # cost a second descent's page reads, so the walk instead stops
+        # at the first key above ``high`` (one bucket past the range).
         if low is not None:
             low = self.alphabet.validate_key(low)
         if high is not None:
             high = self.alphabet.validate_key(high)
+        steps, _, _ = self._descend(low or "")
         previous = None
-        for _, page in self._file_pages():
-            for gap, child in enumerate(page.children):
-                if low is not None:
-                    upper = (
-                        page.boundaries[gap] if gap < len(page.boundaries) else None
-                    )
-                    if upper is not None and prefix_gt(low, upper, self.alphabet):
-                        continue
-                if child is None or child == previous:
-                    continue
-                previous = child
-                bucket = self.store.read(child)
-                begin = 0 if low is None else bisect.bisect_left(bucket.keys, low)
-                for i in range(begin, len(bucket.keys)):
-                    if high is not None and bucket.keys[i] > high:
-                        return
-                    yield bucket.keys[i], bucket.values[i]
+        walk = itertools.chain(steps[-1:], self._positions_forward(steps))
+        for _, page, gap in walk:
+            child = page.children[gap]
+            if child is None or child == previous:
+                continue
+            previous = child
+            bucket = self.store.read(child)
+            begin = 0 if low is None else bisect.bisect_left(bucket.keys, low)
+            for i in range(begin, len(bucket.keys)):
+                if high is not None and bucket.keys[i] > high:
+                    return
+                yield bucket.keys[i], bucket.values[i]
 
     # ------------------------------------------------------------------
     # Batched operations

@@ -14,11 +14,14 @@ searches that fall through to the overflow bucket.
 Overflow buckets live in the same metered store but are invisible to the
 trie — only primaries have leaves. The load factor
 ``a = x / (b (N+1))`` counts them, keeping the space accounting honest.
+Ordered and batched reads (``items``, range scans, cursors, ``get_many``)
+are the base file's; they see the chains through the ``_records``
+override, which merges a primary with its overflow bucket.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from operator import itemgetter
 from typing import Optional
 
 from ..obs.tracer import TRACER
@@ -251,41 +254,21 @@ class OverflowTHFile(THFile):
     # ------------------------------------------------------------------
     # Iteration and metrics
     # ------------------------------------------------------------------
-    def items(self) -> Iterator[tuple[str, object]]:
-        previous = None
-        for _, ptr, _path in self.trie.leaves_in_order():
-            if is_nil(ptr) or ptr == previous:
-                continue
-            previous = ptr
-            primary = self.store.read(ptr)
-            chain_addr = self._overflow.get(ptr)
-            if chain_addr is None:
-                yield from primary.items()
-            else:
-                chain = self.store.read(chain_addr)
-                merged = sorted(list(primary.items()) + list(chain.items()))
-                yield from merged
+    def _records(self, address: int) -> tuple[list[str], list[object]]:
+        """A primary's records merged with its overflow chain's, in order.
 
-    def range_items(
-        self, low: Optional[str] = None, high: Optional[str] = None
-    ) -> Iterator[tuple[str, object]]:
-        """Range scan over primaries and their chains."""
-        it = self._range_items(low, high)
-        if TRACER.enabled:
-            return TRACER.wrap_iter("range", it)
-        return it
-
-    def _range_items(self, low=None, high=None):
-        if low is not None:
-            low = self.alphabet.validate_key(low)
-        if high is not None:
-            high = self.alphabet.validate_key(high)
-        for k, v in self.items():
-            if low is not None and k < low:
-                continue
-            if high is not None and k > high:
-                return
-            yield k, v
+        Every read the base class routes through here — ``items``, range
+        scans, cursors and ``get_many`` — thereby sees the chain.
+        """
+        keys, values = super()._records(address)
+        chain_addr = self._overflow.get(address)
+        if chain_addr is None:
+            return keys, values
+        chain = self.store.read(chain_addr)
+        merged = sorted(
+            zip(keys + chain.keys, values + chain.values), key=itemgetter(0)
+        )
+        return [k for k, _ in merged], [v for _, v in merged]
 
     def chain_fraction(self) -> float:
         """Fraction of primaries that currently carry an overflow bucket."""

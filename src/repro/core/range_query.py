@@ -2,9 +2,12 @@
 
 Trie hashing preserves key order (the logical paths partition the key
 space order-preservingly, Section 2.2), so a range query is a position
-search followed by a walk over successive leaves. THCL's shared leaves
-even make some scans cheaper: consecutive leaves carrying the same bucket
-cost a single access (Section 4.1).
+search followed by a walk over successive leaves: A1 finds the leaf of
+the low bound, and :meth:`THFile._buckets <repro.core.file.THFile._buckets>`
+steps the search trail on through the leaf of the high bound. A scan
+therefore costs in proportion to its range, not to the file. THCL's
+shared leaves even make some scans cheaper: consecutive leaves carrying
+the same bucket cost a single access (Section 4.1).
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import bisect
 from collections.abc import Iterator
 from typing import Optional, TYPE_CHECKING
 
-from .cells import is_nil
 from .cursor import CursorInvalidError
-from .keys import prefix_gt
 
 if TYPE_CHECKING:  # pragma: no cover
     from .file import THFile
@@ -30,7 +31,8 @@ def scan(
 
     Bounds are inclusive; ``None`` means open. Buckets are read through
     the metered store, so the caller can measure the paper's range-query
-    access costs directly.
+    access costs directly: a bounded scan reads exactly the distinct
+    buckets between the leaves of ``low`` and ``high``.
 
     The scan snapshots the file's structure generation when iteration
     starts; a split or merge under a live scan raises
@@ -46,29 +48,23 @@ def scan(
         return
 
     generation = file.structure_generation
-
-    def check_fresh() -> None:
-        if file.structure_generation != generation:
-            raise CursorInvalidError(
-                "the file split or merged buckets during this scan"
-            )
-
-    previous = None
-    for _, ptr, path in file.trie.leaves_in_order():
-        if low is not None and prefix_gt(low, path, alphabet):
-            continue  # this leaf's whole range lies below the low bound
-        if is_nil(ptr) or ptr == previous:
-            continue
-        previous = ptr
-        check_fresh()
-        bucket = file.store.read(ptr)
-        keys = bucket.keys
+    trie = file.trie
+    # The empty key pads to all min digits: A1 maps it to the first leaf.
+    trail = list(trie.search("" if low is None else low).trail)
+    stop = None if high is None else trie.search(high).location
+    for address in file._buckets(trail, stop=stop):
+        keys, values = file._records(address)
         begin = 0 if low is None else bisect.bisect_left(keys, low)
         for i in range(begin, len(keys)):
-            check_fresh()
             if high is not None and keys[i] > high:
                 return
-            yield keys[i], bucket.values[i]
+            yield keys[i], values[i]
+            # Resumed: a stale trail may name a freed cell, so check
+            # before the next record and before the walk steps on.
+            if file.structure_generation != generation:
+                raise CursorInvalidError(
+                    "the file split or merged buckets during this scan"
+                )
 
 
 def count_range(

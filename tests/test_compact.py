@@ -196,9 +196,6 @@ class TestDifferential:
             assert list(cells.range_items(lo, hi)) == list(
                 compact.range_items(lo, hi)
             )
-            assert list(cells.range_items(lo, hi)) == list(
-                compact.bulk_range_items(lo, hi)
-            )
 
     def test_cursor_walks_mirror(self):
         cells, compact = pair(b=5)

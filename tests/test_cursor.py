@@ -189,11 +189,10 @@ class TestInvalidation:
 
 
 class TestSeekIndexing:
-    """Regression: seek must use the constructor's pointer->index map.
+    """Regression: ordered access must never re-walk the trie's leaves.
 
-    The original implementation re-scanned ``self._buckets`` (O(B)) on
-    every seek and, for nil-leaf hits, re-walked every trie leaf. Both
-    paths must now run off state snapshotted at construction.
+    A seek is one A1 search and every step moves the search trail to the
+    next leaf, so no ordered surface lists the whole trie.
     """
 
     def test_seek_never_rewalks_the_trie(self, small_keys, monkeypatch):
@@ -238,10 +237,40 @@ class TestSeekIndexing:
             else:
                 assert not cur.seek(probe)
 
-    def test_bucket_position_map_matches_list(self, small_keys):
-        f = build(small_keys)
+    @pytest.mark.parametrize("backend", ["cells", "compact"])
+    @pytest.mark.parametrize(
+        "policy",
+        [None, SplitPolicy.thcl(), SplitPolicy(split_position=-1)],
+        ids=["th", "thcl", "th-nil"],
+    )
+    def test_ordered_access_never_lists_the_trie(
+        self, small_keys, monkeypatch, policy, backend
+    ):
+        from repro.core.trie import Trie
+
+        f = THFile(bucket_capacity=4, policy=policy, trie_backend=backend)
+        for i, k in enumerate(small_keys):
+            f.insert(k, i)
+        s = sorted(small_keys)
+        expected = sorted((k, i) for i, k in enumerate(small_keys))
+
+        def boom(self):  # pragma: no cover - failure path
+            raise AssertionError("ordered access walked the whole trie")
+
+        monkeypatch.setattr(Trie, "inorder", boom)
+        assert list(f.items()) == expected
+        assert list(f.range_items()) == expected
+        assert list(f.range_items(s[40], s[90])) == expected[40:91]
         cur = Cursor(f)
-        assert [cur._bucket_pos[p] for p in cur._buckets] == list(
-            range(len(cur._buckets))
-        )
-        assert len(cur._paths) == len(cur._buckets)
+        assert cur.next() and cur.key() == s[0]
+        assert cur.last() and cur.key() == s[-1]
+        assert cur.prev() and cur.key() == s[-2]
+        assert not cur.seek(s[-1] + "z")
+        assert cur.prev() and cur.key() == s[-1]
+        assert cur.seek(s[7] + "a") and cur.key() == s[8]
+        for k in s[9:60]:
+            assert cur.next() and cur.key() == k
+        for k in reversed(s[:59]):
+            assert cur.prev() and cur.key() == k
+        assert not cur.prev() and not cur.valid
+        assert cur.first() and cur.key() == s[0]

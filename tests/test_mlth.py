@@ -1,5 +1,7 @@
 """Multilevel trie hashing tests (Section 2.5)."""
 
+import random
+
 import pytest
 
 from repro import CapacityError, DuplicateKeyError, KeyNotFoundError, MLTHFile, SplitPolicy
@@ -98,6 +100,26 @@ class TestPaging:
             pages, buckets = f.search_cost(key)
             assert pages == 2
             assert buckets == 1
+
+    def test_bounded_scans_read_their_range(self, generator):
+        # One descent to the low bound, then the file-page chain: a
+        # 50-record scan reads a page or two past the descent, and at
+        # most the one bucket that holds the first key above ``high``.
+        keys = generator.uniform(6000)
+        f = build(keys, b=8, bp=16)
+        assert f.levels() == 3
+        s = sorted(keys)
+        model = f.flat_model()
+        rng = random.Random(3)
+        for _ in range(100):
+            i = rng.randrange(len(s) - 50)
+            low, high = s[i], s[i + 49]
+            first, last = model.locate(low)[0], model.locate(high)[0]
+            span = {c for c in model.children[first : last + 1] if c is not None}
+            pages, buckets = f.page_disk.stats.reads, f.store.stats.reads
+            assert [k for k, _ in f.range_items(low, high)] == s[i : i + 50]
+            assert f.page_disk.stats.reads - pages <= f.levels() + 2
+            assert f.store.stats.reads - buckets <= len(span) + 1
 
     def test_unpinned_root_costs_one_more(self, generator):
         keys = generator.uniform(200)

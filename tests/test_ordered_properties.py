@@ -3,10 +3,14 @@
 Hypothesis drives random insert/delete histories into a trie-hashing
 file and a plain ``dict`` side by side, then checks every ordered-access
 surface — :class:`~repro.core.cursor.Cursor` walks in both directions,
-``seek`` landings, and ``range_items`` / ``scan`` windows — against the
-sorted oracle. The same properties run over basic TH, THCL (shared
-leaves, guaranteed-load merges) and MLTH (scans only: the multilevel
-file has no cursor support).
+``seek`` landings, ``range_items`` / ``scan`` windows, ``items()`` and
+``get_many`` — against the sorted oracle. The same properties run over
+basic TH (``th``), THCL (``thcl``: shared leaves, guaranteed-load
+merges), basic TH on the compact backend (``th-compact``), basic TH
+splitting at the last record (``th-nil``: more nil leaves), basic TH
+with rotation merges (``th-rotations``), overflow chaining
+(``overflow``: records outside the trie's buckets) and MLTH (scans
+only: the multilevel file has no cursor support).
 """
 
 import bisect
@@ -16,6 +20,7 @@ from hypothesis import given, strategies as st
 
 from repro import MLTHFile, SplitPolicy, THFile
 from repro.core.cursor import Cursor
+from repro.core.overflow import OverflowTHFile
 from repro.core.range_query import scan
 
 # Letters only (no trailing-space canonicalisation surprises); a tiny
@@ -28,6 +33,14 @@ HISTORIES = st.lists(st.tuples(st.booleans(), KEYS), max_size=120)
 ENGINES = {
     "th": lambda: THFile(bucket_capacity=4),
     "thcl": lambda: THFile(bucket_capacity=4, policy=SplitPolicy.thcl()),
+    "th-compact": lambda: THFile(bucket_capacity=4, trie_backend="compact"),
+    "th-nil": lambda: THFile(
+        bucket_capacity=4, policy=SplitPolicy(split_position=-1)
+    ),
+    "th-rotations": lambda: THFile(
+        bucket_capacity=4, policy=SplitPolicy(merge="rotations")
+    ),
+    "overflow": lambda: OverflowTHFile(bucket_capacity=4),
 }
 
 
@@ -100,12 +113,12 @@ class TestCursorAgainstOracle:
         ordered = sorted(oracle)
         cur = Cursor(f)
         at = bisect.bisect_left(ordered, probe)
-        if cur.seek(probe):
-            went_back = cur.prev()
-            if at == 0:
-                assert not went_back and not cur.valid
-            else:
-                assert went_back and cur.key() == ordered[at - 1]
+        cur.seek(probe)  # a failed seek stands past the end
+        went_back = cur.prev()
+        if at == 0:
+            assert not went_back and not cur.valid
+        else:
+            assert went_back and cur.key() == ordered[at - 1]
 
     @given(history=HISTORIES, window=st.tuples(KEYS, KEYS))
     def test_scan_window_matches_oracle_slice(self, engine, history, window):
@@ -117,6 +130,9 @@ class TestCursorAgainstOracle:
         ]
         assert list(scan(f, low, high)) == expected
         assert list(f.range_items(low, high)) == expected
+        assert list(f.items()) == sorted(oracle.items())
+        probes = list(oracle) + [low, high]
+        assert f.get_many(probes) == {k: oracle[k] for k in probes if k in oracle}
 
 
 class TestMLTHScansAgainstOracle:

@@ -76,6 +76,12 @@ class TestBasics:
         s = sorted(small_keys)
         assert [k for k, _ in f.range_items(s[20], s[80])] == s[20:81]
 
+    def test_get_many_reads_the_chains(self, small_keys):
+        f = build(small_keys)
+        assert f.chain_fraction() > 0
+        expected = {k: i for i, k in enumerate(small_keys)}
+        assert f.get_many(small_keys + ["zzzz"]) == expected
+
 
 class TestLoadEffect:
     def test_higher_load_than_plain(self, generator):

@@ -1,5 +1,7 @@
 """Range query tests (order preservation, Section 2.2)."""
 
+import random
+
 import pytest
 
 from repro import SplitPolicy, THFile
@@ -102,6 +104,29 @@ class TestAccessCosts:
         list(f.range_items())
         reads = f.store.disk.stats.reads - reads_before
         assert reads == f.bucket_count()
+
+    @pytest.mark.parametrize(
+        "policy",
+        [None, SplitPolicy.thcl(), SplitPolicy(split_position=-1)],
+        ids=["th", "thcl", "th-nil"],
+    )
+    def test_bounded_scan_reads_exactly_its_buckets(self, generator, policy):
+        # A bounded scan reads each distinct bucket between the leaves of
+        # its bounds once (§4.1), skips nil leaves, and reads nothing
+        # past the leaf of ``high``.
+        keys = generator.uniform(1500)
+        f = build(keys, policy=policy, b=8)
+        s = sorted(keys)
+        model = f.trie.to_model()
+        rng = random.Random(5)
+        for _ in range(100):
+            i = rng.randrange(len(s) - 50)
+            low, high = s[i], s[i + 49]
+            first, last = model.locate(low)[0], model.locate(high)[0]
+            span = {c for c in model.children[first : last + 1] if c is not None}
+            before = f.store.disk.stats.reads
+            assert [k for k, _ in f.range_items(low, high)] == s[i : i + 50]
+            assert f.store.disk.stats.reads - before == len(span)
 
     def test_narrow_range_reads_few_buckets(self, sorted_keys):
         f = build(sorted_keys, b=10)
