@@ -166,7 +166,7 @@ def rotation_delete_maintenance(file: THFile, result: SearchResult) -> Optional[
             if child == victim:
                 model.set_child(j, survivor)
         file.store.free(victim)
-        file.trie = Trie.from_model(model)
+        file.trie = type(file.trie).from_model(model)
         return True
 
     # Try the successor first: the boundary between is our leaf's path.

@@ -50,12 +50,11 @@ otherwise.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from contextlib import nullcontext
 from typing import Any, Optional
 
 from ..obs.tracer import TRACER
 from ..storage.dedup import DedupWindow
-from ..storage.recovery import DurableFile, apply_op
+from ..storage.recovery import DurableFile, apply_op, group_commit
 from ..storage.wal import WALRecord, stream_ops
 from .errors import (
     ConfigurationError,
@@ -205,7 +204,7 @@ def apply_records(file: Any, dedup: DedupWindow, recs: Iterable[list]) -> None:
     means the copy has diverged and the caller must fall back to resync.
     """
     durable = isinstance(file, DurableFile)
-    with file.group_commit() if durable else nullcontext():
+    with group_commit():
         for _lsn, rec_type, key, value, rid in recs:
             rid_t = (int(rid[0]), int(rid[1])) if rid is not None else None
             if durable:

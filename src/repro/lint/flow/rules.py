@@ -338,9 +338,9 @@ def check_commit_ordering(program: Program) -> Iterator[LintViolation]:
       ship-before-ack promise. Replies on mutation-free paths (reads,
       dedup hits) legitimately skip the ship.
 
-    Cross-function orderings (a barrier deferred to a caller's
-    ``group_commit`` block) are out of scope by design — the deferring
-    function simply owns no barrier and is skipped.
+    Cross-function orderings (a barrier deferred to the module-level
+    ``group_commit()`` a caller opened) are out of scope by design —
+    the deferring function simply owns no barrier and is skipped.
     """
     for node in program.functions.values():
         if not node.module.startswith(_COMMIT_SCOPE):

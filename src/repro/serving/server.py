@@ -21,11 +21,12 @@ Architecture, and why it is shaped this way:
   asyncio loop serialises all op execution exactly like the in-process
   fabric does.
 * **Group fsync.** If a micro-batch contains any mutation, the
-  dispatcher opens :meth:`~repro.storage.recovery.DurableFile
-  .group_commit` on every live durable shard for the duration of the
-  batch: each op still appends its WAL record immediately, but the
-  fsync barrier is paid **once per batch per touched file**, not once
-  per op. Replies are withheld until the group closes, preserving the
+  dispatcher opens one :func:`~repro.storage.recovery.group_commit`
+  for the rest of the batch: each op still appends its WAL record
+  immediately, and its durable file joins the group on that append.
+  The fsync barrier is paid **once per batch per written file**, not
+  once per op; shards the batch never wrote pay nothing. Replies are
+  withheld until the group closes, preserving the
   ack protocol — a client never sees an ack for an op whose WAL record
   could still be lost.
 * **Controls are barriers.** Control commands (crash, restart, stats,
@@ -60,6 +61,7 @@ from ..distributed.codec import (
 )
 from ..distributed.errors import ProtocolError
 from ..distributed.messages import MUTATING_OPS, Op
+from ..storage.recovery import group_commit
 from .frames import DEFAULT_MAX_FRAME, read_frame
 
 __all__ = ["ServingServer"]
@@ -355,13 +357,10 @@ class ServingServer:
         return pack_frame(FRAME_RESPONSE, corr_id, body)
 
     def _open_group(self) -> ExitStack:
-        """Enter ``group_commit`` on every live durable shard file."""
+        """Open the batch's fsync group; each file it writes joins it."""
         self.grouped_batches += 1
         stack = ExitStack()
-        for server in self.cluster.coordinator.servers.values():
-            group = getattr(server.file, "group_commit", None)
-            if group is not None and not server.down:
-                stack.enter_context(group())
+        stack.enter_context(group_commit())
         return stack
 
     @staticmethod

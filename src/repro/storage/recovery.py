@@ -46,7 +46,8 @@ import io
 import json
 import struct
 import zlib
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
+from contextvars import ContextVar
 from collections.abc import Iterable, Iterator
 from typing import Any, Optional
 
@@ -74,7 +75,7 @@ from .wal import (
     read_records,
 )
 
-__all__ = ["DurableFile", "RecoveryReport", "MANIFEST_NAME", "apply_op"]
+__all__ = ["DurableFile", "RecoveryReport", "MANIFEST_NAME", "apply_op", "group_commit"]
 
 MANIFEST_NAME = "MANIFEST"
 _CKPT_MAGIC = b"THCK1\n"
@@ -501,6 +502,37 @@ class RecoveryReport:
 # ----------------------------------------------------------------------
 # The durable session
 # ----------------------------------------------------------------------
+#: The files that appended inside this context's open group_commit()
+#: block, or None; per context, so tasks and threads never share a group.
+_GROUP: ContextVar[Optional[list]] = ContextVar("group_commit", default=None)
+
+
+@contextmanager
+def group_commit() -> Iterator[None]:
+    """Defer the fsync of every durable file written inside the block.
+
+    A :class:`DurableFile` joins the group on its first append in it;
+    the outermost exit, an exception exit too, commits each joined file
+    once (fsync, WAL taps, then any due checkpoint). The caller must
+    withhold every acknowledgement until then. The group closes first,
+    so a tap that ships to a backup opens the backup's own group; a
+    failed fsync poisons its file and propagates once every other
+    joined file has reached its barrier.
+    """
+    if _GROUP.get() is not None:
+        yield  # nested: only the outermost block commits
+        return
+    joined: list[DurableFile] = []
+    token = _GROUP.set(joined)
+    try:
+        yield
+    finally:
+        _GROUP.reset(token)
+        with ExitStack() as barriers:
+            for file in joined:
+                barriers.callback(file._group_barrier)
+
+
 class DurableFile:
     """A crash-safe session over one engine and one :class:`StableStore`.
 
@@ -529,8 +561,7 @@ class DurableFile:
         self.max_chain = max_chain
         self._ops_since_checkpoint = 0
         self._poisoned = False
-        self._group_depth = 0
-        self._group_appended = False
+        self._grouped = False  # joined the open group_commit(), not yet committed
         self.last_recovery: Optional[RecoveryReport] = None
         #: Request-dedup window (exactly-once distributed retries). Ids
         #: travel inside WAL op records and checkpoint headers, so the
@@ -721,11 +752,24 @@ class DurableFile:
             )
 
     def _commit_barrier(self) -> None:
-        """The fsync barrier — deferred inside a :meth:`group_commit`."""
-        if self._group_depth:
-            self._group_appended = True
-        else:
+        """The fsync barrier — deferred by joining the open :func:`group_commit`."""
+        group = _GROUP.get()
+        if group is None:
             self.wal.commit()  # the fsync barrier: returning == durable
+        elif not self._grouped:
+            self._grouped = True
+            group.append(self)
+
+    def _group_barrier(self) -> None:
+        """Commit this file at the exit of the group it joined."""
+        self._grouped = False
+        try:
+            self.wal.commit()
+        except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a failed group fsync leaves WAL state unknown; poison, then re-raise
+            self._poisoned = True
+            raise
+        if self._ops_since_checkpoint >= self.checkpoint_every and not self._poisoned:
+            self.checkpoint()
 
     def apply(
         self,
@@ -764,54 +808,10 @@ class DurableFile:
         # same group dedup-hits instead of double-applying.
         self.dedup.record(rid, out)
         self._ops_since_checkpoint += 1
-        if self._ops_since_checkpoint >= self.checkpoint_every and not self._group_depth:
+        if self._ops_since_checkpoint >= self.checkpoint_every and not self._grouped:
             self.checkpoint()
         maybe_audit(self, f"DurableFile op {rec_type} ({key!r})")
         return out
-
-    @contextmanager
-    def group_commit(self) -> Iterator[None]:
-        """Batch the fsync barrier across several mutating calls.
-
-        Inside the block every :meth:`insert` / :meth:`put` /
-        :meth:`delete` / :meth:`put_many` appends its operation records
-        but defers the fsync; leaving the block commits the WAL **once**
-        for the whole group (and runs any checkpoint the op counter
-        triggered meanwhile). This is the server-side write batching of
-        the serving tier: one group fsync acknowledges a micro-batch of
-        requests.
-
-        The caller owns the ack protocol: no operation in the group may
-        be acknowledged to a client before the block exits — the apply
-        is in memory and logged, but not yet durable. (The serving
-        dispatcher withholds every reply until the group barrier.)
-
-        Groups nest; only the outermost exit commits. The barrier also
-        runs when the block exits by exception — operations that
-        completed before the failure were applied and logged, so
-        flushing them keeps the acknowledged state and the log
-        consistent.
-        """
-        self._check_usable()
-        self._group_depth += 1
-        try:
-            yield self
-        finally:
-            self._group_depth -= 1
-            if self._group_depth == 0:
-                flush = self._group_appended
-                self._group_appended = False
-                if flush:
-                    try:
-                        self.wal.commit()
-                    except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a failed group fsync leaves WAL state unknown; poison, then re-raise
-                        self._poisoned = True
-                        raise
-                if (
-                    self._ops_since_checkpoint >= self.checkpoint_every
-                    and not self._poisoned
-                ):
-                    self.checkpoint()
 
     def insert(
         self,
@@ -914,7 +914,7 @@ class DurableFile:
             raise
         self.dedup.record(rid, None)
         self._ops_since_checkpoint += len(pending)
-        if self._ops_since_checkpoint >= self.checkpoint_every and not self._group_depth:
+        if self._ops_since_checkpoint >= self.checkpoint_every and not self._grouped:
             self.checkpoint()
         maybe_audit(self, f"DurableFile.put_many({len(pending)} keys)")
 

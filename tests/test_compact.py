@@ -138,9 +138,18 @@ def assert_reconstruction_oracle(cells, compact):
 # Differential suite
 # ----------------------------------------------------------------------
 class TestDifferential:
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_seeded_mixed_workload_mirrors(self, seed):
-        cells, compact = pair(b=4)
+    @pytest.mark.parametrize(
+        "seed, policy",
+        [pytest.param(seed, None, id=str(seed)) for seed in (3, 11, 29)]
+        + [
+            # Rotation merges rebuild the trie from the boundary model;
+            # the rebuilt trie must stay on the file's own backend.
+            pytest.param(seed, SplitPolicy(merge="rotations"), id=f"rotations-{seed}")
+            for seed in (3, 11, 29)
+        ],
+    )
+    def test_seeded_mixed_workload_mirrors(self, seed, policy):
+        cells, compact = pair(b=4, policy=policy)
         for i, (kind, key, value) in enumerate(mixed_ops(400, seed)):
             assert apply_op(cells, kind, key, value) == apply_op(
                 compact, kind, key, value

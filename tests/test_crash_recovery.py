@@ -36,7 +36,12 @@ from repro.core.reconstruct import reconstruct_model
 from repro.obs.tracer import trace
 from repro.storage.crashpoints import CrashingStore, RecordingStableStore
 from repro.storage.dedup import DedupWindow
-from repro.storage.recovery import DurableFile, decode_checkpoint, encode_checkpoint
+from repro.storage.recovery import (
+    DurableFile,
+    decode_checkpoint,
+    encode_checkpoint,
+    group_commit,
+)
 from repro.storage.serializer import deserialize_bucket
 from repro.storage.wal import (
     REC_DELETE,
@@ -283,6 +288,40 @@ def test_crash_on_commit_fsync_loses_the_unacked_op():
     g = DurableFile.open(store, engine="th", capacity=4)
     assert dict(g.items()) == acked  # clean cache loss: the op is gone
     g.check()
+
+
+@pytest.mark.parametrize("sick_first", [True, False], ids=["sick-first", "sick-last"])
+def test_group_barrier_commits_every_joined_file_past_a_failed_fsync(sick_first):
+    """One group, two writers, one of whose fsyncs crashes: the failing
+    file is poisoned and the error propagates, the other is committed
+    (and its due checkpoint taken) anyway, and a file that never
+    appended inside the group pays no fsync at all."""
+    store = CrashOnNextFsync()
+    sick = DurableFile.open(store, engine="th", capacity=4)
+    well = DurableFile.open(StableStore(), engine="th", capacity=4, checkpoint_every=1)
+    idle = DurableFile.open(StableStore(), engine="th", capacity=4)
+    idle.insert("idle", "i")
+    idle_fsyncs = idle.stable.stats.fsyncs
+    well_ckpt = well.manifest["next_ckpt"]
+    writers = [sick, well] if sick_first else [well, sick]
+    store.armed = True
+    with pytest.raises(CrashError):
+        with group_commit():
+            for f in writers:
+                f.insert("apple", "a")
+                f.insert("beta", "b")
+            # Every fsync, and the due checkpoint, waits for the exit.
+            assert well.stable.stats.fsyncs == 0
+            assert well.manifest["next_ckpt"] == well_ckpt
+    with pytest.raises(StorageError, match="poisoned"):
+        sick.get("apple")
+    assert well.get("apple") == "a"
+    assert well.stable.stats.fsyncs == 1
+    assert well.manifest["next_ckpt"] == well_ckpt + 1
+    assert idle.stable.stats.fsyncs == idle_fsyncs
+    well.stable.lose_volatile()
+    assert dict(DurableFile.open(well.stable).items()) == {"apple": "a", "beta": "b"}
+    assert dict(DurableFile.open(store).items()) == {}
 
 
 @pytest.mark.parametrize("torn_bytes", [3, 10_000])

@@ -29,6 +29,7 @@ from repro import (
     DuplicateKeyError,
     KeyNotFoundError,
     ShardPolicy,
+    StorageError,
 )
 from repro.distributed import (
     FaultPlan,
@@ -753,13 +754,13 @@ class TestServingChaos:
 # ======================================================================
 class TestGroupCommit:
     def test_group_pays_one_fsync_and_nests(self):
-        from repro.storage.recovery import DurableFile
+        from repro.storage.recovery import DurableFile, group_commit
         from repro.storage.wal import StableStore
 
         f = DurableFile.open(StableStore(), engine="th", capacity=8)
         base = f.stable.stats.fsyncs
-        with f.group_commit():
-            with f.group_commit():
+        with group_commit():
+            with group_commit():
                 f.insert("aa", "1")
                 f.insert("ab", "2")
             # The inner exit is not the barrier — only the outermost is.
@@ -769,6 +770,80 @@ class TestGroupCommit:
         f.insert("ad", "4")  # outside any group: per-op durability
         assert f.stable.stats.fsyncs == base + 2
         assert f.get("aa") == "1"
+
+    def test_split_halves_born_mid_batch_join_the_group(self):
+        # One shard, 6 inserts short of its split: a pipelined burst
+        # splits it mid-batch, and the two halves born there must join
+        # the batch's group like any other file the batch writes — one
+        # fsync per batch each, not one per op.
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        pool = sorted(a + b + c for a in letters for b in letters for c in "aeiou")
+        keys = random.Random(5).sample(pool, 86)
+        preload, burst_keys = keys[:46], keys[46:]
+        cluster = Cluster(
+            shards=1, durable=True, shard_policy=ShardPolicy(shard_capacity=64)
+        )
+        servers = cluster.coordinator.servers
+        with ServingFixture(cluster) as fx:
+            with fx.open_session() as loader:
+                for key in preload:
+                    loader.file.insert(key, "v")
+            assert len(servers) == 1
+            runner, conn = fx.open_conn()
+            batches_before = fx.server.batches
+            runner.call(conn.control({"cmd": "stall", "seconds": 0.2}), 10.0)
+
+            async def burst():
+                ops = []
+                for i, key in enumerate(burst_keys):
+                    op = Op.insert(key, "w")
+                    op.rid = (998, i + 1)
+                    ops.append(conn.request(0, op, 10.0))
+                return await asyncio.gather(*ops)
+
+            replies = runner.call(burst(), 30.0)
+            assert all(r.error is None for r in replies)
+            batches = fx.server.batches - batches_before
+            assert len(servers) == 2
+            # Both halves were born inside the burst, so every fsync
+            # they logged was a batch barrier.
+            for server in servers.values():
+                assert 1 <= server.file.stable.stats.fsyncs <= batches
+            assert cluster.coordinator.total_records() == len(keys)
+            assert fx.server.router.duplicate_applies() == 0
+
+    def test_one_poisoned_shard_fails_alone_and_typed(self):
+        # A device fault on one shard's WAL append poisons that shard's
+        # file. Its ops must fail typed from then on, while every other
+        # shard keeps acknowledging durable writes over the same wire.
+        cluster = Cluster(shards=4, durable=True)
+        coordinator = cluster.coordinator
+        sick_id = coordinator.owner_of("apple")
+        healthy_key = next(
+            key for key in ("zebra", "mango", "kiwi", "fig")
+            if coordinator.owner_of(key) != sick_id
+        )
+        healthy_id = coordinator.owner_of(healthy_key)
+        stable = coordinator.servers[sick_id].file.stable
+
+        def device_fault(kind, name, payload=b""):
+            if kind == "append":
+                raise StorageError("injected device fault")
+
+        with ServingFixture(cluster) as fx:
+            with fx.open_session() as session:
+                stable._physical = device_fault
+                with pytest.raises(StorageError):
+                    session.file.put("apple", "A")
+                del stable._physical  # the device heals; the session stays poisoned
+                session.file.put(healthy_key, "H")
+                with pytest.raises(StorageError):
+                    session.file.put("apple", "B")
+                control = session.transport.control
+                assert control({"cmd": "crash", "shard": healthy_id})
+                assert control({"cmd": "restart", "shard": healthy_id})
+                assert session.file.get(healthy_key) == "H"
+        assert cluster.router.duplicate_applies() == 0
 
 
 # ======================================================================
