@@ -115,21 +115,23 @@ def _serve_command(args) -> int:
     )
 
     async def _serve() -> None:
+        # SIGINT/SIGTERM trigger a *graceful* shutdown: stop accepting,
+        # drain in-flight batches behind their group fsync, take a
+        # final WAL commit on every live durable shard, then exit. No
+        # acked write is lost to a deploy or a ctrl-C. The handlers go
+        # in before the socket is bound, so a supervisor that signals
+        # on the readiness line never finds the default handler.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):
+                loop.add_signal_handler(sig, stopping.set)
         if args.uds:
             where = await server.start_unix(args.uds)
             print(f"serving on unix:{where}", flush=True)
         else:
             host, port = await server.start_tcp(args.host, args.port)
             print(f"serving on {host}:{port}", flush=True)
-        # SIGINT/SIGTERM trigger a *graceful* shutdown: stop accepting,
-        # drain in-flight batches behind their group fsync, take a
-        # final WAL commit on every live durable shard, then exit. No
-        # acked write is lost to a deploy or a ctrl-C.
-        stopping = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, stopping.set)
         try:
             await stopping.wait()
             print("draining: refusing new connections", flush=True)

@@ -42,6 +42,9 @@ and serialisation code runs unchanged over either backend and, crucially,
 so the *structural evolution* of a compact-backed file is byte-identical
 to a cells-backed one under the same operation sequence (the property
 the differential test suite in ``tests/test_compact.py`` pins down).
+A checkpoint or whole-file image is read straight into the columns:
+:func:`~repro.storage.serializer.deserialize_trie` allocates its cells
+through the same surface.
 
 :class:`CompactTrie` subclasses :class:`~repro.core.trie.Trie`, swaps
 the cell table for the columns, and overrides the two hot entry points
@@ -55,10 +58,9 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from typing import Union
 
 from .alphabet import Alphabet
-from .cells import NIL, CellTable, is_edge, is_leaf
+from .cells import NIL, is_edge, is_leaf
 from .errors import TrieCorruptionError
 from .trie import ROOT_LOCATION, Location, SearchResult, Trie
 
@@ -230,41 +232,6 @@ class CompactCells:
             "dn": memoryview(self._dn).toreadonly(),
         }
 
-    def load_from(self, table: Union[CellTable, "CompactCells"]) -> None:
-        """Replace this table's contents with a copy of ``table``.
-
-        Slot indices *and* free-list order are preserved, so a clone
-        loaded from a cells-backed table evolves structurally exactly
-        like the original under the same operation sequence.
-        """
-        dv = array("I")
-        dn = array("i")
-        md: list[int] = []
-        lp: list[int] = []
-        rp: list[int] = []
-        for index in range(len(table)):
-            try:
-                cell = table[index]
-            except TrieCorruptionError:
-                dv.append(0)
-                dn.append(_FREED)
-                md.append(_FREED)
-                lp.append(NIL)
-                rp.append(NIL)
-            else:
-                o = ord(cell.dv)
-                dv.append(o)
-                dn.append(cell.dn)
-                md.append((cell.dn << _DV_BITS) | o)
-                lp.append(cell.lp)
-                rp.append(cell.rp)
-        self._dv = dv
-        self._dn = dn
-        self._md = md
-        self._lp = lp
-        self._rp = rp
-        self._free = list(table._free)
-
 
 class CompactTrie(Trie):
     """A TH-trie over :class:`CompactCells` with column-direct hot paths.
@@ -282,19 +249,6 @@ class CompactTrie(Trie):
         self.cells = CompactCells()
         self._min_ord = ord(alphabet.min_digit)
         self._max_ord = ord(alphabet.max_digit)
-
-    @classmethod
-    def from_trie(cls, source: Trie) -> "CompactTrie":
-        """Deep-copy any trie into a compact-backed clone.
-
-        Cell indices, free-slot order and the root pointer are all
-        preserved, so the clone is structurally indistinguishable from
-        the source (used when a durable checkpoint deserialises into the
-        standard representation and the file is configured compact).
-        """
-        clone = cls(source.alphabet, root_ptr=source.root)
-        clone.cells.load_from(source.cells)
-        return clone
 
     def lookup(self, key: str) -> int:
         """Map ``key`` to its raw leaf pointer — the descent alone.

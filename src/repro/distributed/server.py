@@ -88,6 +88,7 @@ class ShardServer:
         #: Commit-time subscribers beyond replication (migration
         #: catch-up buffers); each receives shipped-form record batches.
         self.taps: list = []
+        self.file: Any = None
         self.refill()
         router.register(self)
 
@@ -127,8 +128,13 @@ class ShardServer:
         The one way a shard file is filled. A durable file's genesis
         checkpoint already holds both, so the move logs nothing and a
         crash right behind it still dedups; an in-memory shard keeps
-        the window itself.
+        the window itself. The retired file stops feeding replication:
+        a commit it still owes (the op that split the shard inside a
+        batch) is already in the new file and in its reseeded backup.
         """
+        retired = getattr(self.file, "wal", None)
+        if retired is not None and self._on_wal_commit in retired.taps:
+            retired.taps.remove(self._on_wal_commit)
         self.file = self.coordinator.file_factory(items, window)
         self._local_dedup = None
         if window is not None and not isinstance(self.file, DurableFile):
@@ -416,10 +422,13 @@ class ShardServer:
         point mutation — shard splits copy the window to both halves,
         so the guarantee survives keys migrating between deliveries.
         """
+        owner_of = self.coordinator.owner_of
+        owned: list = []
+        leftover: list = []
         if op.kind == GET_MANY:
             keys = op.value
-            owned = [k for k in keys if self.coordinator.owner_of(k) == self.shard_id]
-            leftover = [k for k in keys if self.coordinator.owner_of(k) != self.shard_id]
+            for key in keys:
+                (owned if owner_of(key) == self.shard_id else leftover).append(key)
             found = self.file.get_many(owned) if owned else {}
             if TRACER.enabled:
                 TRACER.emit(
@@ -436,12 +445,8 @@ class ShardServer:
                 owner=self.shard_id,
             )
         items = op.value
-        owned = [
-            (k, v) for k, v in items if self.coordinator.owner_of(k) == self.shard_id
-        ]
-        leftover = [
-            (k, v) for k, v in items if self.coordinator.owner_of(k) != self.shard_id
-        ]
+        for key, value in items:
+            (owned if owner_of(key) == self.shard_id else leftover).append((key, value))
         if op.rid is not None:
             hit, _stored = self.dedup.lookup(op.rid)
             if hit:

@@ -21,16 +21,19 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
   log tail is discarded — those operations were never acknowledged.
   Durable input that parses but does not fit the schema (a MANIFEST
   key of the wrong type, engine params that build no file, a checkpoint
-  header or a logged payload of the wrong shape, an unknown record
-  type) raises :class:`RecoveryError`. When the
-  checkpoint's *index* section (the trie image) is lost but the bucket
-  sections survive, trie-hashing files fall back to the Section-6
-  reconstruction of /TOR83/ (:func:`~repro.core.reconstruct
-  .reconstruct_trie`); multilevel files rebuild by re-inserting the
-  surviving records.
+  header or a logged payload of the wrong shape, a bucket section that
+  does not decode, an unknown record type) raises
+  :class:`RecoveryError`. When the checkpoint's *index* section (the
+  trie image) is lost or does not decode but the bucket sections
+  survive, trie-hashing files fall back to the Section-6 reconstruction
+  of /TOR83/ (:func:`~repro.core.reconstruct.reconstruct_model`);
+  multilevel files rebuild by re-inserting the surviving records. The
+  step after the chain walk (:func:`restore_file`) also loads every
+  whole-file image of :mod:`repro.storage.persistence`.
 
 * **The session front-end** — :class:`DurableFile` wraps any of the four
-  engines (``th``, ``thcl`` via its split policy, ``mlth``, ``btree``)
+  engines (``th`` on either trie backend, ``thcl`` via its split
+  policy, ``mlth``, ``btree``)
   and enforces the ack protocol: apply in memory, append the operation
   record, fsync, *then* return. An operation that returns was durable at
   the instant it returned; one interrupted by a crash may or may not
@@ -169,6 +172,7 @@ def _header_ok(header) -> bool:
     dedup = header.get("dedup", [])  # absent in headers older than the window
     return (
         _is_int(top)
+        and _is_int(header.get("records"))
         and isinstance(live, list)
         and all(_is_int(a) and 0 <= a <= top for a in live)
         and isinstance(dedup, list)
@@ -238,7 +242,8 @@ def apply_op(file: Any, rec_type: int, key: str, value: object) -> object:
 # Engine adapters
 # ----------------------------------------------------------------------
 class _THEngine:
-    """Adapter for :class:`~repro.core.file.THFile` (TH and THCL)."""
+    """Adapter for :class:`~repro.core.file.THFile` (TH and THCL, either
+    trie backend)."""
 
     kind = "th"
     uses_buckets = True
@@ -259,16 +264,22 @@ class _THEngine:
         }
 
     @staticmethod
-    def create(params: dict, alphabet: Optional[Alphabet] = None):
+    def create(params: dict):
         from ..core.file import THFile
 
         return THFile(
             bucket_capacity=params["capacity"],
             policy=SplitPolicy(**params["policy"]),
-            alphabet=alphabet if alphabet is not None else Alphabet(params["alphabet"]),
+            alphabet=Alphabet(params["alphabet"]),
             # .get(): manifests written before the compact backend
             # existed carry no entry and mean the standard cells.
             trie_backend=params.get("trie_backend", "cells"),
+        )
+
+    @classmethod
+    def params_of(cls, file) -> dict:
+        return cls.fresh_params(
+            file.capacity, file.policy, file.alphabet, file.trie_backend
         )
 
     @staticmethod
@@ -281,27 +292,17 @@ class _THEngine:
     ):
         from ..core.reconstruct import reconstruct_model
 
-        trie = None
-        if index is not None:
-            try:
-                trie = deserialize_trie(index)
-            except StorageError:
-                trie = None
-        file = _create(
-            cls, params, alphabet=trie.alphabet if trie is not None else None
-        )
-        # Checkpoints serialise the standard cell layout regardless of
-        # backend; a compact-configured file re-adopts the deserialised
-        # trie column-for-column (cell indices and free order preserved).
-        backend = type(file.trie)
+        file = _create(cls, params)
         file.store.restore(header["max_address"], header["live"], buckets)
-        if trie is not None:
-            file.trie = trie if type(trie) is backend else backend.from_trie(trie)
-        else:
-            file.trie = backend.from_model(
-                reconstruct_model(file.store, file.alphabet)
-            )
+        backend = type(file.trie)
+        try:
+            trie = None if index is None else deserialize_trie(index, backend)
+        except StorageError:
+            trie = None
+        if trie is None or trie.alphabet != file.alphabet:
+            trie = backend.from_model(reconstruct_model(file.store, file.alphabet))
             report.used_fallback = "reconstruct"
+        file.trie = trie
         file._size = sum(len(bucket) for bucket in buckets.values())
         return file
 
@@ -344,6 +345,17 @@ class _MLTHEngine:
             split_node_pick=params["split_node_pick"],
         )
 
+    @classmethod
+    def params_of(cls, file) -> dict:
+        return cls.fresh_params(
+            file.capacity,
+            file.page_capacity,
+            file.policy,
+            file.alphabet,
+            file.pin_root,
+            file.split_node_pick,
+        )
+
     @staticmethod
     def index_bytes(file) -> bytes:
         spec = {
@@ -359,15 +371,9 @@ class _MLTHEngine:
     def materialize(
         cls, params: dict, header: dict, index: Optional[bytes], buckets, report
     ):
-        spec = None
-        if index is not None:
-            try:
-                spec = json.loads(index.decode("utf-8"))
-                page_specs = {int(k): v for k, v in spec["pages"].items()}
-            except (KeyError, ValueError, TypeError, AttributeError):
-                spec = None  # a decode or JSON error is a ValueError too
+        pages = None if index is None else _page_specs(index)
         file = _create(cls, params)
-        if spec is None:
+        if pages is None:
             # The page hierarchy is gone; the buckets still hold every
             # record, so rebuild the file by re-inserting them.
             report.used_fallback = "reinsert"
@@ -376,10 +382,51 @@ class _MLTHEngine:
                 for key, value in zip(bucket.keys, bucket.values):
                     file.insert(key, value)
             return file
-        file.restore_pages(spec["root"], page_specs)
+        file.restore_pages(*pages)
         file.store.restore(header["max_address"], header["live"], buckets)
         file._size = sum(len(bucket) for bucket in buckets.values())
         return file
+
+
+def _page_specs(index: bytes) -> Optional[tuple[int, dict]]:
+    """``(root, {page id: spec})`` of an MLTH index, or None when it does
+    not decode: each spec must have the shape
+    :meth:`~repro.core.pages.TriePage.from_spec` reads, each child of an
+    upper-level page must be a page one level down, and each sibling
+    link a page on the same level."""
+    try:
+        spec = json.loads(index.decode("utf-8"))
+        root, pages = spec["root"], {int(k): v for k, v in spec["pages"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None  # a decode or JSON error is a ValueError too
+    if not all(isinstance(page, dict) for page in pages.values()):
+        return None
+
+    def page_at(pid, level) -> bool:
+        return _is_int(pid) and pid in pages and pages[pid].get("level") == level
+
+    def fits(page: dict) -> bool:
+        level, bounds, kids = page.get("level"), page.get("boundaries"), page.get("children")
+        if not (_is_int(level) and level >= 0 and isinstance(kids, list)):
+            return False
+        if level:
+            kids_fit = all(page_at(kid, level - 1) for kid in kids)
+        else:
+            kids_fit = all(kid is None or (_is_int(kid) and kid >= 0) for kid in kids)
+        return (
+            kids_fit
+            and isinstance(bounds, list)
+            and all(isinstance(bound, str) for bound in bounds)
+            and len(kids) == len(bounds) + 1
+            and all(
+                link in page and (page[link] is None or page_at(page[link], level))
+                for link in ("next", "prev")
+            )
+        )
+
+    if _is_int(root) and root in pages and all(map(fits, pages.values())):
+        return root, pages
+    return None
 
 
 class _BTreeEngine:
@@ -387,8 +434,9 @@ class _BTreeEngine:
 
     A B+-tree has no bucket store, so its checkpoints are always full:
     the index section carries the sorted items and recovery rebuilds the
-    tree by insertion. There is no secondary source — a corrupt index
-    section is unrecoverable and raises :class:`RecoveryError`.
+    tree by insertion. There is no secondary source — an index section
+    that fails its CRC or does not decode is unrecoverable and raises
+    :class:`RecoveryError`.
     """
 
     kind = "btree"
@@ -422,28 +470,53 @@ class _BTreeEngine:
             pin_root=params["pin_root"],
         )
 
+    @classmethod
+    def params_of(cls, file) -> dict:
+        return cls.fresh_params(
+            file.leaf_capacity,
+            file.branch_capacity,
+            file.split_fraction,
+            file.redistribute,
+            file.pin_root,
+        )
+
     @staticmethod
     def index_bytes(file) -> bytes:
-        items = [[key, value] for key, value in file.items()]
+        items = [[key, value] for key, value in _str_values(file.items())]
         return json.dumps(items, separators=(",", ":")).encode()
 
     @classmethod
     def materialize(
         cls, params: dict, header: dict, index: Optional[bytes], buckets, report
     ):
-        if index is None:
+        try:
+            items = None if index is None else json.loads(index.decode("utf-8"))
+        except ValueError:  # a decode or JSON error
+            items = None
+        if not _items_ok(items):
             raise RecoveryError(
                 "b+-tree checkpoint index is corrupt and a b+-tree has no "
                 "bucket headers to reconstruct from"
             )
-        try:
-            items = json.loads(index.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise RecoveryError(f"corrupt b+-tree checkpoint index: {exc}") from None
         file = _create(cls, params)
         for key, value in items:
             file.insert(key, value)
         return file
+
+
+def _items_ok(items) -> bool:
+    """Is ``items`` a list of ``[str, str or None]`` pairs, keys ascending?"""
+    return (
+        isinstance(items, list)
+        and all(
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and (item[1] is None or isinstance(item[1], str))
+            for item in items
+        )
+        and all(a[0] < b[0] for a, b in zip(items, items[1:]))
+    )
 
 
 _ENGINES = {
@@ -453,15 +526,80 @@ _ENGINES = {
 }
 
 
-def _create(adapter, params: dict, **kwargs):
-    """Build an engine from MANIFEST ``params``; params that build no file
-    (a missing key, a wrong type, a value the engine refuses) fail typed."""
+def engine_named(kind: object) -> Any:
+    """The adapter an image or MANIFEST names; an unknown name fails typed."""
+    adapter = _ENGINES.get(kind) if isinstance(kind, str) else None
+    if adapter is None:
+        raise RecoveryError(f"unknown durable engine {kind!r}")
+    return adapter
+
+
+def engine_of(file: Any) -> Any:
+    """The adapter of ``file``'s exact type; any other type (a subclass
+    such as :class:`~repro.core.overflow.OverflowTHFile`, whose overflow
+    chains the trie never sees) raises :class:`StorageError`."""
+    from ..btree.btree import BPlusTree
+    from ..core.file import THFile
+    from ..core.mlth import MLTHFile
+
+    adapters = {THFile: _THEngine, MLTHFile: _MLTHEngine, BPlusTree: _BTreeEngine}
+    adapter = adapters.get(type(file))
+    if adapter is None:
+        raise StorageError(f"no durable image for a {type(file).__name__}")
+    return adapter
+
+
+def _create(adapter, params: dict):
+    """Build an engine from its stored ``params``; params that build no
+    file (a missing key, a wrong type, a value the engine refuses) fail
+    typed."""
     try:
-        return adapter.create(params, **kwargs)
+        return adapter.create(params)
     except (KeyError, TypeError, ValueError, TrieHashingError) as exc:
         raise RecoveryError(
-            f"MANIFEST params build no {adapter.kind} file: {exc!r}"
+            f"params build no {adapter.kind} file: {exc!r}"
         ) from None
+
+
+def restore_file(
+    adapter: Any,
+    params: Any,
+    header: dict,
+    index: Optional[bytes],
+    raw_buckets: dict[int, bytes],
+    report: RecoveryReport,
+) -> Any:
+    """Build the engine from one image: the step after the chain walk.
+
+    Shared by recovery and :func:`repro.storage.persistence.load_bytes`.
+    The bucket sections must cover exactly the header's live set, each
+    must decode, the adapter materializes the file (taking its fallback
+    when the index does not decode), and the file must hold the header's
+    ``records``. Every failure raises :class:`RecoveryError`.
+    """
+    extra = set(raw_buckets) ^ set(header["live"])
+    if extra:
+        raise RecoveryError(
+            f"bucket sections and the live set differ at {sorted(extra)}"
+        )
+    buckets = {}
+    for address, payload in raw_buckets.items():
+        try:
+            buckets[address] = deserialize_bucket(payload)
+        except StorageError as exc:
+            raise RecoveryError(f"bucket {address}: {exc}") from None
+    report.buckets_loaded = len(buckets)
+    try:
+        file = adapter.materialize(params, header, index, buckets, report)
+    except (InvalidKeyError, DuplicateKeyError) as exc:
+        raise RecoveryError(
+            f"records do not fit a {adapter.kind} file: {exc!r}"
+        ) from None
+    if len(file) != header["records"]:
+        raise RecoveryError(
+            f"image promised {header['records']} records, found {len(file)}"
+        )
+    return file
 
 
 # ----------------------------------------------------------------------
@@ -647,11 +785,8 @@ class DurableFile:
             problems = audit_manifest(manifest)
             if problems:
                 raise RecoveryError(f"malformed MANIFEST: {problems[0].message}")
-            kind = manifest["engine"]
-            adapter = _ENGINES.get(kind)
-            if adapter is None:
-                raise RecoveryError(f"MANIFEST names unknown engine {kind!r}")
-            report.engine = kind
+            adapter = engine_named(manifest["engine"])
+            report.engine = adapter.kind
             report.lsn = manifest["lsn"]
 
             # Chain walk, newest to oldest: the newest checkpoint's
@@ -680,21 +815,9 @@ class DurableFile:
                     if address in live and address not in raw_buckets:
                         raw_buckets[address] = payload
                 report.checkpoints += 1
-            if adapter.uses_buckets and set(raw_buckets) != live:
-                missing = sorted(live - set(raw_buckets))
-                raise RecoveryError(
-                    f"checkpoint chain is missing live buckets {missing}"
-                )
-            buckets = {}
-            for address, payload in raw_buckets.items():
-                try:
-                    buckets[address] = deserialize_bucket(payload)
-                except StorageError as exc:
-                    raise RecoveryError(f"bucket {address}: {exc}") from None
-            report.buckets_loaded = len(buckets)
-
-            file = adapter.materialize(
-                manifest["params"], newest_header, newest_index, buckets, report
+            file = restore_file(
+                adapter, manifest["params"], newest_header, newest_index,
+                raw_buckets, report,
             )
 
             # REDO: replay committed operations past the checkpoint,
@@ -950,39 +1073,26 @@ class DurableFile:
             )
         ckpt_id = self.manifest["next_ckpt"]
         name = f"ckpt-{ckpt_id}"
+        live, top, buckets = [], 0, []
         if adapter.uses_buckets:
             store = self.file.store
             dirty, store.dirty = store.dirty, set()
-            live = store.live_addresses()
-            included = list(live) if full else sorted(set(live) & dirty)
+            live, top = store.live_addresses(), store.max_address()
+            included = live if full else sorted(set(live) & dirty)
             buckets = [
                 (address, serialize_bucket(store.peek(address)))
                 for address in included
             ]
-            header = {
-                "id": ckpt_id,
-                "lsn": self.wal.last_lsn,
-                "full": bool(full),
-                "engine": adapter.kind,
-                "records": len(self.file),
-                "live": live,
-                "max_address": store.max_address(),
-                "buckets": included,
-                "dedup": self.dedup.to_spec(),
-            }
-        else:
-            buckets = []
-            header = {
-                "id": ckpt_id,
-                "lsn": self.wal.last_lsn,
-                "full": True,
-                "engine": adapter.kind,
-                "records": len(self.file),
-                "live": [],
-                "max_address": 0,
-                "buckets": [],
-                "dedup": self.dedup.to_spec(),
-            }
+        header = {
+            "id": ckpt_id,
+            "lsn": self.wal.last_lsn,
+            "full": bool(full),
+            "engine": adapter.kind,
+            "records": len(self.file),
+            "live": live,
+            "max_address": top,
+            "dedup": self.dedup.to_spec(),
+        }
         image = encode_checkpoint(header, adapter.index_bytes(self.file), buckets)
         self.stable.write_atomic(name, image)
 

@@ -5,7 +5,11 @@ pointer) is realised literally here, so the "6 Kbyte buffer addresses a
 1000-bucket file" style of arithmetic in Section 3.1 can be checked
 against actual encoded bytes. Buckets serialise to a simple
 length-prefixed record format. Both round-trip losslessly, which the test
-suite verifies property-based.
+suite verifies property-based, and both decoders fail typed: bytes that
+do not decode — short, overlong, or a trie whose edges are not one tree
+over its cells — raise :class:`~repro.core.errors.StorageError`. They
+guard every on-disk image the storage layer reads back (checkpoints and
+whole-file images alike).
 
 Pointer encoding in the 16-bit on-disk form (per pointer):
 
@@ -87,20 +91,47 @@ def serialize_trie(trie: Trie) -> bytes:
     return bytes(out)
 
 
-def deserialize_trie(data: bytes) -> Trie:
-    """Inverse of :func:`serialize_trie`."""
-    count, alpha_len = struct.unpack_from(">HH", data, 0)
-    offset = 4
-    alphabet = Alphabet(data[offset : offset + alpha_len].decode("latin-1"))
-    offset += alpha_len
-    (raw_root,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    trie = Trie(alphabet, root_ptr=_decode_ptr(raw_root))
-    for _ in range(count):
-        dv, dn, lp, rp = struct.unpack_from(">BBHH", data, offset)
-        offset += CELL_BYTES
-        trie.cells.allocate(chr(dv), dn, _decode_ptr(lp), _decode_ptr(rp))
+def deserialize_trie(data: bytes, trie_class: type[Trie] = Trie) -> Trie:
+    """Inverse of :func:`serialize_trie`, built straight into ``trie_class``
+    (:class:`~repro.core.trie.Trie` or a backend subclass).
+
+    Raises :class:`StorageError` on bytes that do not decode and on edges
+    that are not one tree over the cells (an edge past the last cell, a
+    cell with two parents, a cell the root never reaches): a crafted
+    index must not send Algorithm A1 round a loop.
+    """
+    try:
+        count, alpha_len = struct.unpack_from(">HH", data, 0)
+        offset = 4 + alpha_len
+        alphabet = Alphabet(data[4:offset].decode("latin-1"))
+        (raw_root,) = struct.unpack_from(">H", data, offset)
+        rows = list(struct.iter_unpack(">BBHH", data[offset + 2 :]))
+    except (struct.error, ValueError) as exc:
+        raise StorageError(f"corrupt trie image: {exc}") from None
+    if len(rows) != count or not _one_tree(raw_root, rows):
+        raise StorageError("corrupt trie image: its edges are not one tree")
+    trie = trie_class(alphabet, root_ptr=_decode_ptr(raw_root))
+    allocate = trie.cells.allocate
+    for dv, dn, lp, rp in rows:
+        allocate(chr(dv), dn, _decode_ptr(lp), _decode_ptr(rp))
     return trie
+
+
+def _one_tree(raw_root: int, rows: list) -> bool:
+    """Do the encoded edges reach every cell exactly once from the root?"""
+    seen = bytearray(len(rows))
+    stack = [raw_root]
+    reached = 0
+    while stack:
+        raw = stack.pop()
+        if raw & _EDGE_BIT and raw != _NIL16:
+            cell = raw & 0x7FFF
+            if cell >= len(rows) or seen[cell]:
+                return False
+            seen[cell] = 1
+            reached += 1
+            stack += rows[cell][2:]
+    return reached == len(rows)
 
 
 def serialize_bucket(bucket: Bucket) -> bytes:
@@ -131,20 +162,25 @@ def serialize_bucket(bucket: Bucket) -> bytes:
 
 
 def deserialize_bucket(data: bytes) -> Bucket:
-    """Inverse of :func:`serialize_bucket`."""
-    header_len, count = struct.unpack_from(">HH", data, 0)
-    offset = 4
+    """Inverse of :func:`serialize_bucket`; bytes that do not decode
+    (short, overlong, keys not strictly ascending) raise
+    :class:`StorageError`."""
     bucket = Bucket()
-    bucket.header_path = data[offset : offset + header_len].decode("utf-8")
-    offset += header_len
-    records: list[tuple[str, object]] = []
-    for _ in range(count):
-        klen, has_value, vlen = struct.unpack_from(">HBH", data, offset)
-        offset += 5
-        key = data[offset : offset + klen].decode("utf-8")
-        offset += klen
-        value = data[offset : offset + vlen].decode("utf-8") if has_value else None
-        offset += vlen
-        records.append((key, value))
-    bucket.extend(records)
+    try:
+        header_len, count = struct.unpack_from(">HH", data, 0)
+        offset = 4 + header_len
+        bucket.header_path = data[4:offset].decode("utf-8")
+        for _ in range(count):
+            klen, has_value, vlen = struct.unpack_from(">HBH", data, offset)
+            offset += 5
+            bucket.keys.append(data[offset : offset + klen].decode("utf-8"))
+            offset += klen
+            value = data[offset : offset + vlen].decode("utf-8") if has_value else None
+            bucket.values.append(value)
+            offset += vlen
+    except (struct.error, ValueError) as exc:
+        raise StorageError(f"corrupt bucket image: {exc}") from None
+    keys = bucket.keys
+    if offset != len(data) or any(a >= b for a, b in zip(keys, keys[1:])):
+        raise StorageError("corrupt bucket image: trailing bytes or keys out of order")
     return bucket

@@ -512,6 +512,65 @@ def test_corrupt_checkpoint_header_raises_recovery_error():
         DurableFile.open(store, engine="th")
 
 
+def _cut_a_bucket(header, index, buckets):
+    address = min(buckets)
+    buckets[address] = buckets[address][:3]
+    return index
+
+
+def _drop_page_boundaries(header, index, buckets):
+    spec = json.loads(index)
+    del next(iter(spec["pages"].values()))["boundaries"]
+    return json.dumps(spec).encode()
+
+
+UNDECODABLE_SECTIONS = {
+    # section edit, engine and params, the fallback it takes (None: it
+    # must raise RecoveryError)
+    "bucket-payload-cut": (_cut_a_bucket, ("th", dict(capacity=4)), None),
+    "th-index-cut": (
+        lambda h, index, b: index[:-3], ("th", dict(capacity=4)), "reconstruct"
+    ),
+    "mlth-page-without-boundaries": (
+        _drop_page_boundaries, SWEEP_CONFIGS["mlth"], "reinsert"
+    ),
+    "btree-index-of-ints": (
+        lambda h, i, b: b"[1, 2, 3]", ("btree", dict(leaf_capacity=4)), None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_SECTIONS))
+def test_section_that_does_not_decode_fails_typed_or_falls_back(case):
+    # The rewritten section keeps a valid CRC, but its bytes do not
+    # decode: recovery must raise RecoveryError or take the engine's
+    # documented fallback, never leak a raw struct/Key/TypeError.
+    edit, (engine, params), fallback = UNDECODABLE_SECTIONS[case]
+    store = StableStore()
+    f = DurableFile.open(store, engine=engine, checkpoint_every=1000, **params)
+    rng = random.Random(4)
+    model = {}
+    while len(model) < 60:
+        key = _word(rng)
+        if key not in model:
+            f.insert(key, key.upper())
+            model[key] = key.upper()
+    f.checkpoint(full=True)
+    name = _newest_checkpoint(store)
+    header, index, buckets = decode_checkpoint(store.read(name), name)
+    index = edit(header, index, buckets)
+    store.write_atomic(name, encode_checkpoint(header, index, sorted(buckets.items())))
+    store.lose_volatile()
+    if fallback is None:
+        with pytest.raises(RecoveryError):
+            DurableFile.open(store)
+        return
+    g = DurableFile.open(store)
+    assert g.last_recovery.used_fallback == fallback
+    assert dict(g.items()) == model
+    g.check()
+
+
 def test_missing_manifest_means_fresh_file():
     store = StableStore()
     f = DurableFile.open(store, engine="th", capacity=4)
@@ -768,7 +827,7 @@ def test_freed_then_reallocated_bucket_reaches_the_next_checkpoint():
     (reused,) = holes & set(buckets.live_addresses())
     name = f.checkpoint()
     header, _index, sections = decode_checkpoint(store.read(name), name)
-    assert not header["full"] and reused in header["buckets"]
+    assert not header["full"] and reused in sections
     assert deserialize_bucket(sections[reused]).keys == buckets.peek(reused).keys
     store.lose_volatile()
     g = DurableFile.open(store)

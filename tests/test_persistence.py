@@ -1,15 +1,25 @@
-"""Whole-file persistence round trips and corrupted-image handling."""
+"""Whole-file persistence round trips and corrupted-image handling.
+
+An image is a sealed full checkpoint: the sections of recovery's
+checkpoint codec plus a trailing CRC32 of the whole image.
+"""
 
 import io
 import json
+import random
 import struct
 import zlib
 
 import pytest
 
-from repro import SplitPolicy, THFile
+from repro import MLTHFile, SplitPolicy, THFile
+from repro.btree.btree import BPlusTree
+from repro.core.compact import CompactTrie
 from repro.core.errors import StorageError
+from repro.core.overflow import OverflowTHFile
 from repro.storage.persistence import dump_bytes, load_bytes, load_file, save_file
+from repro.storage.recovery import decode_checkpoint, encode_checkpoint
+from repro.storage.serializer import deserialize_bucket, serialize_bucket
 
 
 def build(keys, policy=None, b=6):
@@ -80,47 +90,87 @@ class TestRoundTrip:
 
 class TestMLTHRoundTrip:
     def build(self, small_keys, policy=None):
-        from repro import MLTHFile
-
         f = MLTHFile(bucket_capacity=5, page_capacity=8, policy=policy)
         for i, k in enumerate(small_keys):
             f.insert(k, str(i))
         return f
 
     def test_roundtrip(self, small_keys):
-        from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
-
         original = self.build(small_keys)
-        restored = load_mlth_bytes(dump_mlth_bytes(original))
+        restored = load_bytes(dump_bytes(original))
         restored.check()
         assert len(restored) == len(original)
         assert list(restored.items()) == list(original.items())
         assert restored.levels() == original.levels()
 
     def test_restored_searches_and_grows(self, small_keys):
-        from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
-
-        restored = load_mlth_bytes(dump_mlth_bytes(self.build(small_keys)))
+        restored = load_bytes(dump_bytes(self.build(small_keys)))
         for k in small_keys[:30]:
             assert k in restored
         restored.insert("zzzzzzy")
         restored.check()
 
     def test_policy_and_pick_travel(self, sorted_keys):
-        from repro import SplitPolicy
-        from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
-
         policy = SplitPolicy.thcl_ascending(0).with_(merge="none")
         original = self.build(sorted_keys, policy=policy)
-        restored = load_mlth_bytes(dump_mlth_bytes(original))
+        restored = load_bytes(dump_bytes(original))
         assert restored.policy == policy
         assert restored.load_factor() == original.load_factor()
 
-    def test_magic_checked(self):
-        from repro.storage.persistence import load_mlth_bytes
+    def test_magic_checked(self, small_keys):
+        # The header names the engine; a name no adapter answers to is
+        # refused before anything is built.
+        data = dump_bytes(self.build(small_keys))
+        with pytest.raises(StorageError, match="corrupt"):
+            load_bytes(_reheader(data, lambda h: h.update(engine="nope")))
 
-        with pytest.raises(StorageError):
-            load_mlth_bytes(b"THCL1\n" + b"\x00" * 16)
+
+ENGINES = {
+    "th-cells": lambda: THFile(bucket_capacity=4),
+    "th-compact": lambda: THFile(bucket_capacity=4, trie_backend="compact"),
+    "thcl": lambda: THFile(bucket_capacity=4, policy=SplitPolicy.thcl()),
+    "mlth": lambda: MLTHFile(bucket_capacity=5, page_capacity=8),
+    "btree": lambda: BPlusTree(leaf_capacity=4),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_every_engine_round_trips_through_one_format(small_keys, engine):
+    original = ENGINES[engine]()
+    for i, k in enumerate(small_keys):
+        original.insert(k, k.upper() if i % 3 else None)
+    restored = load_bytes(dump_bytes(original))
+    assert type(restored) is type(original)
+    restored.check()
+    assert list(restored.items()) == list(original.items())
+    if isinstance(original, THFile):
+        assert restored.trie_backend == original.trie_backend
+        assert type(restored.trie) is type(original.trie)
+
+
+def test_compact_backend_survives_a_round_trip():
+    f = THFile(bucket_capacity=4, trie_backend="compact")
+    for k in ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "ibis"):
+        f.insert(k, k.upper())
+    restored = load_bytes(dump_bytes(f))
+    assert restored.trie_backend == "compact"
+    assert isinstance(restored.trie, CompactTrie)
+    restored.check()
+    assert list(restored.items()) == list(f.items())
+
+
+def test_overflow_file_is_refused_at_save():
+    # Its overflow chains are invisible to the trie: an image of the trie
+    # and the live buckets of this file would reload with len() == 300
+    # but only 223 records reachable, and fail check().
+    rng = random.Random(1)
+    f = OverflowTHFile(bucket_capacity=4)
+    while len(f) < 300:
+        key = "".join(rng.choice("abcdefgh") for _ in range(5))
+        if key not in f:
+            f.insert(key, key)
+    with pytest.raises(StorageError, match="OverflowTHFile"):
+        dump_bytes(f)
 
 
 class TestValidation:
@@ -134,13 +184,12 @@ class TestValidation:
             load_bytes(data[: len(data) // 2])
 
     def test_record_count_verified(self, small_keys):
-        data = bytearray(dump_bytes(build(small_keys)))
-        # Corrupt the declared record count in the JSON header, then
-        # reseal so the image checksum passes and the count check fires.
-        at = data.find(b'"records":')
-        data[at + 10 : at + 11] = b"9"
+        # Promise one record more than the buckets hold: the header
+        # section is re-framed and the image resealed, so both CRCs pass
+        # and the count check fires.
+        data = dump_bytes(build(small_keys))
         with pytest.raises(StorageError):
-            load_bytes(_reseal(bytes(data)))
+            load_bytes(_reheader(data, lambda h: h.update(records=h["records"] + 1)))
 
 
 def _reseal(data):
@@ -154,45 +203,129 @@ def _reseal(data):
     return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def _reheader(data, magic, edit):
-    """Apply ``edit`` to an image's JSON header and reseal the image."""
-    body = data[:-4]
-    at = len(magic)
-    (length,) = struct.unpack(">I", body[at : at + 4])
-    header = json.loads(body[at + 4 : at + 4 + length])
-    edit(header)
-    raw = json.dumps(header).encode()
-    rest = body[at + 4 + length :]
-    return _reseal(body[:at] + struct.pack(">I", len(raw)) + raw + rest + data[-4:])
+def _resection(data, edit):
+    """Apply ``edit(header, index, buckets)`` to an image's decoded
+    sections (``buckets`` maps address to payload; ``edit`` mutates the
+    header and bucket map and returns the index), then re-frame every
+    section (length and CRC) and reseal the image."""
+    header, index, buckets = decode_checkpoint(data[:-4], "image")
+    index = edit(header, index, buckets)
+    return _reseal(encode_checkpoint(header, index, sorted(buckets.items())) + data[-4:])
+
+
+def _reheader(data, edit):
+    """Apply ``edit`` to an image's JSON header, re-frame the header
+    section and reseal the image."""
+
+    def apply(header, index, buckets):
+        edit(header)
+        return index
+
+    return _resection(data, apply)
 
 
 HEADER_EDITS = {
-    "policy-not-a-mapping": lambda h: h.update(policy=[]),
-    "policy-unknown-field": lambda h: h["policy"].update(bogus=1),
-    "capacity-not-an-int": lambda h: h.update(capacity="x"),
-    "capacity-too-small": lambda h: h.update(capacity=1),
+    "policy-not-a-mapping": lambda h: h["params"].update(policy=[]),
+    "policy-unknown-field": lambda h: h["params"]["policy"].update(bogus=1),
+    "capacity-not-an-int": lambda h: h["params"].update(capacity="x"),
+    "capacity-too-small": lambda h: h["params"].update(capacity=1),
     "records-missing": lambda h: h.pop("records"),
 }
 
 
-@pytest.mark.parametrize("fmt", ["thcl1", "mlth1"])
+@pytest.mark.parametrize("fmt", ["th", "mlth"])
 @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
 def test_resealed_header_that_builds_no_file_raises_storage_error(
     small_keys, fmt, edit
 ):
-    from repro import MLTHFile
-    from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
-
-    if fmt == "thcl1":
-        data, magic, load = dump_bytes(build(small_keys)), b"THCL1\n", load_bytes
+    if fmt == "th":
+        data = dump_bytes(build(small_keys))
     else:
         f = MLTHFile(bucket_capacity=5, page_capacity=8)
         for k in small_keys[:60]:
             f.insert(k)
-        data, magic, load = dump_mlth_bytes(f), b"MLTH1\n", load_mlth_bytes
-    load(_reheader(data, magic, lambda h: None))  # the untouched header loads
+        data = dump_bytes(f)
+    load_bytes(_reheader(data, lambda h: None))  # the untouched header loads
     with pytest.raises(StorageError, match="corrupt"):
-        load(_reheader(data, magic, HEADER_EDITS[edit]))
+        load_bytes(_reheader(data, HEADER_EDITS[edit]))
+
+
+def _filled(engine, keys):
+    f = ENGINES[engine]()
+    for k in keys:
+        f.insert(k, k[::-1])
+    return f
+
+
+def _cut_first_bucket(header, index, buckets):
+    address = min(buckets)
+    buckets[address] = buckets[address][:3]
+    return index
+
+
+def _drop_page_boundaries(header, index, buckets):
+    spec = json.loads(index)
+    del next(iter(spec["pages"].values()))["boundaries"]
+    return json.dumps(spec).encode()
+
+
+UNDECODABLE = {
+    # section edit, engine, the fallback it takes (None: it must raise)
+    "bucket-payload-cut": (_cut_first_bucket, "th-cells", None),
+    "th-index-cut": (lambda h, index, b: index[:-3], "th-compact", "reconstruct"),
+    "mlth-page-without-boundaries": (_drop_page_boundaries, "mlth", "reinsert"),
+    "btree-index-of-ints": (lambda h, i, b: b"[1, 2, 3]", "btree", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_section_that_does_not_decode_fails_typed_or_falls_back(small_keys, case):
+    # Each section keeps a valid CRC, but its bytes do not decode.
+    edit, engine, fallback = UNDECODABLE[case]
+    original = _filled(engine, small_keys[:80])
+    data = _resection(dump_bytes(original), edit)
+    if fallback is None:
+        with pytest.raises(StorageError, match="corrupt"):
+            load_bytes(data)
+        return
+    restored = load_bytes(data)
+    restored.check()
+    assert list(restored.items()) == list(original.items())
+    if fallback == "reconstruct":  # the rebuilt trie keeps the file's backend
+        assert isinstance(restored.trie, CompactTrie)
+
+
+def _drop_first_bucket(header, index, buckets):
+    del buckets[min(buckets)]
+    return index
+
+
+def _add_a_stray_bucket(header, index, buckets):
+    buckets[header["max_address"] + 1] = buckets[min(buckets)]
+    return index
+
+
+def _foreign_header_path(header, index, buckets):
+    address = min(buckets)
+    bucket = deserialize_bucket(buckets[address])
+    bucket.header_path = "#"  # not a digit of the file's alphabet
+    buckets[address] = serialize_bucket(bucket)
+    return index[:-3]  # and force the Section-6 reconstruction to read it
+
+
+MISFIT_BUCKETS = {
+    "bucket-section-missing": _drop_first_bucket,
+    "bucket-section-not-live": _add_a_stray_bucket,
+    "header-path-outside-the-alphabet": _foreign_header_path,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_BUCKETS))
+def test_buckets_that_do_not_fit_the_header_fail_typed(small_keys, case):
+    edit = MISFIT_BUCKETS[case]
+    data = _resection(dump_bytes(_filled("th-cells", small_keys[:80])), edit)
+    with pytest.raises(StorageError, match="corrupt"):
+        load_bytes(data)
 
 
 class TestCorruption:
@@ -228,13 +361,20 @@ class TestCorruption:
                 load_bytes(data[:cut])
 
     def test_resealed_garbage_header_is_clean(self, small_keys):
-        # Valid checksum over a broken JSON header: the inner parser
-        # must wrap the failure, not leak json.JSONDecodeError.
-        data = bytearray(dump_bytes(build(small_keys)))
-        at = data.find(b'"capacity"')
-        data[at : at + 10] = b"\xff" * 10
+        # Valid checksums over a broken JSON header: the garbled header
+        # section is re-framed (length and CRC) and the image resealed,
+        # so the failure reaches the JSON parser, which must wrap it,
+        # not leak json.JSONDecodeError.
+        data = dump_bytes(build(small_keys))
+        start = len(b"THCK1\n")  # the checkpoint magic, then the header frame
+        (length,) = struct.unpack(">I", data[start : start + 4])
+        header = bytearray(data[start + 8 : start + 8 + length])
+        at = header.find(b'"capacity"')
+        header[at : at + 10] = b"\xff" * 10
+        frame = struct.pack(">II", length, zlib.crc32(header) & 0xFFFFFFFF)
+        garbled = data[:start] + frame + bytes(header) + data[start + 8 + length :]
         with pytest.raises(StorageError, match="corrupt"):
-            load_bytes(_reseal(bytes(data)))
+            load_bytes(_reseal(garbled))
 
     def test_resealed_truncated_bucket_area_is_clean(self, small_keys):
         # Drop the tail of the bucket area but keep the CRC honest: the
@@ -244,27 +384,21 @@ class TestCorruption:
             load_bytes(_reseal(data[: len(data) - 30] + data[-4:]))
 
     def test_mlth_empty_and_flipped(self, small_keys):
-        from repro import MLTHFile
-        from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
-
         with pytest.raises(StorageError):
-            load_mlth_bytes(b"")
+            load_bytes(b"")
         f = MLTHFile(bucket_capacity=5, page_capacity=8)
         for k in small_keys[:60]:
             f.insert(k)
-        data = bytearray(dump_mlth_bytes(f))
+        data = bytearray(dump_bytes(f))
         data[len(data) // 2] ^= 0x01
         with pytest.raises(StorageError, match="checksum mismatch"):
-            load_mlth_bytes(bytes(data))
+            load_bytes(bytes(data))
 
     def test_mlth_truncation(self, small_keys):
-        from repro import MLTHFile
-        from repro.storage.persistence import dump_mlth_bytes, load_mlth_bytes
-
         f = MLTHFile(bucket_capacity=5, page_capacity=8)
         for k in small_keys[:60]:
             f.insert(k)
-        data = dump_mlth_bytes(f)
+        data = dump_bytes(f)
         for cut in (2, 10, len(data) // 2):
             with pytest.raises(StorageError):
-                load_mlth_bytes(data[:cut])
+                load_bytes(data[:cut])

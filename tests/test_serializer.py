@@ -1,5 +1,7 @@
 """Binary serialisation tests: the paper's six-byte cell layout."""
 
+import struct
+
 import pytest
 
 from repro import LOWERCASE, StorageError, THFile, Trie
@@ -92,3 +94,82 @@ class TestBucketSerialization:
         restored = deserialize_bucket(serialize_bucket(b))
         assert restored.get("a") is None
         assert restored.get("b") == ""
+
+
+def _trie_image(root, cells):
+    """A hand-built trie image over LOWERCASE: ``cells`` are raw
+    ``(dv, dn, lp, rp)`` rows in the 16-bit pointer encoding."""
+    digits = LOWERCASE.digits.encode("latin-1")
+    out = struct.pack(">HH", len(cells), len(digits)) + digits
+    out += struct.pack(">H", root)
+    for dv, dn, lp, rp in cells:
+        out += struct.pack(">BBHH", ord(dv), dn, lp, rp)
+    return out
+
+
+EDGE = 0x8000  # high bit: an edge to cell ``value & 0x7FFF``
+
+MALFORMED_TRIES = {
+    "edge-past-the-last-cell": _trie_image(EDGE | 0, [("h", 0, EDGE | 1, 1)]),
+    "cell-with-two-parents": _trie_image(
+        EDGE | 0, [("h", 0, EDGE | 1, EDGE | 1), ("c", 0, 0, 1)]
+    ),
+    "cycle-through-the-root-cell": _trie_image(
+        EDGE | 0, [("h", 0, EDGE | 1, 1), ("c", 0, EDGE | 0, 2)]
+    ),
+    "cell-the-root-never-reaches": _trie_image(
+        EDGE | 0, [("h", 0, 0, 1), ("c", 0, 1, 2)]
+    ),
+    "unreachable-cycle": _trie_image(
+        EDGE | 0, [("h", 0, 0, 1), ("c", 0, EDGE | 2, 1), ("e", 0, EDGE | 1, 2)]
+    ),
+}
+
+
+class TestDecodersFailTyped:
+    def test_well_formed_hand_built_image_decodes(self):
+        trie = deserialize_trie(
+            _trie_image(EDGE | 0, [("h", 0, EDGE | 1, 2), ("c", 0, 0, 1)])
+        )
+        trie.check()
+        assert trie.search("a").bucket == 0 and trie.search("z").bucket == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRIES))
+    def test_edges_that_are_not_one_tree_are_refused(self, case):
+        with pytest.raises(StorageError, match="not one tree"):
+            deserialize_trie(MALFORMED_TRIES[case])
+
+    def test_short_and_overlong_trie_images_are_refused(self, fig1_file):
+        data = serialize_trie(fig1_file.trie)
+        for bad in (data[:3], data[:-3], data[:-6], data + b"\x00" * 6, data + b"\x00"):
+            with pytest.raises(StorageError, match="corrupt trie image"):
+                deserialize_trie(bad)
+
+    def test_a_foreign_alphabet_is_refused(self):
+        data = bytearray(_trie_image(0, []))
+        data[4:6] = b"aa"  # a duplicate digit: no alphabet at all
+        with pytest.raises(StorageError, match="corrupt trie image"):
+            deserialize_trie(bytes(data))
+
+    def test_short_overlong_and_unordered_buckets_are_refused(self):
+        b = Bucket()
+        b.header_path = "ha"
+        b.insert("had", "value1")
+        b.insert("have", None)
+        data = serialize_bucket(b)
+        for bad in (b"", data[:3], data[:-1], data + b"\x00"):
+            with pytest.raises(StorageError, match="corrupt bucket image"):
+                deserialize_bucket(bad)
+        swapped = bytearray(data)
+        at = swapped.find(b"had")
+        swapped[at : at + 3] = b"hz\x7f"  # "hz\x7f" sorts after "have"
+        with pytest.raises(StorageError, match="corrupt bucket image"):
+            deserialize_bucket(bytes(swapped))
+
+    def test_undecodable_text_is_refused(self):
+        b = Bucket()
+        b.insert("a", "v")
+        data = bytearray(serialize_bucket(b))
+        data[-1] = 0xFF  # not UTF-8
+        with pytest.raises(StorageError, match="corrupt bucket image"):
+            deserialize_bucket(bytes(data))

@@ -812,6 +812,34 @@ class TestGroupCommit:
             assert cluster.coordinator.total_records() == len(keys)
             assert fx.server.router.duplicate_applies() == 0
 
+    def test_split_mid_batch_ships_nothing_from_the_retired_file(self):
+        # The insert that splits a replicated shard appends to the file
+        # the split retires, and that file commits at the batch barrier.
+        # Its WAL tap must not ship the record: the reseeded backups of
+        # both halves already hold it, and the kept half's backup would
+        # otherwise gain a key its primary moved to the new half.
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        rng = random.Random(5)
+        cluster = Cluster(
+            shards=1,
+            durable=True,
+            shard_policy=ShardPolicy(shard_capacity=32),
+            replication="semisync",
+        )
+        keys = []
+        with ServingFixture(cluster) as fx:
+            with fx.open_session() as session:
+                while len(keys) < 200:
+                    key = "".join(rng.choice(letters) for _ in range(3))
+                    if key in keys:
+                        continue
+                    session.file.insert(key, key.upper())
+                    keys.append(key)
+                    cluster.coordinator.check()
+        assert len(cluster.coordinator.servers) > 2
+        assert cluster.coordinator.total_records() == len(keys)
+        assert cluster.router.duplicate_applies() == 0
+
     def test_one_poisoned_shard_fails_alone_and_typed(self):
         # A device fault on one shard's WAL append poisons that shard's
         # file. Its ops must fail typed from then on, while every other
@@ -917,4 +945,39 @@ class TestGracefulShutdown:
                 proc.communicate()
         assert proc.returncode == 0, out
         assert "draining" in out
+        assert "shutdown complete" in out
+
+    def test_sigterm_on_the_readiness_line_drains(self, tmp_path):
+        # A supervisor may signal the moment the server says it is
+        # ready: the handlers must already be in place by then.
+        import os
+        import pathlib
+        import signal
+        import subprocess
+        import sys
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--uds", str(tmp_path / "ready.sock"), "--shards", "1",
+            ],
+            cwd=root,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            ready = proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=15.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert ready.startswith("serving on"), ready + out
+        assert proc.returncode == 0, ready + out
         assert "shutdown complete" in out
