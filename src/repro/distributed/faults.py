@@ -482,20 +482,16 @@ class _RemoteServers:
         return shard_id
 
     def send(self, shard_id: int, op: Op, edge: str = "request") -> Reply:
-        remote = self.remote
-        wall = remote.wall_timeout
         try:
-            # The wall deadline is only a hung-server backstop; the
-            # per-op deadline is enforced on the simulated clock.
-            reply = remote.runner.call(
-                remote.conn.request(shard_id, op, wall), wall * 2
-            )
+            # No deadline but the transport's wall backstop: the per-op
+            # deadline is enforced on the simulated clock.
+            reply = self.remote.request(shard_id, op)
         except ServerDownError:
             # Refused server-side (it went down under an op queued
             # ahead of ours): the same fault as a client-side refusal.
             self.fault("server_down", edge, shard_id)
             raise
-        remote.messages += 1
+        self.remote.messages += 1
         return reply
 
     def accept(self, reply: Reply) -> Reply:

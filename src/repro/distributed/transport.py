@@ -9,9 +9,10 @@ over:
 
 * :class:`~repro.distributed.router.InProcessTransport` — synchronous
   and in-process: a perfect fabric with no clock;
-* :class:`~repro.serving.client.RemoteTransport` — a real asyncio
-  TCP/UDS connection speaking the length-prefixed frame protocol of
-  :mod:`repro.distributed.codec`, on wall-clock time;
+* :class:`~repro.serving.client.RemoteTransport` — a real TCP/UDS
+  socket, driven blocking on the caller's thread, speaking the
+  length-prefixed frame protocol of :mod:`repro.distributed.codec`, on
+  wall-clock time;
 * :class:`~repro.distributed.faults.FaultyTransport` — a decorator
   around either of the two that replays a seeded
   :class:`~repro.distributed.faults.FaultPlan` on a simulated clock.

@@ -19,6 +19,9 @@ Resolution policy (the soundness contract rules rely on):
 * ``self.m()`` / ``cls.m()`` resolves through the class's linearised
   ancestry **and** fans out to every override of ``m`` in known
   subclasses (virtual dispatch is over-approximated, never ignored).
+* ``super().m()`` resolves through the enclosing class's bases: the
+  first definition of ``m`` up their ancestry. A base outside the
+  program gives no edge.
 * A call on an unresolvable receiver *widens*: it may target every
   method of that name anywhere in the program. Rules choose whether to
   follow widened edges (:data:`CallSite.kind` is ``"widened"``).
@@ -53,7 +56,7 @@ __all__ = [
 ]
 
 #: Bump whenever the summary layout changes (invalidates every cache).
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 
 def source_hash(source: str) -> str:
@@ -89,8 +92,9 @@ class CallSite:
     line: int
     col: int
     #: ``"dotted"`` (resolved to a dotted path), ``"self"`` (method on
-    #: self/cls), ``"attr"`` (attribute on an unknown receiver) or
-    #: ``"opaque"`` (an unresolvable callee expression).
+    #: self/cls), ``"super"`` (method on ``super()``), ``"attr"``
+    #: (attribute on an unknown receiver) or ``"opaque"`` (an
+    #: unresolvable callee expression).
     form: str
     #: The terminal identifier being called (``sleep`` for
     #: ``time.sleep(...)``), for diagnostics and widening.
@@ -584,6 +588,13 @@ class _FunctionExtractor:
                         target=resolved, recv=owner.id,
                     )
                 return CallSite(line, col, "attr", attr, recv=owner.id)
+            if (
+                isinstance(owner, ast.Call)
+                and isinstance(owner.func, ast.Name)
+                and owner.func.id == "super"
+                and self.cls is not None
+            ):
+                return CallSite(line, col, "super", attr, recv="super()")
             dotted = _dotted(func)
             if dotted is not None:
                 resolved = self.imports.resolve(dotted)
@@ -912,11 +923,26 @@ class Program:
                         widened.extend(
                             self.methods_by_name.get(site.attr, [])
                         )
+            elif site.form == "super":
+                owner = self._owning_class(node)
+                if owner is not None:
+                    direct.extend(self._super_targets(owner, site.attr))
             elif site.form == "attr":
                 widened.extend(self.methods_by_name.get(site.attr, []))
             node.edges.append(direct)
             node.widened.append(widened)
             node.externals.append(externals)
+
+    def _super_targets(self, class_qual: str, name: str) -> list[str]:
+        """What ``super().name`` in ``class_qual`` may call: the first
+        definition up each in-program base's ancestry."""
+        _module, klass = self.classes[class_qual]
+        targets = []
+        for base in klass.bases:
+            method = self.method_on(self._resolve_export(base), name)
+            if method is not None and method not in targets:
+                targets.append(method)
+        return targets
 
     def _internal_roots(self) -> tuple:
         roots = {module.split(".")[0] for module in self.modules}

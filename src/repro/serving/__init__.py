@@ -5,7 +5,8 @@ network service without changing a line of the protocol logic above
 it: :class:`ServingServer` fronts an ordinary
 :class:`~repro.distributed.coordinator.Cluster` over TCP or a
 Unix-domain socket, and :class:`RemoteTransport` is a synchronous
-:class:`~repro.distributed.transport.Transport` facade, so the same
+:class:`~repro.distributed.transport.Transport` facade over one
+blocking socket, driven on the caller's thread, so the same
 :class:`~repro.distributed.client.DistributedFile` — image routing,
 IAM patching, retries, request-id dedup — runs unmodified over a real
 wire. Wrapped in a :class:`~repro.distributed.faults.FaultyTransport`,

@@ -3,16 +3,17 @@
 :class:`ServingFixture` owns everything a test would otherwise plumb by
 hand: a temp directory with a Unix-domain socket, a
 :class:`~repro.serving.client.LoopRunner` thread running the
-:class:`~repro.serving.server.ServingServer`, and per-client loop
-threads for however many connections the test opens. Closing the
+:class:`~repro.serving.server.ServingServer`, the blocking client
+sockets of its sessions and files, and a loop thread per pipelined
+:class:`~repro.serving.client.AsyncClient` connection. Closing the
 fixture tears all of it down in reverse order, so a failing test never
 leaks sockets or threads.
 
-The server and each client get *separate* event loops on separate
-threads deliberately: replies must traverse a real kernel socket
-buffer between two schedulers, the same shape as a deployment — a
-shared loop would let asyncio hand frames over in-process and hide
-exactly the transport bugs this tier exists to surface.
+Clients never share the server's event loop: replies must traverse a
+real kernel socket buffer between the server's scheduler and the
+client, the same shape as a deployment — a shared loop would let
+asyncio hand frames over in-process and hide exactly the transport
+bugs this tier exists to surface.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .client import (
     RemoteCluster,
     RemoteSession,
     RemoteTransport,
+    open_socket,
 )
 from .server import ServingServer
 
@@ -73,7 +75,7 @@ class ServingFixture:
             shutil.rmtree(self.tmp, ignore_errors=True)
             raise
         self._conns: list[tuple[LoopRunner, AsyncClient]] = []
-        self._sessions: list[RemoteSession] = []
+        self._transports: list[RemoteTransport] = []
 
     # ------------------------------------------------------------------
     # Client construction
@@ -96,11 +98,11 @@ class ServingFixture:
         retry: Optional[RetryPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> RemoteSession:
-        """A full :class:`RemoteSession` (own loop, transport and file)."""
+        """A full :class:`RemoteSession` (own socket, transport and file)."""
         session = RemoteSession(
             path=self.path, retry=retry, registry=registry
         )
-        self._sessions.append(session)
+        self._transports.append(session.transport)
         return session
 
     def open_file(
@@ -119,18 +121,21 @@ class ServingFixture:
         the server-side cluster's registry makes client and server
         counters land in one place, which is what the chaos report reads.
         """
-        runner, conn = self.open_conn()
-        transport: Any = RemoteTransport(
-            runner, conn, registry=registry, wall_timeout=wall_timeout
+        remote = RemoteTransport(
+            open_socket(path=self.path),
+            registry=registry,
+            wall_timeout=wall_timeout,
         )
-        if plan is not None:
-            transport = FaultyTransport(transport, plan)
+        self._transports.append(remote)
+        transport: Any = (
+            remote if plan is None else FaultyTransport(remote, plan)
+        )
         hello = transport.control({"cmd": "hello"})
-        remote = RemoteCluster(
+        cluster = RemoteCluster(
             transport, Alphabet(hello["alphabet"]), hello["first_shard"]
         )
         file = DistributedFile(
-            remote, client_id=hello["client_id"], retry=retry
+            cluster, client_id=hello["client_id"], retry=retry
         )
         return file, transport
 
@@ -138,16 +143,13 @@ class ServingFixture:
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        for session in self._sessions:
-            try:
-                session.close()
-            except Exception:  # repro-lint: disable=TH002 -- teardown must reach every layer even when one is already dead
-                pass
-        self._sessions = []
+        for transport in self._transports:
+            transport.close()
+        self._transports = []
         for runner, conn in self._conns:
             try:
                 runner.call(conn.close(), DEFAULT_WALL_TIMEOUT)
-            except Exception:  # repro-lint: disable=TH002 -- same: a dead connection must not keep its loop thread alive
+            except Exception:  # repro-lint: disable=TH002 -- teardown must reach every layer: a dead connection must not keep its loop thread alive
                 pass
             runner.stop()
         self._conns = []

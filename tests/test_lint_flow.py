@@ -497,6 +497,36 @@ class TestCallGraph:
         assert "repro.b.Sink.flush" in widened
         assert "repro.b.Sink.flush" not in narrow
 
+    def test_super_calls_resolve_through_the_bases(self):
+        # super().__init__() is the base's __init__, not every __init__
+        # in the program: widening must not reach an unrelated class.
+        program = build({
+            "repro.a": (
+                "class Base:\n"
+                "    def __init__(self):\n"
+                "        pass\n"
+                "\n\n"
+                "class Sub(Base):\n"
+                "    def __init__(self):\n"
+                "        super().__init__()\n"
+                "\n\n"
+                "class Fault(Exception):\n"
+                "    def __init__(self, message):\n"
+                "        super().__init__(message)\n"
+            ),
+            "repro.b": (
+                "class Unrelated:\n"
+                "    def __init__(self):\n"
+                "        pass\n"
+            ),
+        })
+        parents = program.reachable(["repro.a.Sub.__init__"], follow_widened=True)
+        assert "repro.a.Base.__init__" in parents
+        assert "repro.b.Unrelated.__init__" not in parents
+        # A base outside the program (Exception) gives no edge at all.
+        fault = program.reachable(["repro.a.Fault.__init__"], follow_widened=True)
+        assert set(fault) == {"repro.a.Fault.__init__"}
+
     def test_import_cycles_land_in_one_scc(self):
         program = build({
             "repro.a": "from repro.b import g\n\n\ndef f():\n    g()\n",

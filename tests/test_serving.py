@@ -10,15 +10,21 @@ Four layers of coverage, innermost first:
 * a live server over a Unix-domain socket — point ops, scans, batches,
   IAM convergence, typed errors, pipelining, group fsync amortisation,
   deadlines with dedup, backpressure, crash controls, hostile frames
-  and TCP;
+  and TCP, and the edges of the blocking transport a session drives
+  (late replies, a deadline mid-frame, hang-ups, an oversized prefix,
+  socket set-up, a failed hello);
 * the acceptance bridge — the chaos differential schedule replayed
   over a real socket converges exactly like the simulated fabric, and
   one fault plan injects the same faults on both.
 """
 
 import asyncio
+import logging
+import os
 import random
+import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +43,7 @@ from repro.distributed import (
     OpTimeoutError,
     RetryPolicy,
     ServerDownError,
+    ShardUnavailableError,
     UnknownShardError,
     run_chaos,
 )
@@ -56,7 +63,13 @@ from repro.distributed.codec import (
 )
 from repro.distributed.errors import ConfigurationError, ProtocolError
 from repro.distributed.messages import Op, Reply
-from repro.serving import ServingFixture, connect, read_frame
+from repro.serving import (
+    DEFAULT_MAX_FRAME,
+    RemoteTransport,
+    ServingFixture,
+    connect,
+    read_frame,
+)
 from repro.serving.client import DEFAULT_WALL_TIMEOUT, LoopRunner
 from repro.serving.server import ServingServer
 
@@ -611,6 +624,125 @@ class TestDeadlines:
             # no longer has a waiter, and fresh requests are unaffected.
             reply = runner.call(conn.request(0, Op.get("apple"), 10.0), 20.0)
             assert reply.value == "A"
+
+
+# ======================================================================
+# The blocking transport a session drives on the caller's thread
+# ======================================================================
+def _response_frame(corr_id, value):
+    """A RESPONSE frame answering ``corr_id`` with a plain value."""
+    payload = b"\x00" + encode_reply(Reply(value=value))
+    return pack_frame(FRAME_RESPONSE, corr_id, payload)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestBlockingTransport:
+    def test_late_reply_is_read_and_dropped(self):
+        with ServingFixture(Cluster(shards=1)) as fx:
+            with fx.open_session() as loader:
+                loader.file.insert("apple", "A")
+            transport = fx.open_session().transport
+            transport.control({"cmd": "stall", "seconds": 0.3})
+            with pytest.raises(OpTimeoutError):
+                transport.request(0, Op.get("apple"), 0.05)
+            # The stale answer arrives ahead of the fresh one on the same
+            # socket; its correlation id is not the one being awaited.
+            reply = transport.request(0, Op.get("apple"), 10.0)
+            assert reply.value == "A"
+
+    def test_deadline_mid_frame_keeps_the_stream_framed(self):
+        client, fake_server = socket.socketpair()
+        transport = RemoteTransport(client)
+        try:
+            first = _response_frame(0, "first")
+            half = len(first) // 2
+            fake_server.sendall(first[:half])
+            with pytest.raises(OpTimeoutError):
+                transport.request(0, Op.get("apple"), 0.05)
+            # The half frame stayed buffered: the next read finishes it,
+            # drops it as a late reply, and then reads its own.
+            fake_server.sendall(first[half:] + _response_frame(1, "second"))
+            assert transport.request(0, Op.get("bird"), 5.0).value == "second"
+        finally:
+            transport.close()
+            fake_server.close()
+
+    def test_hang_up_fails_typed_and_later_calls_skip_the_socket(self, caplog):
+        retry = RetryPolicy(base_delay=0.001, max_delay=0.002)
+        with ServingFixture(Cluster(shards=1)) as fx:
+            session = fx.open_session(retry=retry)
+            session.file.insert("apple", "A")
+            fx.runner.call(fx.server.stop(), DEFAULT_WALL_TIMEOUT)
+            with caplog.at_level(logging.WARNING):
+                with pytest.raises(ShardUnavailableError) as info:
+                    session.file.get("apple")
+                assert isinstance(info.value.__cause__, MessageLostError)
+                transport = session.transport
+                assert transport.sock is None
+                with pytest.raises(MessageLostError):
+                    transport.request(0, Op.get("apple"), 1.0)
+        assert not [
+            record for record in caplog.records
+            if "socket.send() raised exception" in record.getMessage()
+        ]
+
+    def test_oversize_length_prefix_fails_typed_and_closes(self):
+        client, fake_server = socket.socketpair()
+        transport = RemoteTransport(client)
+        try:
+            fake_server.sendall(_U32.pack(DEFAULT_MAX_FRAME + 1))
+            with pytest.raises(ProtocolError, match="exceeds"):
+                transport.request(0, Op.get("apple"), 5.0)
+            assert transport.sock is None
+            assert client.fileno() == -1
+            with pytest.raises(MessageLostError):
+                transport.request(0, Op.get("apple"), 5.0)
+        finally:
+            fake_server.close()
+
+    def test_tcp_session_sets_nodelay_and_starts_no_thread(self):
+        runner = LoopRunner()
+        server = ServingServer(Cluster(shards=1))
+        try:
+            host, port = runner.call(server.start_tcp(), DEFAULT_WALL_TIMEOUT)
+            threads = threading.active_count()
+            with connect(host=host, port=port) as session:
+                sock = session.transport.sock
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                session.file.insert("apple", "A")
+                assert session.file.get("apple") == "A"
+                assert threading.active_count() == threads
+        finally:
+            runner.call(server.stop(), DEFAULT_WALL_TIMEOUT)
+            runner.stop()
+
+    def test_failed_hello_leaks_no_thread_and_no_fd(self, tmp_path):
+        # A listener that accepts and hangs up: every connect() fails in
+        # its hello, and must give back what it opened.
+        path = str(tmp_path / "hang-up.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.settimeout(10.0)
+        listener.bind(path)
+        listener.listen()
+        try:
+            threads = threading.active_count()
+            fds = _open_fds()
+            for _ in range(3):
+                hang_up = threading.Thread(
+                    target=lambda: listener.accept()[0].close()
+                )
+                hang_up.start()
+                with pytest.raises(MessageLostError):
+                    connect(path=path)
+                hang_up.join(10.0)
+                assert not hang_up.is_alive()
+            assert threading.active_count() == threads
+            assert _open_fds() == fds
+        finally:
+            listener.close()
 
 
 # ======================================================================
