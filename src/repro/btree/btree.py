@@ -140,7 +140,7 @@ class BPlusTree:
                 self._insert(key, value)
         else:
             self._insert(key, value)
-        maybe_audit(self, f"BPlusTree.insert({key!r})")
+        maybe_audit(self, "BPlusTree.insert(%r)", key)
 
     def _insert(self, key: str, value: object = None) -> None:
         steps = self._descend(key)
@@ -166,7 +166,7 @@ class BPlusTree:
                 self._put(key, value)
         else:
             self._put(key, value)
-        maybe_audit(self, f"BPlusTree.put({key!r})")
+        maybe_audit(self, "BPlusTree.put(%r)", key)
 
     def _put(self, key: str, value: object = None) -> None:
         steps = self._descend(key)
@@ -294,7 +294,7 @@ class BPlusTree:
                 value = self._delete(key)
         else:
             value = self._delete(key)
-        maybe_audit(self, f"BPlusTree.delete({key!r})")
+        maybe_audit(self, "BPlusTree.delete(%r)", key)
         return value
 
     def _delete(self, key: str) -> object:

@@ -25,6 +25,13 @@ __all__ = ["maybe_audit", "paranoid_enabled", "set_paranoid"]
 
 _TRUTHY = ("1", "true", "yes", "on")
 
+#: The dict ``os.environ`` writes through to, and the flag's key in it.
+#: A membership test here sees every run-time ``setenv``/``delenv`` and
+#: raises nothing, where ``os.environ.get`` raises and catches a
+#: ``KeyError`` inside for an unset name (about 1 us per call).
+_ENVIRON = os.environ._data
+_FLAG = os.environ.encodekey("REPRO_PARANOID")
+
 #: Tri-state programmatic override: None defers to the environment.
 _paranoid_override: Optional[bool] = None
 
@@ -42,17 +49,21 @@ def paranoid_enabled() -> bool:
     """Is paranoid auditing active (override first, then the env var)?"""
     if _paranoid_override is not None:
         return _paranoid_override
+    if _FLAG not in _ENVIRON:
+        return False
     return os.environ.get("REPRO_PARANOID", "").strip().lower() in _TRUTHY
 
 
-def maybe_audit(obj: object, context: str = "") -> None:
+def maybe_audit(obj: object, context: str = "", *args: object) -> None:
     """Paranoid hook for mutation sites: audit ``obj`` when enabled.
 
     No-op unless paranoid mode is on; objects with no registered audit
     are skipped (harnesses can call this on anything they touch), as
     are calls made from inside a running audit.
     Raises :class:`~repro.check.framework.ParanoidAuditError` when the
-    audit is not ok.
+    audit is not ok, naming the site as ``context % args``: the site
+    passes its operands (``maybe_audit(self, "THFile.put(%r)", key)``)
+    and the string is built only for a failing audit.
     """
     global _active
     if _active or not paranoid_enabled():
@@ -74,4 +85,6 @@ def maybe_audit(obj: object, context: str = "") -> None:
         from ..obs.flight import FLIGHT
 
         FLIGHT.dump("paranoid-audit", extra=report.as_dict())
-        raise framework.ParanoidAuditError(report, context=context)
+        raise framework.ParanoidAuditError(
+            report, context=context % args if args else context
+        )

@@ -40,10 +40,23 @@ class LockManager:
     def __init__(self) -> None:
         #: resource -> set of (owner, mode) currently holding it.
         self._held: dict[Hashable, set[tuple[int, LockMode]]] = {}
-        #: resource -> FIFO of (owner, mode) waiting.
+        #: resource -> FIFO of (owner, mode) waiting; only non-empty
+        #: queues are kept, so a release promotes in O(waiting resources).
         self._queues: dict[Hashable, deque[tuple[int, LockMode]]] = {}
+        #: owner -> the resources it holds, in grant order (an ordered
+        #: set), so ``release_all`` visits only the owner's own locks.
+        self._owned: dict[int, dict[Hashable, None]] = {}
         self.conflicts = 0
         self.grants = 0
+
+    def _grant(self, owner: int, resource: Hashable, mode: LockMode) -> None:
+        self._held.setdefault(resource, set()).add((owner, mode))
+        self._owned.setdefault(owner, {})[resource] = None
+        self.grants += 1
+
+    def _enqueue(self, owner: int, resource: Hashable, mode: LockMode) -> None:
+        self.conflicts += 1
+        self._queues.setdefault(resource, deque()).append((owner, mode))
 
     # ------------------------------------------------------------------
     def try_acquire(self, owner: int, resource: Hashable, mode: LockMode) -> bool:
@@ -52,8 +65,8 @@ class LockManager:
         Re-acquiring a held resource upgrades S->X when possible (only
         holder) and is a no-op otherwise.
         """
-        held = self._held.setdefault(resource, set())
-        queue = self._queues.setdefault(resource, deque())
+        held = self._held.get(resource, ())
+        queue = self._queues.get(resource, ())
 
         mine = [(o, m) for o, m in held if o == owner]
         if mine:
@@ -62,21 +75,17 @@ class LockManager:
             # Upgrade request: possible only when alone.
             if len(held) == len(mine):
                 held.discard((owner, LockMode.SHARED))
-                held.add((owner, LockMode.EXCLUSIVE))
-                self.grants += 1
+                self._grant(owner, resource, LockMode.EXCLUSIVE)
                 return True
-            self.conflicts += 1
-            queue.append((owner, mode))
+            self._enqueue(owner, resource, mode)
             return False
 
         already_queued = any(o == owner for o, _ in queue)
         if not already_queued and not queue and _compatible(held, owner, mode):
-            held.add((owner, mode))
-            self.grants += 1
+            self._grant(owner, resource, mode)
             return True
         if not already_queued:
-            self.conflicts += 1
-            queue.append((owner, mode))
+            self._enqueue(owner, resource, mode)
         return False
 
     def release(self, owner: int, resource: Hashable) -> None:
@@ -84,16 +93,16 @@ class LockManager:
         held = self._held.get(resource)
         if held:
             held.difference_update({(owner, m) for m in LockMode})
+        self._owned.get(owner, {}).pop(resource, None)
         self._promote()
 
     def release_all(self, owner: int) -> list[Hashable]:
-        """Drop every lock ``owner`` holds; return resources released."""
-        released = []
-        for resource, held in self._held.items():
-            before = len(held)
-            held.difference_update({(owner, m) for m in LockMode})
-            if len(held) != before:
-                released.append(resource)
+        """Drop every lock ``owner`` holds; return the resources released,
+        in the order they were granted."""
+        released = list(self._owned.pop(owner, ()))
+        locks = {(owner, m) for m in LockMode}
+        for resource in released:
+            self._held[resource].difference_update(locks)
         self._promote()
         return released
 
@@ -109,16 +118,16 @@ class LockManager:
 
     def _promote(self) -> None:
         """Grant queued requests that became compatible, FIFO per resource."""
-        for resource, queue in self._queues.items():
+        for resource, queue in list(self._queues.items()):
             held = self._held.setdefault(resource, set())
             while queue:
                 owner, mode = queue[0]
-                if _compatible(held, owner, mode):
-                    queue.popleft()
-                    held.add((owner, mode))
-                    self.grants += 1
-                else:
+                if not _compatible(held, owner, mode):
                     break
+                queue.popleft()
+                self._grant(owner, resource, mode)
+            if not queue:
+                del self._queues[resource]
 
     def poll(self, owner: int) -> bool:
         """After some release, has ``owner``'s queued request been granted?

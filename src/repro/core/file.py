@@ -204,7 +204,7 @@ class THFile:
                 self._store_record(key, value, replace=False)
         else:
             self._store_record(key, value, replace=False)
-        maybe_audit(self, f"THFile.insert({key!r})")
+        maybe_audit(self, "THFile.insert(%r)", key)
 
     def put(self, key: str, value: object = None) -> None:
         """Insert or overwrite the record under ``key``."""
@@ -213,7 +213,7 @@ class THFile:
                 self._store_record(key, value, replace=True)
         else:
             self._store_record(key, value, replace=True)
-        maybe_audit(self, f"THFile.put({key!r})")
+        maybe_audit(self, "THFile.put(%r)", key)
 
     def _store_record(self, key: str, value: object, replace: bool) -> None:
         key = self.alphabet.validate_key(key)
@@ -387,7 +387,7 @@ class THFile:
                 value = self._delete(key)
         else:
             value = self._delete(key)
-        maybe_audit(self, f"THFile.delete({key!r})")
+        maybe_audit(self, "THFile.delete(%r)", key)
         return value
 
     def _delete(self, key: str) -> object:
@@ -634,7 +634,7 @@ class THFile:
             TRACER.emit(
                 "batch", op="put_many", keys=total, buckets=buckets_visited
             )
-        maybe_audit(self, f"THFile.put_many({total} keys)")
+        maybe_audit(self, "THFile.put_many(%d keys)", total)
 
     def _put_group(self, address, group):
         """Apply one bucket's worth of sorted upserts with one write."""

@@ -190,7 +190,7 @@ class TrieImage:
                 last = len(self.shards) - 1
             for gap in range(first, last + 1):
                 self.shards[gap] = shard
-        maybe_audit(self, f"TrieImage.patch({len(entries)} entries)")
+        maybe_audit(self, "TrieImage.patch(%d entries)", len(entries))
         return learned
 
     # ------------------------------------------------------------------

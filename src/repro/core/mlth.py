@@ -176,7 +176,7 @@ class MLTHFile:
                 self._insert(key, value)
         else:
             self._insert(key, value)
-        maybe_audit(self, f"MLTHFile.insert({key!r})")
+        maybe_audit(self, "MLTHFile.insert(%r)", key)
 
     def put(self, key: str, value: object = None) -> None:
         """Insert or overwrite the record under ``key``."""
@@ -185,7 +185,7 @@ class MLTHFile:
                 self._insert(key, value, replace=True)
         else:
             self._insert(key, value, replace=True)
-        maybe_audit(self, f"MLTHFile.put({key!r})")
+        maybe_audit(self, "MLTHFile.put(%r)", key)
 
     def _insert(
         self, key: str, value: object = None, replace: bool = False
@@ -492,7 +492,7 @@ class MLTHFile:
                 value = self._delete(key)
         else:
             value = self._delete(key)
-        maybe_audit(self, f"MLTHFile.delete({key!r})")
+        maybe_audit(self, "MLTHFile.delete(%r)", key)
         return value
 
     def _delete(self, key: str) -> object:
@@ -764,7 +764,7 @@ class MLTHFile:
                 keys=len(last_wins),
                 buckets=self.store.stats.reads - reads_before,
             )
-        maybe_audit(self, f"MLTHFile.put_many({len(last_wins)} keys)")
+        maybe_audit(self, "MLTHFile.put_many(%d keys)", len(last_wins))
 
     # ------------------------------------------------------------------
     # Metrics

@@ -31,7 +31,7 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
 from ..core.image import TrieImage
-from ..obs.metrics import LATENCY_BUCKETS
+from ..obs.metrics import LATENCY_BUCKETS, Counter, Gauge
 from ..obs.tracer import TRACER
 from .errors import (
     ConfigurationError,
@@ -100,6 +100,14 @@ class DistributedFile:
         self.retries_total = 0
         self._seq = 0
         self._rng = random.Random(client_id)
+        #: The image gap the last point op was addressed by.
+        self._gap = 0
+        # Per-op instruments, bound on first use: a bound instrument
+        # costs one ``inc``/``set`` and no label sort, and a series the
+        # client never touches is never created.
+        self._routed: dict[str, Counter] = {}
+        self._learned: Optional[Counter] = None
+        self._convergence_gauge: Optional[Gauge] = None
 
     # ------------------------------------------------------------------
     # Routing
@@ -179,17 +187,39 @@ class DistributedFile:
                 ).observe(self.router.now - start)
             return reply
 
-    def _absorb(self, reply: Reply) -> None:
+    def _address(self, key: str) -> int:
+        """The shard the image routes ``key`` to; remembers the gap."""
+        self._gap, shard = self.image.locate(key)
+        return shard
+
+    def _absorb(self, reply: Reply, gap: Optional[int] = None) -> None:
+        """Learn from ``reply``'s IAM and count the op's routing.
+
+        ``gap`` is the image gap the op was addressed by, when it had
+        one (point ops). A reply whose only IAM entry is that gap's
+        ``(low, high, shard)`` teaches nothing — the image already
+        holds the region — so the patch is skipped.
+        """
         registry = self.cluster.registry
         # The IAM is authoritative whatever the outcome — a reply whose
         # operation failed (duplicate key, missing key) still teaches
         # the client the true region cuts.
-        learned = self.image.patch(reply.iam)
-        self.iam_boundaries += learned
-        if learned:
-            registry.counter(
-                "dist_iam_boundaries_total", {"client": self.client_id}
-            ).inc(learned)
+        iam = reply.iam
+        image = self.image
+        known = (
+            gap is not None
+            and len(iam) == 1
+            and iam[0] == (*image.region(gap), image.shards[gap])
+        )
+        if not known:
+            learned = image.patch(iam)
+            self.iam_boundaries += learned
+            if learned:
+                if self._learned is None:
+                    self._learned = registry.counter(
+                        "dist_iam_boundaries_total", {"client": self.client_id}
+                    )
+                self._learned.inc(learned)
         if reply.error is not None:
             # Only resolved operations count toward convergence: an
             # errored reply measures the keyspace, not the routing.
@@ -201,18 +231,25 @@ class DistributedFile:
             self.ops_forwarded += 1
             self.window_forwarded += 1
             routed = "forwarded"
-        registry.counter(
-            "dist_client_ops_total", {"client": self.client_id, "routed": routed}
-        ).inc()
-        registry.gauge(
-            "dist_client_convergence", {"client": self.client_id}
-        ).set(self.convergence())
+        counter = self._routed.get(routed)
+        if counter is None:
+            counter = self._routed[routed] = registry.counter(
+                "dist_client_ops_total",
+                {"client": self.client_id, "routed": routed},
+            )
+        counter.inc()
+        gauge = self._convergence_gauge
+        if gauge is None:
+            gauge = self._convergence_gauge = registry.gauge(
+                "dist_client_convergence", {"client": self.client_id}
+            )
+        gauge.set(self.convergence())
 
     def _point(self, op: Op) -> object:
         if op.kind in MUTATING_OPS:
             op.rid = self._fresh_rid()
-        reply = self._send(op, lambda: self.image.shard_for_key(op.key))
-        self._absorb(reply)
+        reply = self._send(op, lambda: self._address(op.key))
+        self._absorb(reply, self._gap)
         if reply.error is not None:
             raise reply.error
         return reply.value

@@ -38,8 +38,8 @@ Three layers:
 
 from __future__ import annotations
 
-import io
 import struct
+from collections.abc import Callable
 from typing import Optional
 
 from ..check.framework import ParanoidAuditError
@@ -140,62 +140,69 @@ def _error_message(exc: BaseException) -> str:
 # ----------------------------------------------------------------------
 # Value layer
 # ----------------------------------------------------------------------
-def _write_str(out: io.BytesIO, text: str) -> None:
-    data = text.encode("utf-8")
-    out.write(_U32.pack(len(data)))
-    out.write(data)
+# Encoding appends parts (a tag and its fixed-size field pack in one
+# call) and joins them once; decoding reads the one payload buffer by
+# offset. Tags are compared as the byte values ``data[pos]`` yields.
+_TAG_U32 = struct.Struct(">cI")  # string, bytes and container heads
+_TAG_I64 = struct.Struct(">cq")
+_TAG_F64 = struct.Struct(">cd")
+_ERROR_HEAD = struct.Struct(">cHI")  # tag, error code, message length
+_u32_at = _U32.unpack_from
+_NONE, _TRUE, _FALSE, _INT, _BIG_INT, _FLOAT = b"NTFiIf"
+_STR, _BYTES, _TUPLE, _LIST, _DICT, _SET, _ERROR = b"sbtldSe"
 
 
-def _write_value(out: io.BytesIO, value: object) -> None:
+def _write_value(write: Callable[[bytes], None], value: object) -> None:
+    """Append ``value``'s encoding through ``write`` (a list's append).
+
+    The type tests are mutually exclusive but for ``bool``, which must
+    be seen before ``int``; the rest run in the order a message's
+    values are most often met.
+    """
     if value is None:
-        out.write(b"N")
+        write(b"N")
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        write(_TAG_U32.pack(b"s", len(data)))
+        write(data)
     elif value is True:
-        out.write(b"T")
+        write(b"T")
     elif value is False:
-        out.write(b"F")
+        write(b"F")
     elif isinstance(value, int):
         if -(2**63) <= value < 2**63:
-            out.write(b"i")
-            out.write(_I64.pack(value))
+            write(_TAG_I64.pack(b"i", value))
         else:
-            out.write(b"I")
-            _write_str(out, str(value))
-    elif isinstance(value, float):
-        out.write(b"f")
-        out.write(_F64.pack(value))
-    elif isinstance(value, str):
-        out.write(b"s")
-        _write_str(out, value)
-    elif isinstance(value, bytes):
-        out.write(b"b")
-        out.write(_U32.pack(len(value)))
-        out.write(value)
+            data = str(value).encode("utf-8")
+            write(_TAG_U32.pack(b"I", len(data)))
+            write(data)
     elif isinstance(value, tuple):
-        out.write(b"t")
-        out.write(_U32.pack(len(value)))
+        write(_TAG_U32.pack(b"t", len(value)))
         for item in value:
-            _write_value(out, item)
+            _write_value(write, item)
     elif isinstance(value, list):
-        out.write(b"l")
-        out.write(_U32.pack(len(value)))
+        write(_TAG_U32.pack(b"l", len(value)))
         for item in value:
-            _write_value(out, item)
+            _write_value(write, item)
     elif isinstance(value, dict):
-        out.write(b"d")
-        out.write(_U32.pack(len(value)))
+        write(_TAG_U32.pack(b"d", len(value)))
         for key, item in value.items():
-            _write_value(out, key)
-            _write_value(out, item)
+            _write_value(write, key)
+            _write_value(write, item)
+    elif isinstance(value, float):
+        write(_TAG_F64.pack(b"f", value))
+    elif isinstance(value, bytes):
+        write(_TAG_U32.pack(b"b", len(value)))
+        write(value)
     elif isinstance(value, (set, frozenset)):
-        out.write(b"S")
-        out.write(_U32.pack(len(value)))
+        write(_TAG_U32.pack(b"S", len(value)))
         # Sorted for a canonical encoding (sets have no wire order).
         for item in sorted(value, key=repr):
-            _write_value(out, item)
+            _write_value(write, item)
     elif isinstance(value, BaseException):
-        out.write(b"e")
-        out.write(_U16.pack(_error_code(value)))
-        _write_str(out, _error_message(value))
+        data = _error_message(value).encode("utf-8")
+        write(_ERROR_HEAD.pack(b"e", _error_code(value), len(data)))
+        write(data)
     else:
         raise ProtocolError(
             f"value of type {type(value).__name__!r} is not wire-encodable"
@@ -204,65 +211,87 @@ def _write_value(out: io.BytesIO, value: object) -> None:
 
 def encode_value(value: object) -> bytes:
     """Encode one value into the tagged-union wire form."""
-    out = io.BytesIO()
-    _write_value(out, value)
-    return out.getvalue()
+    parts: list[bytes] = []
+    _write_value(parts.append, value)
+    return b"".join(parts)
 
 
-def _read_exactly(stream: io.BytesIO, count: int) -> bytes:
-    data = stream.read(count)
-    if len(data) < count:
+def _read_str(data: bytes, pos: int) -> tuple[str, int]:
+    """The length-prefixed UTF-8 string at ``pos``, and the offset past it."""
+    (length,) = _u32_at(data, pos)
+    pos += 4
+    end = pos + length
+    if end > len(data):
         raise ProtocolError("truncated value payload")
-    return data
-
-
-def _read_str(stream: io.BytesIO) -> str:
-    (length,) = _U32.unpack(_read_exactly(stream, 4))
     try:
-        return _read_exactly(stream, length).decode("utf-8")
+        return data[pos:end].decode("utf-8"), end
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"malformed string payload: {exc}") from None
 
 
-def _read_value(stream: io.BytesIO) -> object:
-    tag = stream.read(1)
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        return _I64.unpack(_read_exactly(stream, 8))[0]
-    if tag == b"I":
-        return int(_read_str(stream))
-    if tag == b"f":
-        return _F64.unpack(_read_exactly(stream, 8))[0]
-    if tag == b"s":
-        return _read_str(stream)
-    if tag == b"b":
-        (length,) = _U32.unpack(_read_exactly(stream, 4))
-        return _read_exactly(stream, length)
-    if tag == b"t":
-        (count,) = _U32.unpack(_read_exactly(stream, 4))
-        return tuple(_read_value(stream) for _ in range(count))
-    if tag == b"l":
-        (count,) = _U32.unpack(_read_exactly(stream, 4))
-        return [_read_value(stream) for _ in range(count)]
-    if tag == b"d":
-        (count,) = _U32.unpack(_read_exactly(stream, 4))
-        return {_read_value(stream): _read_value(stream) for _ in range(count)}
-    if tag == b"S":
-        (count,) = _U32.unpack(_read_exactly(stream, 4))
-        return {_read_value(stream) for _ in range(count)}
-    if tag == b"e":
-        (code,) = _U16.unpack(_read_exactly(stream, 2))
-        message = _read_str(stream)
+def _read_value(data: bytes, pos: int) -> tuple[object, int]:
+    """The value encoded at ``pos``, and the offset just past it.
+
+    Reading past the end raises ``IndexError`` (a missing tag) or
+    ``struct.error`` (a short field); :func:`decode_value` turns both
+    into :class:`ProtocolError`.
+    """
+    tag = data[pos]
+    pos += 1
+    if tag == _STR:
+        return _read_str(data, pos)
+    if tag == _NONE:
+        return None, pos
+    if tag == _INT:
+        return _I64.unpack_from(data, pos)[0], pos + 8
+    if tag == _TUPLE or tag == _LIST:
+        (count,) = _u32_at(data, pos)
+        pos += 4
+        items = []
+        for _ in range(count):
+            item, pos = _read_value(data, pos)
+            items.append(item)
+        return (tuple(items) if tag == _TUPLE else items), pos
+    if tag == _TRUE:
+        return True, pos
+    if tag == _FALSE:
+        return False, pos
+    if tag == _DICT:
+        (count,) = _u32_at(data, pos)
+        pos += 4
+        mapping = {}
+        for _ in range(count):
+            key, pos = _read_value(data, pos)
+            mapping[key], pos = _read_value(data, pos)
+        return mapping, pos
+    if tag == _SET:
+        (count,) = _u32_at(data, pos)
+        pos += 4
+        members = set()
+        for _ in range(count):
+            item, pos = _read_value(data, pos)
+            members.add(item)
+        return members, pos
+    if tag == _FLOAT:
+        return _F64.unpack_from(data, pos)[0], pos + 8
+    if tag == _BIG_INT:
+        text, pos = _read_str(data, pos)
+        return int(text), pos
+    if tag == _BYTES:
+        (length,) = _u32_at(data, pos)
+        pos += 4
+        end = pos + length
+        if end > len(data):
+            raise ProtocolError("truncated value payload")
+        return bytes(data[pos:end]), end
+    if tag == _ERROR:
+        (code,) = _U16.unpack_from(data, pos)
+        message, pos = _read_str(data, pos + 2)
         klass = ERROR_CODES.get(code)
         if klass is None:
             raise ProtocolError(f"unknown wire error code {code}")
-        return klass(message)
-    raise ProtocolError(f"unknown value tag {tag!r}")
+        return klass(message), pos
+    raise ProtocolError(f"unknown value tag {bytes([tag])!r}")
 
 
 def decode_value(data: bytes) -> object:
@@ -271,18 +300,20 @@ def decode_value(data: bytes) -> object:
     Any bytes either decode or raise :class:`ProtocolError`. The tag
     walk rejects what it can see; the rest surfaces from Python itself
     and is converted here, once per payload rather than per value: a
-    big-int literal that is not a number (``ValueError``), an
-    unhashable dict key or set member (``TypeError``), and nesting
-    deeper than the interpreter stack (``RecursionError``).
+    read past the end (``IndexError``, ``struct.error``), a big-int
+    literal that is not a number (``ValueError``), an unhashable dict
+    key or set member (``TypeError``), and nesting deeper than the
+    interpreter stack (``RecursionError``).
     """
-    stream = io.BytesIO(data)
     try:
-        value = _read_value(stream)
+        value, end = _read_value(data, 0)
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated value payload") from None
     except (ValueError, TypeError, RecursionError) as exc:
         raise ProtocolError(
             f"malformed value payload ({type(exc).__name__})"
         ) from None
-    if stream.read(1):
+    if end != len(data):
         raise ProtocolError("trailing bytes after value")
     return value
 
@@ -302,9 +333,8 @@ def decode_op(data: bytes) -> Op:
     fields = decode_value(data)
     if not isinstance(fields, tuple) or len(fields) != 8:
         raise ProtocolError("malformed op payload")
-    kind, key, value, low, high, after, rid, ctx = fields
-    return Op(kind, key=key, value=value, low=low, high=high,
-              after=after, rid=rid, ctx=ctx)
+    # The slots travel in the constructor's positional order.
+    return Op(*fields)
 
 
 def encode_reply(reply: Reply) -> bytes:
@@ -330,21 +360,11 @@ def decode_reply(data: bytes) -> Reply:
     fields = decode_value(data)
     if not isinstance(fields, tuple) or len(fields) != 10:
         raise ProtocolError("malformed reply payload")
-    value, error, iam, forwards, owner, records, region_high, done, dedup, ctx = fields
+    error = fields[1]
     if error is not None and not isinstance(error, BaseException):
         raise ProtocolError("reply error field does not decode to an exception")
-    return Reply(
-        value=value,
-        error=error,
-        iam=iam,
-        forwards=forwards,
-        owner=owner,
-        records=records,
-        region_high=region_high,
-        done=done,
-        dedup=dedup,
-        ctx=ctx,
-    )
+    # The slots travel in the constructor's positional order.
+    return Reply(*fields)
 
 
 def roundtrip_op(op: Op) -> Op:

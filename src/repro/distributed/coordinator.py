@@ -398,15 +398,21 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Scale-out
     # ------------------------------------------------------------------
-    def maybe_split(self, shard_id: int) -> None:
-        """Scale ``shard_id`` out while it exceeds the load policy."""
+    def maybe_split(self, shard_id: int) -> bool:
+        """Scale ``shard_id`` out while it exceeds the load policy.
+
+        True when the partition changed (at least one split ran).
+        """
         if shard_id in self.migrations:
             # The region is mid-move; recutting it would invalidate the
             # migration snapshot. The target splits after cutover.
-            return
+            return False
+        split = False
         while self.shard_policy.should_split(len(self.servers[shard_id])):
             if not self.split_shard(shard_id):
-                return
+                break
+            split = True
+        return split
 
     def split_shard(self, shard_id: int) -> bool:
         """Cut the shard's region at its median records' split string."""

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, MetricsRegistry
 from ..obs.tracer import TRACER
 from .codec import roundtrip_op, roundtrip_reply
 from .errors import ServerDownError, UnknownShardError
@@ -65,6 +65,8 @@ class InProcessTransport:
         #: when replication is on). The perfect fabric has no clock, so
         #: it never fires it itself.
         self.on_tick = None
+        #: ``dist_messages_total`` per edge, bound on first use.
+        self._edges: dict[str, Counter] = {}
 
     def register(self, server: Any) -> None:
         """Attach a shard server under its id."""
@@ -88,7 +90,12 @@ class InProcessTransport:
 
     def _count(self, edge: str) -> None:
         self.messages += 1
-        self.registry.counter("dist_messages_total", {"edge": edge}).inc()
+        counter = self._edges.get(edge)
+        if counter is None:
+            counter = self._edges[edge] = self.registry.counter(
+                "dist_messages_total", {"edge": edge}
+            )
+        counter.inc()
 
     def _lookup(self, shard_id: int, edge: str = "request"):
         """The live server for ``shard_id``; typed errors otherwise."""

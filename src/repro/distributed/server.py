@@ -38,6 +38,7 @@ from ..core.errors import TrieHashingError
 from ..core.keys import prefix_le
 from ..core.range_query import scan as local_scan
 from ..obs.flight import FLIGHT
+from ..obs.metrics import Counter
 from ..obs.tracer import TRACER, TraceContext
 from ..storage.dedup import DedupWindow
 from ..storage.recovery import DurableFile
@@ -89,6 +90,8 @@ class ShardServer:
         #: catch-up buffers); each receives shipped-form record batches.
         self.taps: list = []
         self.file: Any = None
+        #: ``dist_server_ops_total`` per op kind, bound on first use.
+        self._op_counters: dict[str, Counter] = {}
         self.refill()
         router.register(self)
 
@@ -260,9 +263,12 @@ class ShardServer:
         duplicated or retried op opens its own span, so the causal tree
         shows each delivery separately while the rid ties them together.
         """
-        self.registry.counter(
-            "dist_server_ops_total", {"shard": self.shard_id, "op": op.kind}
-        ).inc()
+        counter = self._op_counters.get(op.kind)
+        if counter is None:
+            counter = self._op_counters[op.kind] = self.registry.counter(
+                "dist_server_ops_total", {"shard": self.shard_id, "op": op.kind}
+            )
+        counter.inc()
         if not TRACER.enabled:
             return self._dispatch(op)
         fields: dict[str, object] = {"shard": self.shard_id}
@@ -316,7 +322,8 @@ class ShardServer:
             # A malformed request is a protocol bug, not a storage error:
             # raise (typed) instead of smuggling it into Reply.error.
             raise ProtocolError(f"unknown point op kind {op.kind!r}")
-        owner = self.coordinator.owner_of(op.key)
+        model = self.coordinator.model
+        gap, owner = model.locate(op.key)
         if owner != self.shard_id:
             return self._forward(owner, op)
         if op.kind in MUTATING_OPS and op.rid is not None:
@@ -352,13 +359,13 @@ class ShardServer:
             self.router.note_apply(op.rid)
             # The op may have pushed this shard over its load policy;
             # scale out *before* building the IAM so the client learns
-            # the fresh cut immediately.
-            self.coordinator.maybe_split(self.shard_id)
+            # the fresh cut immediately. Only a split moves the key's
+            # region, so only a split needs it located again.
+            if self.coordinator.maybe_split(self.shard_id):
+                gap, owner = model.locate(op.key)
+        low, high = model.region(gap)
         return Reply(
-            value=value,
-            error=error,
-            iam=self.coordinator.iam_for_key(op.key),
-            owner=self.coordinator.owner_of(op.key),
+            value=value, error=error, iam=[(low, high, owner)], owner=owner
         )
 
     def _apply_mutation(self, op: Op):

@@ -34,6 +34,9 @@ class GridDirectoryModel:
         #: Sorted split lines per dimension.
         self.lines: list[list[str]] = [[] for _ in range(dimensions)]
         self._points: list[tuple[str, ...]] = []
+        #: Points per occupied cell: bumped on insert, recounted after a
+        #: split (a new line renumbers every cell of its slab).
+        self._counts: Counter = Counter()
         self._next_dim = 0
         self.splits = 0
 
@@ -44,10 +47,6 @@ class GridDirectoryModel:
             for d in range(self.dimensions)
         )
 
-    def _occupancy(self) -> dict[tuple[int, ...], int]:
-        counts: Counter = Counter(self._cell_of(p) for p in self._points)
-        return counts
-
     def insert(self, point: Sequence[str]) -> None:
         """Add a point; split the grid while any cell overflows."""
         point = tuple(point)
@@ -55,13 +54,13 @@ class GridDirectoryModel:
             raise ValueError("point dimensionality mismatch")
         self._points.append(point)
         cell = self._cell_of(point)
-        occupancy = self._occupancy()
+        self._counts[cell] += 1
         guard = 0
-        while occupancy[cell] > self.capacity:
+        while self._counts[cell] > self.capacity:
             self._split_cell(cell)
             self.splits += 1
             cell = self._cell_of(point)
-            occupancy = self._occupancy()
+            self._counts = Counter(self._cell_of(p) for p in self._points)
             guard += 1
             if guard > 64:  # duplicate-heavy corner: give up splitting
                 break
@@ -100,7 +99,7 @@ class GridDirectoryModel:
 
     def occupied_cells(self) -> int:
         """Cells actually holding data (directory entries minus empties)."""
-        return len(self._occupancy())
+        return len(self._counts)
 
     def __len__(self) -> int:
         return len(self._points)

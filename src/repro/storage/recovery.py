@@ -933,7 +933,7 @@ class DurableFile:
         self._ops_since_checkpoint += 1
         if self._ops_since_checkpoint >= self.checkpoint_every and not self._grouped:
             self.checkpoint()
-        maybe_audit(self, f"DurableFile op {rec_type} ({key!r})")
+        maybe_audit(self, "DurableFile op %s (%r)", rec_type, key)
         return out
 
     def insert(
@@ -1039,7 +1039,7 @@ class DurableFile:
         self._ops_since_checkpoint += len(pending)
         if self._ops_since_checkpoint >= self.checkpoint_every and not self._grouped:
             self.checkpoint()
-        maybe_audit(self, f"DurableFile.put_many({len(pending)} keys)")
+        maybe_audit(self, "DurableFile.put_many(%d keys)", len(pending))
 
     def check(self) -> None:
         """Run the engine's structural invariant check."""

@@ -460,6 +460,117 @@ class TestAbsorbAccounting:
         assert f.convergence() == 1.0
 
 
+class TestPointPath:
+    """What a point op pays above the trie, and what it must not lose.
+
+    The owning shard locates the key once and builds the reply's owner
+    and IAM from that gap (locating again only after a split), a
+    converged client skips the image patch, and the per-op instruments
+    are bound on first use.
+    """
+
+    def test_every_point_reply_names_the_owner_and_region_after_it(self):
+        cluster = Cluster(shards=1, shard_policy=ShardPolicy(shard_capacity=8))
+        coordinator = cluster.coordinator
+        first = min(coordinator.servers)
+        splits = moved = 0
+        for seq, key in enumerate(KeyGenerator(7).uniform(160), 1):
+            owner_before = coordinator.owner_of(key)
+            shards_before = cluster.shard_count()
+            op = Op.put(key, seq)
+            op.rid = (99, seq)
+            # Even ops go to the first shard, so some are forwarded.
+            target = owner_before if seq % 2 else first
+            reply = cluster.router.client_send(target, op)
+            assert reply.error is None
+            assert reply.iam == coordinator.iam_for_key(key)
+            assert reply.owner == coordinator.owner_of(key)
+            if cluster.shard_count() > shards_before:
+                splits += 1
+                moved += reply.owner != owner_before
+        # Both sides of the re-locate ran: splits that kept the key on
+        # its shard and splits that moved it to the new one.
+        assert splits > moved > 0
+        cluster.check()
+
+    def test_instruments_account_for_a_cold_run(self):
+        registry = MetricsRegistry()
+        cluster = Cluster(
+            shards=4, shard_policy=ShardPolicy(shard_capacity=48),
+            registry=registry,
+        )
+        f = cluster.client()
+        keys = KeyGenerator(17).uniform(400)
+        for key in keys:
+            f.insert(key, key.upper())
+        for key in keys[::3]:
+            assert f.get(key) == key.upper()
+        with pytest.raises(KeyNotFoundError):
+            f.get("missing")
+        assert f.ops_forwarded > 0 and cluster.shard_count() > 4
+
+        counters = registry.snapshot()["counters"]
+
+        def by_label(name, label):
+            return {
+                dict(inst.labels)[label]: inst.value
+                for inst in registry.instruments()
+                if inst.name == name
+            }
+
+        messages = by_label("dist_messages_total", "edge")
+        assert set(messages) == {"request", "forward", "reply"}
+        assert sum(messages.values()) == cluster.router.messages
+        routed = by_label("dist_client_ops_total", "routed")
+        assert routed == {
+            "forwarded": f.ops_forwarded,
+            "direct": f.ops_total - f.ops_forwarded,
+        }
+        # One handled delivery per request or forward reaching a shard.
+        handled = sum(
+            value for key, value in counters.items()
+            if key.startswith("dist_server_ops_total{")
+        )
+        assert handled == messages["request"] + messages["forward"]
+        # No series was created ahead of its first event: every counter
+        # counted something, and the one gauge holds the last value.
+        assert all(value > 0 for value in counters.values())
+        assert registry.gauge(
+            "dist_client_convergence", {"client": f.client_id}
+        ).value == f.convergence()
+
+    def test_converged_get_skips_the_image_patch(self, monkeypatch):
+        cluster = Cluster(shards=4, shard_policy=ShardPolicy(shard_capacity=64))
+        keys = KeyGenerator(3).uniform(300)
+        loader = cluster.client(warm=True)
+        for key in keys:
+            loader.insert(key, key.upper())
+        patched = []
+        original = TrieImage.patch
+
+        def spy(image, entries):
+            patched.append(image)
+            return original(image, entries)
+
+        monkeypatch.setattr(TrieImage, "patch", spy)
+        warm = cluster.client(warm=True)
+        assert [warm.get(key) for key in keys[:60]] == [
+            key.upper() for key in keys[:60]
+        ]
+        assert warm.image not in patched
+        cold = cluster.client()
+        for key in keys[:60]:
+            cold.get(key)
+        assert cold.iam_boundaries > 0
+        assert cold.image in patched
+        # Once the cold client has learned those regions, its gets on
+        # them stop patching too.
+        patched.clear()
+        for key in keys[:60]:
+            cold.get(key)
+        assert patched == []
+
+
 class TestIAMRobustness:
     def test_duplicate_entries_in_one_batch_are_safe(self):
         image = TrieImage(DEFAULT_ALPHABET, (), (0,))

@@ -74,8 +74,11 @@ def test_mutators_route_through_the_hook_themselves(paranoid):
     f = THFile(bucket_capacity=4)
     f.insert("abc")
     f._size += 3  # phantom records
-    with pytest.raises(ParanoidAuditError):
+    with pytest.raises(ParanoidAuditError) as caught:
         f.put("abd")
+    # The site passes its key; the context is formatted only now.
+    assert caught.value.context == "THFile.put('abd')"
+    assert "after THFile.put('abd')" in str(caught.value)
 
 
 def test_self_auditing_mutators_run_clean(paranoid):

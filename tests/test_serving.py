@@ -206,7 +206,116 @@ def _drive_faulty(fabric, client, registry, ops):
 # ======================================================================
 # The value codec
 # ======================================================================
+def _put_with_rid_and_ctx():
+    op = Op.put("key", {"v": [1, 2.5]})
+    op.rid = (7, 42)
+    op.ctx = (123, 456)
+    return op
+
+
+#: Wire bytes pinned under ``WIRE_VERSION`` 1, recorded from the codec
+#: as it stood before the offset decoder: (id, encode, decode, make,
+#: hex). A change to any of them is a wire break, not a refactor.
+_GOLDEN = [
+    (
+        "get-op",
+        encode_op,
+        decode_op,
+        lambda: Op.get("abc"),
+        "7400000008730000000367657473000000036162634e4e4e4e4e4e",
+    ),
+    (
+        "put-op-with-rid-and-ctx",
+        encode_op,
+        decode_op,
+        _put_with_rid_and_ctx,
+        "7400000008730000000370757473000000036b65796400000001730000000176"
+        "6c000000026900000000000000016640040000000000004e4e4e740000000269"
+        "000000000000000769000000000000002a740000000269000000000000007b69"
+        "00000000000001c8",
+    ),
+    (
+        "reply-with-one-iam-entry",
+        encode_reply,
+        decode_reply,
+        lambda: Reply(value="v", iam=[("g", "t", 5)], owner=5),
+        "740000000a7300000001764e6c00000001740000000373000000016773000000"
+        "01746900000000000000056900000000000000006900000000000000054e4e54"
+        "464e",
+    ),
+    (
+        "scan-reply",
+        encode_reply,
+        decode_reply,
+        lambda: Reply(
+            records=[("aa", 1), ("ab", None)],
+            region_high="t",
+            done=False,
+            iam=[(None, "t", 0)],
+            owner=0,
+        ),
+        "740000000a4e4e6c0000000174000000034e7300000001746900000000000000"
+        "006900000000000000006900000000000000006c000000027400000002730000"
+        "000261616900000000000000017400000002730000000261624e730000000174"
+        "46464e",
+    ),
+    (
+        "errored-reply",
+        encode_reply,
+        decode_reply,
+        lambda: Reply(
+            error=KeyNotFoundError("missing"),
+            iam=[("g", None, 2)],
+            owner=2,
+            forwards=1,
+        ),
+        "740000000a4e650004000000076d697373696e676c0000000174000000037300"
+        "000001674e690000000000000002690000000000000001690000000000000002"
+        "4e4e54464e",
+    ),
+    (
+        "big-int",
+        encode_value,
+        decode_value,
+        lambda: -(2**100),
+        "49000000202d3132363736353036303032323832323934303134393637303332"
+        "3035333736",
+    ),
+    (
+        "set",
+        encode_value,
+        decode_value,
+        lambda: {"b", "a", 10},
+        "530000000373000000016173000000016269000000000000000a",
+    ),
+    (
+        "control-dict",
+        encode_value,
+        decode_value,
+        lambda: {
+            "cmd": "crash", "shard": 3, "now": 1.5, "data": b"\x00\xff",
+            "ok": True,
+        },
+        "64000000057300000003636d6473000000056372617368730000000573686172"
+        "6469000000000000000373000000036e6f77663ff80000000000007300000004"
+        "64617461620000000200ff73000000026f6b54",
+    ),
+]
+
+
 class TestValueCodec:
+    @pytest.mark.parametrize(
+        "encode, decode, make, golden",
+        [row[1:] for row in _GOLDEN],
+        ids=[row[0] for row in _GOLDEN],
+    )
+    def test_wire_bytes_are_pinned(self, encode, decode, make, golden):
+        data = bytes.fromhex(golden)
+        assert WIRE_VERSION == 1
+        assert encode(make()) == data
+        # And the bytes decode to a message that encodes back to them.
+        assert encode(decode(data)) == data
+
     @pytest.mark.parametrize(
         "value",
         [
