@@ -147,9 +147,11 @@ class OverflowTHFile(THFile):
             list(primary.items()) + list(chain.items()) + [(key, value)]
         )
         total = len(records)
-        # Scale the policy's position to the doubled sequence; the
-        # bounding rule carries over unchanged.
-        m = max(1, min(total - 1, round(self.policy.split_index(self.capacity) / self.capacity * total)))
+        # Scale the policy's position from the b + 1 records a plain
+        # split divides to this longer sequence; the bounding rule
+        # carries over unchanged.
+        m = self.policy.split_index(self.capacity) * total / (self.capacity + 1)
+        m = max(1, min(total - 1, round(m)))
         bounding = (
             total
             if self.policy.bounding_offset is None

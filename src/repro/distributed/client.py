@@ -31,7 +31,7 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
 from ..core.image import TrieImage
-from ..obs.metrics import LATENCY_BUCKETS, Counter, Gauge
+from ..obs.metrics import LATENCY_BUCKETS, Counter, Gauge, Histogram
 from ..obs.tracer import TRACER
 from .errors import (
     ConfigurationError,
@@ -108,6 +108,7 @@ class DistributedFile:
         self._routed: dict[str, Counter] = {}
         self._learned: Optional[Counter] = None
         self._convergence_gauge: Optional[Gauge] = None
+        self._op_seconds: Optional[Histogram] = None
 
     # ------------------------------------------------------------------
     # Routing
@@ -182,9 +183,12 @@ class DistributedFile:
                 self.router.sleep(policy.backoff(attempt, self._rng))
                 continue
             if start is not None:
-                registry.histogram(
-                    "dist_op_seconds", bounds=LATENCY_BUCKETS
-                ).observe(self.router.now - start)
+                histogram = self._op_seconds
+                if histogram is None:
+                    histogram = self._op_seconds = registry.histogram(
+                        "dist_op_seconds", bounds=LATENCY_BUCKETS
+                    )
+                histogram.observe(self.router.now - start)
             return reply
 
     def _address(self, key: str) -> int:

@@ -399,23 +399,29 @@ class ShardServer:
         )
         return result
 
-    def _batch_iam(self, keys) -> list:
-        """IAM entries for every distinct region the batch touches.
+    def _partition(self, keys: list, items: list) -> tuple[list, list, list]:
+        """One pass of a batch leg over the partition.
 
-        A batch leg teaches the client all the cuts it tripped over in
-        one reply (a point op teaches exactly one), which is why the
-        leftover re-batching loop converges in a single extra round.
+        ``items[i]`` carries ``keys[i]``. Returns the items this shard
+        owns, the leftovers, and the IAM entries of every distinct
+        region the keys fall in, in first-seen order: a batch leg
+        teaches the client all the cuts it tripped over in one reply (a
+        point op teaches exactly one), which is why the leftover
+        re-batching loop converges in a single extra round.
         """
-        entries = []
-        seen: set[int] = set()
         model = self.coordinator.model
-        for key in keys:
+        owned: list = []
+        leftover: list = []
+        iam: list = []
+        seen: set[int] = set()
+        for key, item in zip(keys, items):
             gap, shard = model.locate(key)
+            (owned if shard == self.shard_id else leftover).append(item)
             if gap not in seen:
                 seen.add(gap)
                 low, high = model.region(gap)
-                entries.append((low, high, shard))
-        return entries
+                iam.append((low, high, shard))
+        return owned, leftover, iam
 
     def _handle_batch(self, op: Op) -> Reply:
         """Serve the owned slice of a batch; hand the rest back.
@@ -429,52 +435,28 @@ class ShardServer:
         point mutation — shard splits copy the window to both halves,
         so the guarantee survives keys migrating between deliveries.
         """
-        owner_of = self.coordinator.owner_of
-        owned: list = []
-        leftover: list = []
+        items = op.value
+        keys = items if op.kind == GET_MANY else [key for key, _ in items]
+        owned, leftover, iam = self._partition(keys, items)
+        value: object = None
+        error: Optional[Exception] = None
         if op.kind == GET_MANY:
-            keys = op.value
-            for key in keys:
-                (owned if owner_of(key) == self.shard_id else leftover).append(key)
-            found = self.file.get_many(owned) if owned else {}
+            value = self.file.get_many(owned) if owned else {}
+        elif op.rid is not None and self.dedup.lookup(op.rid)[0]:
+            # The owned slice already applied on an earlier delivery
+            # (possibly on the shard this window was inherited from);
+            # only the currently-unowned remainder goes back out.
+            self.registry.counter(
+                "dist_dedup_hits_total", {"shard": self.shard_id}
+            ).inc()
             if TRACER.enabled:
                 TRACER.emit(
-                    "batch_leg",
-                    shard=self.shard_id,
-                    op=op.kind,
-                    served=len(owned),
-                    leftover=len(leftover),
+                    "dedup_hit", shard=self.shard_id, rid=rid_str(op.rid)
                 )
             return Reply(
-                value=found,
-                records=leftover,
-                iam=self._batch_iam(keys),
-                owner=self.shard_id,
+                records=leftover, iam=iam, owner=self.shard_id, dedup=True
             )
-        items = op.value
-        for key, value in items:
-            (owned if owner_of(key) == self.shard_id else leftover).append((key, value))
-        if op.rid is not None:
-            hit, _stored = self.dedup.lookup(op.rid)
-            if hit:
-                # The owned slice already applied on an earlier delivery
-                # (possibly on the shard this window was inherited from);
-                # only the currently-unowned remainder goes back out.
-                self.registry.counter(
-                    "dist_dedup_hits_total", {"shard": self.shard_id}
-                ).inc()
-                if TRACER.enabled:
-                    TRACER.emit(
-                        "dedup_hit", shard=self.shard_id, rid=rid_str(op.rid)
-                    )
-                return Reply(
-                    records=leftover,
-                    iam=self._batch_iam([k for k, _ in items]),
-                    owner=self.shard_id,
-                    dedup=True,
-                )
-        error: Optional[Exception] = None
-        if owned:
+        elif owned:
             try:
                 if isinstance(self.file, DurableFile):
                     # The durable session records the id itself, after
@@ -491,7 +473,10 @@ class ShardServer:
                 error = exc
             if error is None:
                 self.router.note_apply(op.rid)
-                self.coordinator.maybe_split(self.shard_id)
+                # Only a split moves regions, so only a split needs the
+                # IAM built again.
+                if self.coordinator.maybe_split(self.shard_id):
+                    iam = self._partition(keys, items)[2]
         if TRACER.enabled:
             TRACER.emit(
                 "batch_leg",
@@ -501,9 +486,10 @@ class ShardServer:
                 leftover=len(leftover),
             )
         return Reply(
+            value=value,
             error=error,
             records=leftover,
-            iam=self._batch_iam([k for k, _ in items]),
+            iam=iam,
             owner=self.shard_id,
         )
 

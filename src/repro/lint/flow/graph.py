@@ -27,6 +27,11 @@ Resolution policy (the soundness contract rules rely on):
   follow widened edges (:data:`CallSite.kind` is ``"widened"``).
 * A call that resolves to nothing at all is *opaque* ("may call
   anything"); rules treat it per their own policy.
+* A callable handed to ``loop.call_soon``, ``call_soon_threadsafe``,
+  ``call_later`` or ``call_at`` is recorded as one more call site of
+  the function that schedules it (:data:`CallSite.scheduled`), resolved
+  like a call: it runs later, as an event-loop callback, so ordering
+  rules must not read it as running where it is scheduled.
 
 External calls (``time.sleep``, ``os.fsync``...) resolve to their full
 dotted name via the import map, so aliasing a module never hides one.
@@ -56,7 +61,16 @@ __all__ = [
 ]
 
 #: Bump whenever the summary layout changes (invalidates every cache).
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
+
+#: Loop methods that schedule a callback, and the position of the
+#: callable among their arguments.
+_SCHEDULERS = {
+    "call_soon": 0,
+    "call_soon_threadsafe": 0,
+    "call_later": 1,
+    "call_at": 1,
+}
 
 
 def source_hash(source: str) -> str:
@@ -103,6 +117,9 @@ class CallSite:
     target: str = ""
     #: Receiver rendering for diagnostics (``self.file`` → ``file``).
     recv: str = ""
+    #: True for a callable handed to a loop scheduler rather than
+    #: called here (see :data:`_SCHEDULERS`).
+    scheduled: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -112,6 +129,7 @@ class CallSite:
             "attr": self.attr,
             "target": self.target,
             "recv": self.recv,
+            "scheduled": self.scheduled,
         }
 
     @classmethod
@@ -521,9 +539,14 @@ class _FunctionExtractor:
         call_index: dict = {}
         for child in self._walk_own(node):
             if isinstance(child, ast.Call):
-                site = self._classify_call(child)
                 call_index[id(child)] = len(summary.calls)
-                summary.calls.append(site)
+                summary.calls.append(self._classify(child.func, child))
+                callback = _scheduled_callable(child)
+                if callback is not None:
+                    call_index[id(callback)] = len(summary.calls)
+                    site = self._classify(callback, callback)
+                    site.scheduled = True
+                    summary.calls.append(site)
             elif isinstance(child, ast.Raise) and child.exc is not None:
                 name = self._raise_name(child.exc)
                 if name:
@@ -548,9 +571,9 @@ class _FunctionExtractor:
             yield child
             stack.extend(ast.iter_child_nodes(child))
 
-    def _classify_call(self, call: ast.Call) -> CallSite:
-        func = call.func
-        line, col = call.lineno, call.col_offset
+    def _classify(self, func: ast.AST, where: ast.AST) -> CallSite:
+        """The call site of callee expression ``func``, located at ``where``."""
+        line, col = where.lineno, where.col_offset
         if isinstance(func, ast.Name):
             name = func.id
             if name in self.nested:
@@ -636,6 +659,19 @@ class _FunctionExtractor:
             else:
                 found.append(self.imports.resolve(dotted) or dotted)
         return found
+
+
+def _scheduled_callable(call: ast.Call) -> Optional[ast.AST]:
+    """The callable ``call`` hands to a loop scheduler, when ``call`` is
+    one and the callable is a plain name or attribute reference."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or func.attr not in _SCHEDULERS:
+        return None
+    position = _SCHEDULERS[func.attr]
+    if len(call.args) <= position:
+        return None
+    callback = call.args[position]
+    return callback if isinstance(callback, (ast.Name, ast.Attribute)) else None
 
 
 def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:

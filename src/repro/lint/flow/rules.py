@@ -25,6 +25,7 @@ from .graph import CallSite, FunctionNode, Program
 __all__ = [
     "FlowRule",
     "all_flow_rules",
+    "event_loop_entries",
     "flow_rule",
 ]
 
@@ -91,6 +92,41 @@ def _render_chain(program: Program, parents: dict, qualname: str) -> str:
     return " -> ".join(short)
 
 
+#: Bases whose subclasses' methods the event loop calls back.
+_PROTOCOL_BASES = {"asyncio.Protocol", "asyncio.BaseProtocol"}
+
+
+def event_loop_entries(program: Program) -> list[str]:
+    """Everything the serving event loop runs, as traversal entries.
+
+    In ``repro.serving``: every coroutine, every method of a class
+    whose bases include ``asyncio.Protocol`` or ``asyncio.BaseProtocol``
+    (``data_received`` and the other transport callbacks), and every
+    callable handed to ``loop.call_soon``, ``call_soon_threadsafe``,
+    ``call_later`` or ``call_at``. TH010 and TH011 both start from
+    this set.
+    """
+    entries = []
+    for node in program.functions.values():
+        if not node.module.startswith("repro.serving"):
+            continue
+        if node.summary.is_async or _is_protocol_method(program, node):
+            entries.append(node.qualname)
+        for index, site in enumerate(node.summary.calls):
+            if site.scheduled:
+                entries += node.edges[index] + node.widened[index]
+    return entries
+
+
+def _is_protocol_method(program: Program, node: FunctionNode) -> bool:
+    if node.summary.cls is None or "<locals>" in node.summary.qual:
+        return False
+    return any(
+        _PROTOCOL_BASES.intersection(program.classes[ancestor][1].bases)
+        for ancestor in program.ancestry(f"{node.module}.{node.summary.cls}")
+    )
+
+
 # ----------------------------------------------------------------------
 # TH010 — transitive blocking calls under the serving event loop
 # ----------------------------------------------------------------------
@@ -110,22 +146,20 @@ def _is_blocking(target: str) -> bool:
 @flow_rule(
     "TH010",
     "blocking-call-reachable-from-coroutine",
-    "no blocking call reachable from a repro.serving coroutine "
+    "no blocking call reachable from the serving event loop: "
+    "repro.serving coroutines, protocol callbacks and loop callbacks "
     "(subsumes the retired per-file TH009)",
 )
 def check_blocking_reachability(program: Program) -> Iterator[LintViolation]:
     """The serving tier is one event loop per process: ``time.sleep``,
     a synchronous socket, or an ``os.fsync`` stalls every connection
-    the loop multiplexes — whether it sits *in* the coroutine (TH009's
-    old direct check) or three sync helpers down the call chain. The
-    traversal follows widened attribute calls (``router.sleep`` may
-    dispatch to any ``sleep`` method in the program), so the diagnostic
-    chain names how the loop can reach the blocking site."""
-    entries = [
-        node.qualname
-        for node in program.functions.values()
-        if node.summary.is_async and node.module.startswith("repro.serving")
-    ]
+    the loop multiplexes — whether it sits *in* a loop entry (TH009's
+    old direct check on coroutines) or three sync helpers down the call
+    chain. The entries are :func:`event_loop_entries`. The traversal
+    follows widened attribute calls (``router.sleep`` may dispatch to
+    any ``sleep`` method in the program), so the diagnostic chain names
+    how the loop can reach the blocking site."""
+    entries = event_loop_entries(program)
     if not entries:
         return
     parents = program.reachable(
@@ -162,8 +196,8 @@ def _messages_module(program: Program):
 
 
 def _dispatch_entries(program: Program) -> list[str]:
-    """The wire dispatch surface: shard dispatch + serving coroutines."""
-    entries = []
+    """The wire dispatch surface: shard dispatch + the event-loop entries."""
+    entries = event_loop_entries(program)
     for node in program.functions.values():
         if (
             node.module.endswith(".server")
@@ -171,8 +205,6 @@ def _dispatch_entries(program: Program) -> list[str]:
             and node.summary.cls.endswith("Server")
             and node.summary.name in ("handle", "_dispatch")
         ):
-            entries.append(node.qualname)
-        elif node.summary.is_async and ".serving" in f".{node.module}":
             entries.append(node.qualname)
     return entries
 
@@ -347,13 +379,14 @@ def check_commit_ordering(program: Program) -> Iterator[LintViolation]:
             continue
         calls = node.summary.calls
         order = {tuple(pair) for pair in node.summary.order}
-        barriers = [i for i, s in enumerate(calls) if _is_barrier(s)]
-        appends = [i for i, s in enumerate(calls) if _is_wal_append(s)]
-        records = [i for i, s in enumerate(calls) if _is_dedup_record(s)]
-        ships = [i for i, s in enumerate(calls) if _is_ship(s)]
-        replies = [
-            i for i, s in enumerate(calls) if _is_reply_build(s, program)
-        ]
+        # A scheduled callable runs later, not where it is scheduled:
+        # a deferred ``wal.commit`` is no barrier for what follows it.
+        sites = [(i, s) for i, s in enumerate(calls) if not s.scheduled]
+        barriers = [i for i, s in sites if _is_barrier(s)]
+        appends = [i for i, s in sites if _is_wal_append(s)]
+        records = [i for i, s in sites if _is_dedup_record(s)]
+        ships = [i for i, s in sites if _is_ship(s)]
+        replies = [i for i, s in sites if _is_reply_build(s, program)]
         for record in records:
             preceded_by_append = any(
                 (append, record) in order for append in appends

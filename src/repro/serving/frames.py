@@ -1,13 +1,14 @@
-"""Async length-prefixed frame I/O shared by the server and the client.
+"""Length-prefixed frame reading shared by the server and the clients.
 
 A frame on the stream is ``u32 length | frame body``, where the body is
 what :func:`~repro.distributed.codec.pack_frame` produced (version,
 kind, correlation id, payload) and ``length`` counts the body alone.
-Reading is the only shared concern — writing is ``writer.write(frame)``
+Reading is the only shared concern — writing is one write of the frame,
 since :func:`~repro.distributed.codec.pack_frame` already emits the
 length prefix. :func:`frame_length` is the length-cap check every
-reader runs, the async :func:`read_frame` and the blocking
-:class:`~repro.serving.client.RemoteTransport` alike.
+reader runs: the server's per-connection protocol, the async
+:func:`read_frame` of :class:`~repro.serving.client.AsyncClient` and the
+blocking :class:`~repro.serving.client.RemoteTransport` alike.
 """
 
 from __future__ import annotations

@@ -8,31 +8,38 @@ servers, coordinator and exactly-once machinery the in-process fabric
 drives — so everything proven over the simulated transport holds over
 a real wire.
 
-Architecture, and why it is shaped this way:
+Architecture — one callback path:
 
-* **One reader task per connection** parses frames and feeds a single
-  **bounded queue** (``max_queue``). The bound is the backpressure
-  valve: when the dispatcher falls behind, ``queue.put`` blocks the
-  reader coroutine, TCP/UDS flow control pushes back on the client,
-  and memory stays bounded instead of buffering an unbounded burst.
-* **One dispatcher task** drains the queue in micro-batches (up to
-  ``batch_max`` frames). Single-threaded dispatch is what makes the
-  shard layer's single-writer assumptions hold without locks — the
-  asyncio loop serialises all op execution exactly like the in-process
-  fabric does.
-* **Group fsync.** If a micro-batch contains any mutation, the
-  dispatcher opens one :func:`~repro.storage.recovery.group_commit`
-  for the rest of the batch: each op still appends its WAL record
-  immediately, and its durable file joins the group on that append.
-  The fsync barrier is paid **once per batch per written file**, not
-  once per op; shards the batch never wrote pay nothing. Replies are
-  withheld until the group closes, preserving the
-  ack protocol — a client never sees an ack for an op whose WAL record
-  could still be lost.
-* **Controls are barriers.** Control commands (crash, restart, stats,
-  ...) close the open group and flush pending replies before running,
-  so a crash injected over the wire can never interleave with a
-  half-committed batch.
+* **A protocol per connection.** Each connection is an
+  :class:`asyncio.Protocol`; ``data_received`` splits the whole frames
+  off its own buffer (:func:`~repro.serving.frames.frame_length` is the
+  length check) into the server's pending batch, and hangs up on a
+  stream that can no longer be framed (a foreign wire version, an empty
+  or an oversized frame).
+* **One batch callback.** The first frame of a loop iteration schedules
+  one ``call_soon`` that runs every frame pending by then, so a batch
+  reads each connection at most once. The loop runs one callback at a
+  time, which is what makes the shard layer's single-writer assumptions
+  hold without locks.
+* **Group fsync.** A batch's first mutation opens one
+  :func:`~repro.storage.recovery.group_commit` for the rest of the
+  batch; a durable file joins it on its first WAL append, so the fsync
+  barrier is paid once per batch per written file. Replies are withheld
+  until the group closes: a client never sees an ack for an op whose
+  WAL record could still be lost.
+* **Controls are barriers.** A control (crash, restart, stats, ...)
+  closes the open group and releases its replies before it runs. The
+  ``stall`` test hook pauses batch processing; the frames that arrive
+  meanwhile join the next batch.
+* **Replies are never awaited.** A reply leaves through
+  ``transport.write``. A batch runs a connection's frames only until
+  their replies pass its transport's low-water mark; the rest wait on
+  the connection, its reading paused, for a later batch, so one
+  pipelining client cannot make a batch long for the others. Once its
+  unsent replies pass the high-water mark, a connection runs and reads
+  nothing until they drain: a client that never reads holds back only
+  itself, with at most one read of requests and the two water marks
+  plus one reply of replies. There is no queue and no knob.
 
 Op and reply values cross the codec at this boundary (the op is decoded
 from the frame, the reply encoded into one), so no Python reference is
@@ -58,11 +65,12 @@ from ..distributed.codec import (
     encode_reply,
     encode_value,
     pack_frame,
+    unpack_frame,
 )
 from ..distributed.errors import ProtocolError
 from ..distributed.messages import MUTATING_OPS, Op
 from ..storage.recovery import group_commit
-from .frames import DEFAULT_MAX_FRAME, read_frame
+from .frames import frame_length
 
 __all__ = ["ServingServer"]
 
@@ -73,15 +81,55 @@ _U32 = struct.Struct(">I")
 _CLIENT_ID_BASE = 1000
 
 
-class _Conn:
-    """One accepted connection (its reader feeds the shared queue)."""
+class _Conn(asyncio.Protocol):
+    """One accepted connection: frames its bytes into the server's batch."""
 
-    __slots__ = ("reader", "writer", "alive")
+    __slots__ = ("server", "transport", "buffer", "held", "blocked")
 
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
-        self.alive = True
+    def __init__(self, server: "ServingServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+        #: Frames a batch left for a later one; its reading is paused.
+        self.held: list = []
+        #: Its unsent replies are past the high-water mark.
+        self.blocked = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conns.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._conns.discard(self)
+        self.held = []
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        start = 0
+        try:
+            while len(buffer) - start >= 4:
+                end = start + 4 + frame_length(buffer[start:start + 4])
+                if len(buffer) < end:
+                    break
+                frame = unpack_frame(bytes(buffer[start + 4:end]))
+                start = end
+                self.server._accept(self, frame)
+        except ProtocolError:
+            # A foreign version, an empty or an oversized frame: the
+            # stream can no longer be framed, so hang up.
+            self.transport.close()
+        del buffer[:start]
+
+    def pause_writing(self) -> None:
+        # The client is not reading its replies: stop reading its
+        # requests until they drain, so it holds back only itself.
+        self.blocked = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.blocked = False
+        self.server._release(self)
 
 
 class ServingServer:
@@ -96,43 +144,30 @@ class ServingServer:
         :class:`~repro.distributed.faults.FaultyTransport` around the
         client's transport), where drops and delays are visible to the
         retry loop under test.
-    max_queue:
-        Bound of the shared op queue — the backpressure valve.
-    batch_max:
-        Most frames one dispatcher micro-batch will drain (and so the
-        most WAL appends one group fsync can amortise).
+    health_interval:
+        Wall-clock failure-detection period. When positive, a loop
+        timer calls ``coordinator.tick(monotonic())`` at this rate, so
+        a replicated deployment promotes backups on real time even with
+        no simulated clock in sight. ``0`` disables it (the chaos
+        harness drives ticks through the control plane instead, keeping
+        detection deterministic).
     """
 
-    def __init__(
-        self,
-        cluster,
-        max_queue: int = 256,
-        batch_max: int = 64,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        health_interval: float = 0.0,
-    ):
+    def __init__(self, cluster, health_interval: float = 0.0):
         self.cluster = cluster
         self.router = cluster.router
-        self.max_queue = max_queue
-        self.batch_max = batch_max
-        self.max_frame = max_frame
-        #: Wall-clock failure-detection period. When positive, a health
-        #: task polls ``coordinator.tick(monotonic())`` at this rate, so
-        #: a replicated deployment promotes backups on real time even
-        #: with no simulated clock in sight. ``0`` disables the task
-        #: (the chaos harness drives ticks through the control plane
-        #: instead, keeping detection deterministic).
         self.health_interval = health_interval
         self._server: Optional[asyncio.AbstractServer] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._health: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._health: Optional[asyncio.TimerHandle] = None
         self._conns: set = set()
+        #: Frames received and not yet run: ``(conn, kind, corr_id, payload)``.
+        self._pending: list = []
+        #: The scheduled batch callback, or the timer ending a ``stall``;
+        #: while it is set, arriving frames just join the pending batch.
+        self._wakeup: Optional[asyncio.Handle] = None
         self._next_client = _CLIENT_ID_BASE
-        self._stall = 0.0
-        self._busy = False
-        self._draining = False
-        #: Dispatcher-side counters (exposed by the ``stats`` control).
+        #: Batch counters (exposed by the ``stats`` control).
         self.batches = 0
         self.grouped_batches = 0
 
@@ -141,191 +176,169 @@ class ServingServer:
     # ------------------------------------------------------------------
     async def start_unix(self, path: str) -> str:
         """Listen on a Unix-domain socket at ``path``."""
-        self._start_dispatcher()
-        self._server = await asyncio.start_unix_server(self._on_conn, path=path)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_unix_server(lambda: _Conn(self), path=path)
+        self._started(loop)
         return path
 
     async def start_tcp(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Listen on TCP; returns the bound ``(host, port)``."""
-        self._start_dispatcher()
-        self._server = await asyncio.start_server(self._on_conn, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Conn(self), host, port)
+        self._started(loop)
         return self._server.sockets[0].getsockname()[:2]
 
-    def _start_dispatcher(self) -> None:
-        # The queue binds to the running loop, so it is created here
-        # rather than in __init__ (which may run on another thread).
-        self._queue = asyncio.Queue(self.max_queue)
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+    def _started(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
         if self.health_interval > 0:
-            self._health = asyncio.ensure_future(self._health_loop())
+            self._health = loop.call_later(self.health_interval, self._health_tick)
 
-    async def _health_loop(self) -> None:
-        """Drive the failure detector off wall time (see ``health_interval``)."""
-        while True:
-            await asyncio.sleep(self.health_interval)
-            # Runs between dispatcher batches on the same loop, so a
-            # promotion can never interleave with an open commit group.
-            self.cluster.coordinator.tick(time.monotonic())
+    def _health_tick(self) -> None:
+        # Runs between batches on the same loop, so a promotion can
+        # never interleave with an open commit group.
+        self.cluster.coordinator.tick(time.monotonic())
+        self._health = self._loop.call_later(self.health_interval, self._health_tick)
 
     async def stop(self) -> None:
-        """Stop accepting, cancel the dispatcher, drop all connections."""
+        """Stop accepting and drop every connection, with the frames and
+        replies it had not run or sent."""
         if self._server is not None:
             self._server.close()
+        for timer in (self._health, self._wakeup):
+            if timer is not None:
+                timer.cancel()
+        self._health = self._wakeup = None
+        self._pending = []
+        for conn in list(self._conns):
+            conn.transport.abort()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in (self._dispatcher, self._health):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._dispatcher = None
-        self._health = None
-        for conn in list(self._conns):
-            self._drop(conn)
 
     async def shutdown(self, drain_timeout: float = 10.0) -> int:
         """Graceful stop: refuse new connections, drain, fsync, close.
 
-        The sequence the ack protocol demands: first the listener
-        closes (no new connections; ops already queued or still
-        arriving on live connections keep flowing), then the dispatcher
-        drains until the queue is empty and no batch is mid-flight (or
-        ``drain_timeout`` wall-seconds pass — a client that never stops
-        writing must not hold shutdown hostage forever), then every
-        live durable shard takes a final WAL commit so any record
-        appended outside a closed group is fsynced, and only then do
-        connections drop. No acked write can be lost: every ack was
-        preceded by its group fsync, and the final commit is a
-        belt-and-braces barrier for anything later. Returns the number
-        of batches dispatched during the drain.
+        The listener closes first; frames on live connections keep
+        flowing until none is pending or held and every reply has left
+        (or ``drain_timeout`` wall-seconds pass: a client that never
+        stops writing, or never reads, must not hold shutdown hostage).
+        Then every live durable shard takes a final WAL commit, so a
+        record appended outside a closed group is fsynced too, and only
+        then do connections drop. Returns the batches run while draining.
         """
-        self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         drained_from = self.batches
         deadline = time.monotonic() + drain_timeout
-        while self._queue is not None and (
-            not self._queue.empty() or self._busy
+        while time.monotonic() < deadline and (
+            self._pending
+            or any(c.held or c.transport.get_write_buffer_size() for c in self._conns)
         ):
-            if time.monotonic() >= deadline:
-                break
             await asyncio.sleep(0.005)
         for server in self.cluster.coordinator.servers.values():
             wal = getattr(server.file, "wal", None)
-            if (
-                wal is not None
-                and not server.down
-                and wal.store.exists(wal.name)  # never-written shard: no segment yet
-            ):
+            # A never-written shard has no segment yet.
+            if wal is not None and not server.down and wal.store.exists(wal.name):
                 wal.commit()
         drained = self.batches - drained_from
         await self.stop()
         return drained
 
-    def _drop(self, conn: _Conn) -> None:
-        conn.alive = False
-        self._conns.discard(conn)
+    # ------------------------------------------------------------------
+    # Batches
+    # ------------------------------------------------------------------
+    def _accept(self, conn: _Conn, frame: tuple) -> None:
+        """Add one frame to the pending batch; the first schedules it."""
+        if self._wakeup is None:
+            self._wakeup = self._loop.call_soon(self._run_batch)
+        self._pending.append((conn, *frame))
+
+    def _release(self, conn: _Conn) -> None:
+        """Queue ``conn``'s held frames for the next batch, or read it again."""
+        if not conn.held:
+            conn.transport.resume_reading()
+            return
+        if self._wakeup is None:
+            self._wakeup = self._loop.call_soon(self._run_batch)
+        self._pending += conn.held
+        conn.held = []
+
+    def _run_batch(self) -> None:
+        self._wakeup = None
+        batch, self._pending = self._pending, []
+        if not batch:
+            return  # a stall ended with nothing waiting
         try:
-            conn.writer.close()
-        except Exception:  # repro-lint: disable=TH002 -- teardown of a possibly half-dead socket must never raise
-            pass
+            self._process(batch)
+        except Exception:  # repro-lint: disable=TH002 -- a failed batch (its group fsync raised) would leave its clients waiting silently for replies that never come; dropping the connections surfaces it as MessageLostError instead
+            for conn in list(self._conns):
+                conn.transport.close()
 
-    # ------------------------------------------------------------------
-    # Per-connection reader
-    # ------------------------------------------------------------------
-    async def _on_conn(self, reader, writer) -> None:
-        conn = _Conn(reader, writer)
-        self._conns.add(conn)
-        try:
-            while True:
-                kind, corr_id, payload = await read_frame(
-                    reader, self.max_frame
-                )
-                # The bounded put is the backpressure point: a slow
-                # dispatcher blocks this reader, and the kernel socket
-                # buffer then pushes back on the client.
-                await self._queue.put((conn, kind, corr_id, payload))
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # client went away — normal teardown
-        except ProtocolError:
-            # Unknown version / oversized frame: the stream can no
-            # longer be framed, so the only safe move is to hang up.
-            pass
-        finally:
-            self._drop(conn)
-
-    # ------------------------------------------------------------------
-    # Dispatcher
-    # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        while True:
-            item = await self._queue.get()
-            # _busy spans from dequeue to reply flush: the graceful
-            # drain uses it to tell "queue empty" from "batch still in
-            # flight" (set without an await in between, so it can never
-            # miss the item just taken).
-            self._busy = True
-            batch = [item]
-            while len(batch) < self.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                await self._process(batch)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # repro-lint: disable=TH002 -- a dispatcher death would hang every pending client silently; dropping the connections surfaces it as MessageLostError instead
-                for conn in list(self._conns):
-                    self._drop(conn)
-            finally:
-                self._busy = False
-
-    async def _process(self, batch: list) -> None:
+    def _process(self, batch: list) -> None:
         self.batches += 1
-        pending: list[tuple[_Conn, bytes]] = []
+        replies: list[tuple[_Conn, bytes]] = []
+        #: Reply bytes each connection may still take in this batch.
+        room: dict = {}
         stack: Optional[ExitStack] = None
         try:
-            for conn, kind, corr_id, payload in batch:
+            for index, item in enumerate(batch):
+                conn, kind, corr_id, payload = item
+                left = room.get(conn)
+                if left is None:
+                    # A batch runs a connection's frames until their
+                    # replies pass its transport's low-water mark, and
+                    # none while its unsent replies are past the high.
+                    limits = conn.transport.get_write_buffer_limits()
+                    left = -1 if conn.blocked else limits[0]
+                if left < 0:
+                    # Its later frames wait for a later batch.
+                    conn.held.append(item)
+                    continue
                 if kind == FRAME_CONTROL:
                     # Controls are barriers: fsync the open group and
                     # release its acks before the control runs.
                     stack = self._close_group(stack)
-                    await self._flush(pending)
-                    pending = []
-                    await self._handle_control(conn, corr_id, payload)
+                    self._send(replies)
+                    replies = []
+                    reply = self._control(corr_id, payload)
+                    self._send([(conn, reply)])
+                    room[conn] = left - len(reply)
+                    if self._wakeup is not None:
+                        # A stall: the rest of the batch waits for it,
+                        # each frame behind those its connection holds.
+                        for rest in batch[index + 1:]:
+                            held = rest[0].held
+                            (held if held else self._pending).append(rest)
+                        break
                     continue
-                if kind != FRAME_REQUEST:
-                    pending.append(self._raised(
-                        conn, corr_id,
-                        ProtocolError(f"unexpected frame kind {kind}"),
-                    ))
-                    continue
-                if self._stall:
-                    # Test hook: park the dispatcher mid-stream so that
-                    # deadline and batching behaviour can be exercised
-                    # deterministically over a real wire.
-                    delay, self._stall = self._stall, 0.0
-                    stack = self._close_group(stack)
-                    await self._flush(pending)
-                    pending = []
-                    await asyncio.sleep(delay)
                 try:
+                    if kind != FRAME_REQUEST:
+                        raise ProtocolError(f"unexpected frame kind {kind}")
                     shard_id, op = self._decode_request(payload)
                 except ProtocolError as exc:
-                    pending.append(self._raised(conn, corr_id, exc))
-                    continue
-                if op.kind in MUTATING_OPS and stack is None:
-                    stack = self._open_group()
-                pending.append((conn, self._execute(shard_id, op, corr_id)))
+                    body = b"\x01" + encode_value(exc)
+                    reply = pack_frame(FRAME_RESPONSE, corr_id, body)
+                else:
+                    if op.kind in MUTATING_OPS and stack is None:
+                        stack = self._open_group()
+                    reply = self._execute(shard_id, op, corr_id)
+                replies.append((conn, reply))
+                room[conn] = left - len(reply)
         finally:
             # The fsync barrier: replies must not leave before it.
             stack = self._close_group(stack)
-        await self._flush(pending)
+        self._send(replies)
+        for conn in room:
+            if conn.held:
+                conn.transport.pause_reading()
+            if not conn.blocked:
+                self._release(conn)
+
+    @staticmethod
+    def _send(replies: list) -> None:
+        for conn, frame in replies:
+            if not conn.transport.is_closing():
+                conn.transport.write(frame)
 
     # ------------------------------------------------------------------
     # Request execution
@@ -337,22 +350,16 @@ class ServingServer:
         (shard_id,) = _U32.unpack_from(payload)
         op = decode_op(payload[4:])
         if not isinstance(op.kind, str):
-            # The dispatcher branches on the kind outside any handler's
+            # The batch branches on the kind outside any handler's
             # error boundary, so a hostile one must fail typed here.
             raise ProtocolError("op kind is not a string")
         return shard_id, op
-
-    @staticmethod
-    def _raised(conn: _Conn, corr_id: int, exc: BaseException):
-        return conn, pack_frame(
-            FRAME_RESPONSE, corr_id, b"\x01" + encode_value(exc)
-        )
 
     def _execute(self, shard_id: int, op: Op, corr_id: int) -> bytes:
         """Run one op; the response frame (Reply or raised outcome)."""
         try:
             body = b"\x00" + encode_reply(self.router.deliver(shard_id, op))
-        except Exception as exc:  # repro-lint: disable=TH002 -- the wire boundary: every failure must become a typed error frame, not a dead dispatcher
+        except Exception as exc:  # repro-lint: disable=TH002 -- the wire boundary: every failure must become a typed error frame, not a failed batch
             body = b"\x01" + encode_value(exc)
         return pack_frame(FRAME_RESPONSE, corr_id, body)
 
@@ -370,31 +377,18 @@ class ServingServer:
         return None
 
     # ------------------------------------------------------------------
-    # Replies
-    # ------------------------------------------------------------------
-    async def _flush(self, pending: list) -> None:
-        for conn, frame in pending:
-            if not conn.alive:
-                continue
-            try:
-                conn.writer.write(frame)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                self._drop(conn)
-
-    # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    async def _handle_control(self, conn, corr_id, payload) -> None:
+    def _control(self, corr_id: int, payload: bytes) -> bytes:
+        """Run one control frame; its reply frame."""
         try:
             command = decode_value(payload)
             if not isinstance(command, dict):
                 raise ProtocolError("control payload must be a dict")
-            result = self._run_control(command)
-            body = b"\x00" + encode_value(result)
-        except Exception as exc:  # repro-lint: disable=TH002 -- same wire boundary as _execute: a bad control must answer, not kill dispatch
+            body = b"\x00" + encode_value(self._run_control(command))
+        except Exception as exc:  # repro-lint: disable=TH002 -- same wire boundary as _execute: a bad control must answer, not fail the batch
             body = b"\x01" + encode_value(exc)
-        await self._flush([(conn, pack_frame(FRAME_CONTROL_REPLY, corr_id, body))])
+        return pack_frame(FRAME_CONTROL_REPLY, corr_id, body)
 
     def _run_control(self, command: dict):
         cmd = command.get("cmd")
@@ -477,7 +471,12 @@ class ServingServer:
         if cmd == "duplicate_applies":
             return self.router.duplicate_applies()
         if cmd == "stall":
-            self._stall = float(command["seconds"])
+            # Test hook: pause batch processing, so deadlines and
+            # batching can be exercised over a real wire; the rest of
+            # this batch and what arrives meanwhile run when it ends.
+            self._wakeup = self._loop.call_later(
+                float(command["seconds"]), self._run_batch
+            )
             return True
         if cmd == "stats":
             return {

@@ -53,19 +53,12 @@ class ServingFixture:
     shard policy the test needs. The fixture only serves it.
     """
 
-    def __init__(
-        self,
-        cluster,
-        max_queue: int = 256,
-        batch_max: int = 64,
-    ):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.tmp = tempfile.mkdtemp(prefix="th-serving-")
         self.path = os.path.join(self.tmp, "th.sock")
         self.runner = LoopRunner()
-        self.server = ServingServer(
-            cluster, max_queue=max_queue, batch_max=batch_max
-        )
+        self.server = ServingServer(cluster)
         try:
             self.runner.call(
                 self.server.start_unix(self.path), DEFAULT_WALL_TIMEOUT

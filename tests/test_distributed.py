@@ -23,6 +23,7 @@ from repro import (
 from repro.core.alphabet import DEFAULT_ALPHABET
 from repro.core.errors import TrieCorruptionError, TrieHashingError
 from repro.core.policies import SplitPolicy
+from repro.distributed.faults import FaultPlan
 from repro.distributed.messages import Op
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.persistence import dump_bytes
@@ -539,6 +540,30 @@ class TestPointPath:
             "dist_client_convergence", {"client": f.client_id}
         ).value == f.convergence()
 
+    def test_op_latency_histogram_is_bound_once(self, monkeypatch):
+        # A FaultyTransport has a clock, so every op observes its latency.
+        registry = MetricsRegistry()
+        cluster = Cluster(shards=2, faults=FaultPlan(seed=1), registry=registry)
+        f = cluster.client()
+        lookups = []
+        original = MetricsRegistry.histogram
+
+        def spy(self, name, *args, **kwargs):
+            lookups.append(name)
+            return original(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "histogram", spy)
+        keys = KeyGenerator(13).uniform(40)
+        for key in keys:
+            f.insert(key, key.upper())
+        assert [f.get(key) for key in keys] == [key.upper() for key in keys]
+        assert lookups == ["dist_op_seconds"]
+        (histogram,) = [
+            inst for inst in registry.instruments()
+            if inst.name == "dist_op_seconds"
+        ]
+        assert histogram.total == 2 * len(keys)
+
     def test_converged_get_skips_the_image_patch(self, monkeypatch):
         cluster = Cluster(shards=4, shard_policy=ShardPolicy(shard_capacity=64))
         keys = KeyGenerator(3).uniform(300)
@@ -569,6 +594,66 @@ class TestPointPath:
         for key in keys[:60]:
             cold.get(key)
         assert patched == []
+
+
+class TestBatchLegs:
+    """A batch leg locates each key once on its shard, and its reply's
+    IAM names every region the leg touched, as the partition stands
+    after the leg."""
+
+    @staticmethod
+    def _regions_after(coordinator, keys):
+        regions = []
+        for key in keys:
+            (entry,) = coordinator.iam_for_key(key)
+            if entry not in regions:
+                regions.append(entry)
+        return regions
+
+    def test_every_leg_iam_names_each_region_after_it_once(self):
+        cluster = Cluster(shards=2, shard_policy=ShardPolicy(shard_capacity=16))
+        coordinator = cluster.coordinator
+        keys = KeyGenerator(11).uniform(240)
+        splits = 0
+        for seq, start in enumerate(range(0, len(keys), 24), 1):
+            chunk = sorted(keys[start:start + 24])
+            target = coordinator.owner_of(chunk[len(chunk) // 2])
+            shards_before = cluster.shard_count()
+            op = Op.put_many([(key, seq) for key in chunk])
+            op.rid = (77, seq)
+            reply = cluster.router.client_send(target, op)
+            assert reply.error is None
+            assert reply.iam == self._regions_after(coordinator, chunk)
+            splits += cluster.shard_count() > shards_before
+            reply = cluster.router.client_send(target, Op.get_many(chunk))
+            assert reply.iam == self._regions_after(coordinator, chunk)
+            assert len(reply.value) + len(reply.records) == len(chunk)
+        assert splits > 0
+        cluster.check()
+
+    def test_a_leg_that_does_not_split_locates_each_key_once(self, monkeypatch):
+        cluster = Cluster(shards=4, shard_policy=ShardPolicy(shard_capacity=4096))
+        coordinator = cluster.coordinator
+        keys = sorted(KeyGenerator(5).uniform(300))
+        target = coordinator.owner_of(keys[0])
+        located = []
+        original = TrieImage.locate
+
+        def spy(image, key):
+            if image is coordinator.model:
+                located.append(key)
+            return original(image, key)
+
+        monkeypatch.setattr(TrieImage, "locate", spy)
+        op = Op.put_many([(key, key.upper()) for key in keys])
+        op.rid = (88, 1)
+        reply = cluster.router.client_send(target, op)
+        assert reply.error is None and 0 < len(reply.records) < len(keys)
+        assert sorted(located) == keys
+        located.clear()
+        reply = cluster.router.client_send(target, Op.get_many(keys))
+        assert 0 < len(reply.value) < len(keys)
+        assert sorted(located) == keys
 
 
 class TestIAMRobustness:

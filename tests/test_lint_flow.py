@@ -22,7 +22,12 @@ from repro.lint.flow import (
     to_sarif,
 )
 from repro.lint.flow.engine import CODE_ALIASES, DEFAULT_BASELINE
-from repro.lint.flow.rules import all_flow_rules
+from repro.lint.flow.graph import summarize_module
+from repro.lint.flow.rules import (
+    TOOLING_MODULES,
+    all_flow_rules,
+    event_loop_entries,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +106,106 @@ class TestTH010:
             ),
         })
         assert codes(findings(program, "TH010")) == ["TH010"]
+
+    def test_trips_through_a_protocol_that_schedules_a_batch(self):
+        # No coroutine anywhere: the loop enters through the protocol's
+        # data_received, which schedules the server's batch callback.
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n"
+                "from repro.util.pacing import backoff\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def __init__(self, server):\n"
+                "        self.server = server\n\n"
+                "    def data_received(self, data):\n"
+                "        self.server.loop.call_soon(self.server.run_batch)\n\n\n"
+                "class Server:\n"
+                "    def run_batch(self):\n"
+                "        backoff(1)\n"
+            ),
+            "repro.util.pacing": (
+                "import time\n\n"
+                "def backoff(n):\n"
+                "    time.sleep(n)\n"
+            ),
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert found[0].path == "repro/util/pacing.py"
+        assert "Server.run_batch -> util.pacing.backoff" in found[0].message
+
+    def test_a_protocol_callback_is_an_entry_of_its_own(self):
+        program = build({
+            "repro.serving.server": (
+                "from asyncio import BaseProtocol\n"
+                "import time\n\n\n"
+                "class Conn(BaseProtocol):\n"
+                "    def eof_received(self):\n"
+                "        time.sleep(1)\n"
+            ),
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert "server.Conn.eof_received" in found[0].message
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            "call_soon(self.tick)",
+            "call_soon_threadsafe(self.tick)",
+            "call_later(1.0, self.tick)",
+            "call_at(5.0, self.tick)",
+        ],
+    )
+    def test_a_scheduled_callable_is_an_entry_of_its_own(self, schedule):
+        # arm() runs off the loop, but what it schedules runs on it.
+        program = build({
+            "repro.serving.server": (
+                "import time\n\n\n"
+                "class Server:\n"
+                "    def arm(self, loop):\n"
+                f"        loop.{schedule}\n\n"
+                "    def tick(self):\n"
+                "        time.sleep(1)\n"
+            ),
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert "server.Server.tick" in found[0].message
+
+    def test_loop_safe_callbacks_pass(self):
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n"
+                "import time\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def connection_made(self, transport):\n"
+                "        self.transport = transport\n\n"
+                "    def data_received(self, data):\n"
+                "        asyncio.get_running_loop().call_soon(self.echo, data)\n\n"
+                "    def echo(self, data):\n"
+                "        self.transport.write(data)\n\n\n"
+                "def pace(seconds):\n"
+                "    time.sleep(seconds)  # never scheduled on the loop\n"
+            ),
+        })
+        assert findings(program, "TH010") == []
+
+    def test_the_real_event_loop_reaches_the_batch_path(self):
+        # The serving server has no coroutine on its request path: the
+        # protocol and loop-callback entries must carry the traversal.
+        summaries = {}
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            summary = summarize_module(path)
+            summaries[summary.module] = summary
+        program = build_program(summaries)
+        parents = program.reachable(
+            event_loop_entries(program),
+            follow_widened=True,
+            skip_modules=TOOLING_MODULES,
+        )
+        for name in ("_process", "_execute", "_run_control"):
+            assert f"repro.serving.server.ServingServer.{name}" in parents
 
 
 # ======================================================================
@@ -308,6 +413,42 @@ class TestTH012:
             ),
         })
         assert findings(program, "TH012") == []
+
+    def test_a_scheduled_commit_is_no_barrier(self):
+        # The commit runs later, on the loop: the ack still precedes it.
+        program = build({
+            "repro.serving.fake": (
+                "class Store:\n"
+                "    def op(self, rid, out):\n"
+                "        self.wal.append('r', {})\n"
+                "        self.loop.call_soon(self.wal.commit)\n"
+                "        self.dedup.record(rid, out)\n"
+            ),
+        })
+        found = findings(program, "TH012")
+        assert codes(found) == ["TH012"]
+        assert "before any fsync barrier" in found[0].message
+
+    def test_a_scheduled_publish_does_not_precede_the_reply(self):
+        # The publish is only scheduled before the reply; the one ship
+        # that runs here comes after it.
+        program = build({
+            "repro.distributed.fake": (
+                "class Reply:\n"
+                "    pass\n"
+                "\n\n"
+                "class Server:\n"
+                "    def mutate(self, rid):\n"
+                "        self.dedup.record(rid, None)\n"
+                "        self.loop.call_soon(self._publish)\n"
+                "        out = Reply()\n"
+                "        self.replicator.ship([rid])\n"
+                "        return out\n"
+            ),
+        })
+        found = findings(program, "TH012")
+        assert codes(found) == ["TH012"]
+        assert "ship-before-ack" in found[0].message
 
     def test_out_of_scope_modules_are_ignored(self):
         program = build({

@@ -9,8 +9,9 @@ Four layers of coverage, innermost first:
 * the frame envelope — version gating and the length cap;
 * a live server over a Unix-domain socket — point ops, scans, batches,
   IAM convergence, typed errors, pipelining, group fsync amortisation,
-  deadlines with dedup, backpressure, crash controls, hostile frames
-  and TCP, and the edges of the blocking transport a session drives
+  deadlines with dedup, crash controls, hostile frames, a client that
+  never reads its replies, connections that never frame, and TCP, and
+  the edges of the blocking transport a session drives
   (late replies, a deadline mid-frame, hang-ups, an oversized prefix,
   socket set-up, a failed hello);
 * the acceptance bridge — the chaos differential schedule replayed
@@ -19,12 +20,15 @@ Four layers of coverage, innermost first:
 """
 
 import asyncio
+import contextlib
+import itertools
 import logging
 import os
 import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -519,7 +523,7 @@ class TestFrames:
             with pytest.raises(ProtocolError, match="exceeds"):
                 await read_frame(reader, max_frame=1024)
 
-        asyncio.new_event_loop().run_until_complete(oversized())
+        asyncio.run(oversized())
 
 
 # ======================================================================
@@ -858,12 +862,11 @@ class TestBlockingTransport:
 # Backpressure and wire damage
 # ======================================================================
 class TestTransportEdges:
-    def test_tiny_queue_survives_a_pipelined_burst(self):
-        # max_queue=2: the readers block on the bounded queue and the
-        # kernel socket buffer absorbs the rest. Nothing is dropped;
-        # the burst completes exactly.
+    def test_pipelined_burst_is_answered_exactly(self):
+        # The whole burst lands in a few reads of one connection: every
+        # get is answered, and each answer finds its own request.
         keys = sorted(set(_keys(80)))
-        with ServingFixture(Cluster(shards=2), max_queue=2, batch_max=2) as fx:
+        with ServingFixture(Cluster(shards=2)) as fx:
             with fx.open_session() as loader:
                 loader.file.put_many((k, k.upper()) for k in keys)
             runner, conn = fx.open_conn()
@@ -919,6 +922,239 @@ class TestTransportEdges:
                 reply = runner.call(conn.request(0, Op.get("apple"), 5.0), 10.0)
                 assert reply.value == "A"
                 assert bystander.file.get("apple") == "A"
+
+
+# ======================================================================
+# Clients that never read, and connections that never frame
+# ======================================================================
+def _raw_conn(fx):
+    """A bare socket to the fixture's server: the test owns every byte."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(DEFAULT_WALL_TIMEOUT)
+    sock.connect(fx.path)
+    return sock
+
+
+def _read_frames(sock, count):
+    """The next ``count`` frames off a blocking socket."""
+    frames = []
+    inbox = bytearray()
+    while len(frames) < count:
+        chunk = sock.recv(1 << 16)
+        assert chunk, "the server hung up"
+        inbox += chunk
+        while len(inbox) >= 4 and len(inbox) >= 4 + _U32.unpack_from(inbox)[0]:
+            end = 4 + _U32.unpack_from(inbox)[0]
+            frames.append(unpack_frame(bytes(inbox[4:end])))
+            del inbox[:end]
+    return frames
+
+
+def _settled_conns(fx):
+    """``(reading, unsent bytes, (low, high) water marks, frames held)``
+    of every server-side connection, once no frame is waiting to run
+    (sampled on the server's loop)."""
+
+    async def probe():
+        while fx.server._pending:
+            await asyncio.sleep(0.005)
+        return [
+            (
+                conn.transport.is_reading(),
+                conn.transport.get_write_buffer_size(),
+                conn.transport.get_write_buffer_limits(),
+                len(conn.held),
+            )
+            for conn in fx.server._conns
+        ]
+
+    return fx.runner.call(probe(), DEFAULT_WALL_TIMEOUT)
+
+
+def _paused_conn(fx):
+    """``(unsent, limits, held)`` of the one server-side connection whose
+    reading is paused."""
+    ((_, *paused),) = [s for s in _settled_conns(fx) if not s[0]]
+    return paused
+
+
+def _scanned_shard():
+    """A one-shard cluster's keys (400, each scan reply ~17 KB) and the
+    request payload of a full scan of its shard."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    keys = [
+        "".join(p)
+        for p in itertools.islice(
+            itertools.product(letters, repeat=3), 0, 400 * 37, 37
+        )
+    ]
+    cluster = Cluster(shards=1, shard_policy=ShardPolicy(shard_capacity=1024))
+    scan = _U32.pack(min(cluster.coordinator.servers)) + encode_op(Op.scan())
+    return cluster, keys, scan
+
+
+class TestSlowAndHostileClients:
+    def test_a_client_that_never_reads_holds_back_only_itself(self):
+        cluster, keys, scan = _scanned_shard()
+        retry = RetryPolicy(timeout=0.25, max_retries=2)
+        with ServingFixture(cluster) as fx:
+            with fx.open_session(retry=retry) as bystander:
+                bystander.file.put_many((k, k * 8) for k in keys)
+                slow = _raw_conn(fx)
+                try:
+                    # 64 full scans of ~17 KB each: far more than the
+                    # kernel socket buffer and the transport's high-water
+                    # mark hold, and this client reads none of them.
+                    batches = fx.server.batches
+                    slow.sendall(b"".join(
+                        pack_frame(FRAME_REQUEST, i, scan) for i in range(64)
+                    ))
+                    deadline = time.monotonic() + DEFAULT_WALL_TIMEOUT
+                    while fx.server.batches == batches:  # the flood is taken up
+                        assert time.monotonic() < deadline, "flood never run"
+                        time.sleep(0.001)
+                    assert bystander.file.get(keys[7]) == keys[7] * 8
+                    while all(s[0] for s in _settled_conns(fx)):
+                        assert time.monotonic() < deadline, "never paused"
+                        time.sleep(0.01)
+                    unsent = _paused_conn(fx)[0]
+                    assert unsent > 0
+                    # The client keeps writing; the server reads none of
+                    # it, so its unsent replies do not grow.
+                    slow.setblocking(False)
+                    sent = 64
+                    with contextlib.suppress(BlockingIOError):
+                        while sent < 128:
+                            slow.sendall(pack_frame(FRAME_REQUEST, sent, scan))
+                            sent += 1
+                    time.sleep(0.2)
+                    assert _paused_conn(fx)[0] <= unsent
+                    assert bystander.file.get(keys[9]) == keys[9] * 8
+                    # Once it reads, the server reads it again: every
+                    # scan it sent is answered, none lost.
+                    slow.setblocking(True)
+                    replies = _read_frames(slow, sent)
+                    assert sorted(corr for _, corr, _ in replies) == list(range(sent))
+                    kind, _, payload = replies[-1]
+                    assert (kind, payload[0]) == (FRAME_RESPONSE, 0)
+                    assert len(decode_reply(payload[1:]).records) == len(keys)
+                finally:
+                    slow.close()
+
+    def test_one_read_of_requests_runs_only_as_far_as_its_replies_drain(self):
+        # One 256 KiB write, as much as asyncio takes in one read, is
+        # ~7 400 full scans (~125 MB of replies). The server runs only
+        # as many as the socket buffers and the transport's water marks
+        # hold; the rest wait on the connection, and its reading pauses.
+        cluster, keys, scan = _scanned_shard()
+        frame_size = len(pack_frame(FRAME_REQUEST, 0, scan))
+        count = (256 * 1024) // frame_size
+        retry = RetryPolicy(timeout=0.25, max_retries=2)
+        with ServingFixture(cluster) as fx:
+            with fx.open_session(retry=retry) as bystander:
+                bystander.file.put_many((k, k * 8) for k in keys)
+                slow = _raw_conn(fx)
+                try:
+                    batches = fx.server.batches
+                    slow.sendall(b"".join(
+                        pack_frame(FRAME_REQUEST, i, scan) for i in range(count)
+                    ))
+                    deadline = time.monotonic() + DEFAULT_WALL_TIMEOUT
+                    while fx.server.batches == batches:  # the flood is taken up
+                        assert time.monotonic() < deadline, "flood never run"
+                        time.sleep(0.001)
+                    assert bystander.file.get(keys[7]) == keys[7] * 8
+                    assert bystander.file.retries_total == 0
+                    unsent, (low, high), held = _paused_conn(fx)
+                    assert held > count // 2
+                    kind, corr_id, payload = _read_frames(slow, 1)[0]
+                    assert (kind, corr_id) == (FRAME_RESPONSE, 0)
+                    reply_size = len(pack_frame(kind, corr_id, payload))
+                    # A batch stops giving the connection frames once its
+                    # replies pass the low-water mark; past the high-water
+                    # mark it gets none.
+                    assert unsent <= high + low + reply_size
+                finally:
+                    slow.close()
+                assert bystander.file.get(keys[9]) == keys[9] * 8
+
+    def test_a_pipelined_flood_is_answered_in_order(self):
+        # Thousands of frames in one burst: each batch runs only a share
+        # of them and the rest wait on the connection, yet every reply
+        # comes back, in order, and each get sees the put before it.
+        cluster = Cluster(shards=1, shard_policy=ShardPolicy(shard_capacity=8192))
+        shard = _U32.pack(min(cluster.coordinator.servers))
+        keys = _keys(1500)
+        frames = []
+        for i, key in enumerate(keys):
+            frames.append(pack_frame(
+                FRAME_REQUEST, 2 * i, shard + encode_op(Op.put(key, f"v{i}"))
+            ))
+            frames.append(pack_frame(
+                FRAME_REQUEST, 2 * i + 1, shard + encode_op(Op.get(key))
+            ))
+        with ServingFixture(cluster) as fx:
+            raw = _raw_conn(fx)
+            try:
+                batches = fx.server.batches
+                raw.sendall(b"".join(frames))
+                replies = _read_frames(raw, len(frames))
+            finally:
+                raw.close()
+            assert fx.server.batches - batches > 1
+        assert [corr for _, corr, _ in replies] == list(range(len(frames)))
+        assert all(payload[0] == 0 for _, _, payload in replies)
+        gets = [decode_reply(p[1:]).value for _, corr, p in replies if corr % 2]
+        assert gets == [f"v{i}" for i in range(len(keys))]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "zero-prefix",
+            "truncated-prefix",
+            "oversize-prefix",
+            "half-frame",
+            "half-open",
+        ],
+    )
+    def test_a_hostile_connection_spares_a_bystander(self, case):
+        cluster = Cluster(shards=1)
+        get = pack_frame(
+            FRAME_REQUEST,
+            5,
+            _U32.pack(min(cluster.coordinator.servers)) + encode_op(Op.get("apple")),
+        )
+        half = len(get) // 2
+        with ServingFixture(cluster) as fx:
+            with fx.open_session() as bystander:
+                bystander.file.insert("apple", "A")
+                raw = _raw_conn(fx)
+                try:
+                    if case == "zero-prefix":
+                        raw.sendall(_U32.pack(0))
+                    elif case == "truncated-prefix":
+                        raw.sendall(get[:2])
+                        raw.close()
+                    elif case == "oversize-prefix":
+                        raw.sendall(_U32.pack(DEFAULT_MAX_FRAME + 1))
+                    elif case == "half-frame":
+                        raw.sendall(get[:half])
+                    else:
+                        raw.sendall(get)
+                        raw.shutdown(socket.SHUT_WR)
+                    assert bystander.file.get("apple") == "A"
+                    assert bystander.file.retries_total == 0
+                    if case in ("zero-prefix", "oversize-prefix"):
+                        assert raw.recv(1) == b""  # hung up
+                    elif case == "half-frame":
+                        # No idle deadline: the half frame waits, whole
+                        # once the rest arrives.
+                        raw.sendall(get[half:])
+                        ((kind, corr_id, payload),) = _read_frames(raw, 1)
+                        assert (kind, corr_id) == (FRAME_RESPONSE, 5)
+                        assert decode_reply(payload[1:]).value == "A"
+                finally:
+                    raw.close()
 
 
 # ======================================================================
