@@ -18,7 +18,8 @@ One :func:`reproduce` call runs a *profile* of the standard suites
   (the repo root, when run from there) — the documents committed to git
   that ``scripts/bench_gate.py`` diffs a fresh run against in CI. Each
   carries a ``config`` block naming the profile/count/seed it was
-  produced with, so the gate can refuse to compare apples to oranges.
+  produced with and the library's default trie backend, so the gate can
+  refuse to compare apples to oranges.
 
 Profiles: ``quick`` is the CI size (and the size the committed baseline
 is generated at — comparability demands the same counts); ``full`` is
@@ -35,6 +36,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .. import __version__
+from ..core.compact import DEFAULT_TRIE_BACKEND
 from .suites import SUITES
 
 __all__ = ["BENCH_FILES", "PROFILES", "reproduce", "write_bench_files"]
@@ -133,7 +135,6 @@ def reproduce(
     suites: Optional[list[str]] = None,
     counts: Optional[dict[str, int]] = None,
     seed: Optional[int] = None,
-    trie_backend: str = "cells",
     echo: bool = True,
 ) -> dict:
     """Run a benchmark profile into a fresh artifact directory.
@@ -156,14 +157,14 @@ def reproduce(
         Override every suite's default seed (default: each suite keeps
         its own historical seed, which is what the committed baselines
         use).
-    trie_backend:
-        Trie representation the suites build their files with
-        (``"cells"`` or ``"compact"``). Recorded in every suite's
-        ``config`` block, so a fresh run on one backend can never be
-        gated against a baseline committed on the other. The
-        ``compact`` suite itself always measures both.
     echo:
         Print progress and artifact paths as the run advances.
+
+    Every suite builds its files on the library's default trie backend
+    (the ``compact`` suite measures both), and every ``config`` block
+    records :data:`~repro.core.compact.DEFAULT_TRIE_BACKEND`: a baseline
+    committed under another default is never gated against a fresh run,
+    since the backends share results structurally but not wall rates.
 
     Returns a dict with the run directory, per-suite results, and the
     trajectory paths written.
@@ -209,18 +210,14 @@ def reproduce(
             if echo:
                 print(f"  {name} (count={sizes[name]}, seed={seeds[name]}) ...")
             start = time.perf_counter()
-            result = runner(
-                count=sizes[name],
-                seed=seeds[name],
-                trie_backend=trie_backend,
-            )
+            result = runner(count=sizes[name], seed=seeds[name])
             wall = time.perf_counter() - start
             results[name] = result
             configs[name] = {
                 "profile": profile,
                 "count": sizes[name],
                 "seed": seeds[name],
-                "trie_backend": trie_backend,
+                "trie_backend": DEFAULT_TRIE_BACKEND,
             }
             json.dump(
                 {

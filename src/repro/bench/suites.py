@@ -1,9 +1,11 @@
 """The standard benchmark suites of the perf trajectory.
 
-Each suite is a function ``(count, seed, trie_backend) -> dict``
-driving a seeded workload and returning one flat-ish JSON-ready
-document. The documents mix two kinds of numbers, and the distinction
-is load-bearing for the CI gate (``scripts/bench_gate.py``):
+Each suite is a function ``(count, seed) -> dict`` driving a seeded
+workload and returning one flat-ish JSON-ready document. Every suite
+builds its files on the library's default trie backend, except the
+``compact`` suite, which measures both. The documents mix two kinds of
+numbers, and the distinction is load-bearing for the CI gate
+(``scripts/bench_gate.py``):
 
 * **structural** metrics — record counts, load factors, trie sizes,
   shard counts, convergence ratios, retry/dedup/fault counters,
@@ -60,15 +62,13 @@ def _timed(fn):
 # ----------------------------------------------------------------------
 # core: single-node TH
 # ----------------------------------------------------------------------
-def core_suite(
-    count: int = 4000, seed: int = 7, trie_backend: str = "cells"
-) -> dict:
+def core_suite(count: int = 4000, seed: int = 7) -> dict:
     """Single-node TH: insert/search/scan/cursor/bulk-load rates."""
     keys = KeyGenerator(seed).uniform(count)
     ordered = sorted(keys)
 
     def build():
-        f = THFile(bucket_capacity=20, trie_backend=trie_backend)
+        f = THFile(bucket_capacity=20)
         for k in keys:
             f.insert(k)
         return f
@@ -90,11 +90,7 @@ def core_suite(
 
     walked, cursor_s = _timed(cursor_walk)
     bulk, bulk_s = _timed(
-        lambda: bulk_load_th(
-            ((k, None) for k in ordered),
-            bucket_capacity=20,
-            trie_backend=trie_backend,
-        )
+        lambda: bulk_load_th(((k, None) for k in ordered), bucket_capacity=20)
     )
     return {
         "keys": count,
@@ -115,9 +111,7 @@ def core_suite(
 # ----------------------------------------------------------------------
 # distributed: the TH* shard layer
 # ----------------------------------------------------------------------
-def distributed_suite(
-    count: int = 4000, seed: int = 13, trie_backend: str = "cells"
-) -> dict:
+def distributed_suite(count: int = 4000, seed: int = 13) -> dict:
     """TH* layer: routed throughput, scale-out, and image convergence."""
     registry = MetricsRegistry()
     already_tracing = TRACER.enabled
@@ -129,7 +123,6 @@ def distributed_suite(
             bucket_capacity=20,
             shard_policy=ShardPolicy(shard_capacity=max(64, count // 12)),
             registry=registry,
-            trie_backend=trie_backend,
         )
         writer = cluster.client(warm=True)
         keys = KeyGenerator(seed).uniform(count)
@@ -172,9 +165,7 @@ def distributed_suite(
 # ----------------------------------------------------------------------
 # chaos: differential convergence under faults
 # ----------------------------------------------------------------------
-def chaos_rate_run(
-    count: int, rate: float, seed: int = 0, trie_backend: str = "cells"
-) -> dict:
+def chaos_rate_run(count: int, rate: float, seed: int = 0) -> dict:
     """One fault-rate point: differential run + throughput numbers."""
     start = time.perf_counter()
     report = run_chaos(
@@ -187,7 +178,6 @@ def chaos_rate_run(
         delay=rate,
         crash_cycles=3 if rate else 0,
         shard_capacity=max(128, count // 8),
-        trie_backend=trie_backend,
     )
     wall = time.perf_counter() - start
     return {
@@ -292,9 +282,7 @@ def migration_load_run(count: int, seed: int = 0) -> dict:
     }
 
 
-def chaos_suite(
-    count: int = 2000, seed: int = 0, trie_backend: str = "cells"
-) -> dict:
+def chaos_suite(count: int = 2000, seed: int = 0) -> dict:
     """Differential chaos sweep across :data:`FAULT_RATES`.
 
     Every rate re-proves byte-identical convergence against the
@@ -306,8 +294,7 @@ def chaos_suite(
     """
     return {
         "differential": [
-            chaos_rate_run(count, rate, seed, trie_backend=trie_backend)
-            for rate in FAULT_RATES
+            chaos_rate_run(count, rate, seed) for rate in FAULT_RATES
         ],
         "replication": replication_chaos_run(count, seed),
         "migration": migration_load_run(max(400, count // 2), seed),
@@ -330,9 +317,7 @@ def _latency_stats(registry) -> dict:
     return {}
 
 
-def throughput_rate_run(
-    count: int, rate: float, seed: int = 0, trie_backend: str = "cells"
-) -> dict:
+def throughput_rate_run(count: int, rate: float, seed: int = 0) -> dict:
     """Pure insert/get throughput under faults (no oracle mirroring).
 
     The differential run spends most of its time in the oracle and the
@@ -346,7 +331,6 @@ def throughput_rate_run(
         shard_policy=ShardPolicy(shard_capacity=max(128, count // 8)),
         faults=plan,
         retry=RetryPolicy(max_retries=12),
-        trie_backend=trie_backend,
     )
     client = cluster.client()
     rng = random.Random(seed)
@@ -378,14 +362,11 @@ def throughput_rate_run(
     return out
 
 
-def throughput_suite(
-    count: int = 2000, seed: int = 0, trie_backend: str = "cells"
-) -> dict:
+def throughput_suite(count: int = 2000, seed: int = 0) -> dict:
     """Raw distributed throughput sweep across :data:`FAULT_RATES`."""
     return {
         "throughput": [
-            throughput_rate_run(count, rate, seed, trie_backend=trie_backend)
-            for rate in FAULT_RATES
+            throughput_rate_run(count, rate, seed) for rate in FAULT_RATES
         ]
     }
 
@@ -393,9 +374,7 @@ def throughput_suite(
 # ----------------------------------------------------------------------
 # compact: cells vs compact backends, per-key vs batched
 # ----------------------------------------------------------------------
-def compact_suite(
-    count: int = 6000, seed: int = 7, trie_backend: str = "cells"
-) -> dict:
+def compact_suite(count: int = 6000, seed: int = 7) -> dict:
     """The hot-path suite: both trie backends, per-key and batched.
 
     The workload is composite clustered keys (four long shared prefixes
@@ -410,11 +389,9 @@ def compact_suite(
     Batched put is measured as upserts into the built file — the regime
     where sorting once and visiting each bucket once pays off; a build
     from scratch is split-dominated, so it is kept only as the
-    structural ``batch_built_records`` check. ``trie_backend`` is
-    accepted for harness uniformity but ignored: this suite always
-    measures both backends.
+    structural ``batch_built_records`` check. The suite always measures
+    both backends, whatever the library default is.
     """
-    del trie_backend  # always comparative; see docstring
     prefixes = ["customerorderlineitem" + c for c in "abcd"]
     keys = KeyGenerator(seed).clustered(
         count, prefixes=prefixes, suffix_length=6
@@ -498,9 +475,7 @@ def _wall_percentile(sorted_lats: list, q: float) -> float:
     return sorted_lats[index]
 
 
-def serving_suite(
-    count: int = 1200, seed: int = 0, trie_backend: str = "cells"
-) -> dict:
+def serving_suite(count: int = 1200, seed: int = 0) -> dict:
     """Concurrent clients against a live UDS :class:`ServingServer`.
 
     Four synchronous sessions on four threads drive a striped insert
@@ -520,7 +495,6 @@ def serving_suite(
         shards=4,
         durable=True,
         shard_policy=ShardPolicy(shard_capacity=max(128, count // 8)),
-        trie_backend=trie_backend,
     )
     rng = random.Random(seed)
     alphabet = "abcdefghijklmnopqrstuvwxyz"
@@ -595,18 +569,15 @@ def serving_suite(
 # ----------------------------------------------------------------------
 # paper: every registry experiment and every claim's verdict
 # ----------------------------------------------------------------------
-def paper_suite(
-    count: int = 5000, seed: int = 42, trie_backend: str = "cells"
-) -> dict:
+def paper_suite(count: int = 5000, seed: int = 42) -> dict:
     """Every paper experiment once, and whether each claim reproduced.
 
     ``count`` and ``seed`` reach only the experiments that take them
     (:func:`repro.analysis.validation.evaluate`); the scale-dependent
     ones keep their fixed sizes. Every number is structural, so the gate
     compares the whole document exactly. A claim that does not hold is a
-    ``false`` verdict, not an exception. The experiments build the
-    paper's cells trie whatever ``trie_backend`` says; it only keeps the
-    suite signature uniform.
+    ``false`` verdict, not an exception. Both trie backends give the
+    same tables.
     """
     tables, verdicts = evaluate(count, seed)
     return {

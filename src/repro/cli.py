@@ -28,6 +28,7 @@ from . import THFile, __version__
 from .analysis.experiments import EXPERIMENTS, run_experiment, settings_of
 from .analysis.reporting import format_table
 from .bench.suites import SUITES
+from .core.compact import DEFAULT_TRIE_BACKEND, TRIE_BACKENDS
 from .workloads import MOST_USED_WORDS
 
 __all__ = ["main"]
@@ -278,13 +279,6 @@ def main(argv: list[str] = None) -> int:
         help="run only this suite (repeatable; default: all)",
     )
     rep.add_argument(
-        "--trie-backend",
-        choices=("cells", "compact"),
-        default="cells",
-        help="trie representation the suites build with (recorded in "
-        "every BENCH config block; the compact suite measures both)",
-    )
-    rep.add_argument(
         "--out-root",
         default="bench-out/runs",
         help="where per-run artifact directories accumulate",
@@ -332,7 +326,7 @@ def main(argv: list[str] = None) -> int:
         "wall-clock failover detection",
     )
     srv.add_argument(
-        "--trie-backend", choices=("cells", "compact"), default="cells",
+        "--trie-backend", choices=TRIE_BACKENDS, default=DEFAULT_TRIE_BACKEND,
         help="trie representation of the shard files",
     )
     cli = sub.add_parser(
@@ -408,7 +402,6 @@ def main(argv: list[str] = None) -> int:
                 bench_dir=None if args.bench_dir == "-" else args.bench_dir,
                 suites=args.suites,
                 seed=args.seed,
-                trie_backend=args.trie_backend,
             )
         except OSError as exc:
             print(f"error: cannot write artifacts: {exc}", file=sys.stderr)

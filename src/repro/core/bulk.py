@@ -23,6 +23,7 @@ from typing import Optional
 from ..storage.buckets import BucketStore
 from .alphabet import DEFAULT_ALPHABET, Alphabet
 from .boundaries import BoundaryModel
+from .compact import DEFAULT_TRIE_BACKEND
 from .errors import CapacityError
 from .file import THFile
 from .keys import split_string
@@ -37,7 +38,7 @@ def bulk_load_th(
     fill: float = 1.0,
     policy: Optional[SplitPolicy] = None,
     alphabet: Alphabet = DEFAULT_ALPHABET,
-    trie_backend: str = "cells",
+    trie_backend: str = DEFAULT_TRIE_BACKEND,
 ) -> THFile:
     """Build a THCL file bottom-up from sorted, unique records.
 

@@ -64,7 +64,21 @@ from .cells import NIL, is_edge, is_leaf
 from .errors import TrieCorruptionError
 from .trie import ROOT_LOCATION, Location, SearchResult, Trie
 
-__all__ = ["CompactCellView", "CompactCells", "CompactTrie"]
+__all__ = [
+    "DEFAULT_TRIE_BACKEND",
+    "TRIE_BACKENDS",
+    "CompactCellView",
+    "CompactCells",
+    "CompactTrie",
+]
+
+#: The trie representations a file can be built on: the paper's
+#: Section 2.1 cell table (one object per node) and these columns.
+TRIE_BACKENDS = ("cells", "compact")
+
+#: The backend every file, shard and experiment is built on unless a
+#: caller names the other one.
+DEFAULT_TRIE_BACKEND = "compact"
 
 #: ``dn`` column marker for freed rows (live digit numbers are >= 0).
 _FREED = -1
@@ -239,7 +253,9 @@ class CompactTrie(Trie):
     Drop-in for :class:`~repro.core.trie.Trie`: the full API (search,
     surgery, traversal, model conversion, checking) behaves identically;
     :meth:`search` and :meth:`lookup` are reimplemented over the raw
-    columns for speed. Select it through ``THFile(trie_backend="compact")``.
+    columns for speed. It is the default backend of
+    :class:`~repro.core.file.THFile`
+    (:data:`DEFAULT_TRIE_BACKEND`).
     """
 
     __slots__ = ("_min_ord", "_max_ord")

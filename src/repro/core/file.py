@@ -30,7 +30,7 @@ from ..storage.buckets import BucketStore
 from .alphabet import DEFAULT_ALPHABET, Alphabet
 from .boundaries import BoundaryModel
 from .cells import NIL, is_nil
-from .compact import CompactTrie
+from .compact import DEFAULT_TRIE_BACKEND, TRIE_BACKENDS, CompactTrie
 from .errors import DuplicateKeyError, KeyNotFoundError
 from .merge import basic_delete_maintenance, guaranteed_delete_maintenance
 from .policies import SplitPolicy
@@ -94,9 +94,9 @@ class THFile:
         A :class:`~repro.storage.buckets.BucketStore`; a private store
         over a fresh simulated disk is created when omitted.
     trie_backend:
-        ``"cells"`` (the standard one-object-per-node table) or
-        ``"compact"`` (the flat column layout of
-        :mod:`repro.core.compact`). Both backends are structurally
+        ``"compact"`` (the default: the flat column layout of
+        :mod:`repro.core.compact`) or ``"cells"`` (the paper's Section
+        2.1 table, one object per node). Both backends are structurally
         byte-identical under the same operation sequence; compact is
         several times faster on the per-key descent.
     """
@@ -107,14 +107,14 @@ class THFile:
         policy: Optional[SplitPolicy] = None,
         alphabet: Alphabet = DEFAULT_ALPHABET,
         store: Optional[BucketStore] = None,
-        trie_backend: str = "cells",
+        trie_backend: str = DEFAULT_TRIE_BACKEND,
     ):
         if bucket_capacity < 2:
             raise ValueError("bucket capacity b must be at least 2")
-        if trie_backend not in ("cells", "compact"):
+        if trie_backend not in TRIE_BACKENDS:
             raise ValueError(
                 f"unknown trie backend {trie_backend!r} "
-                "(choose 'cells' or 'compact')"
+                f"(choose from {TRIE_BACKENDS})"
             )
         self.capacity = bucket_capacity
         self.policy = policy if policy is not None else SplitPolicy.basic_th()

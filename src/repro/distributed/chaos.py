@@ -22,6 +22,7 @@ import random
 from typing import Optional
 
 from ..check import maybe_audit
+from ..core.compact import DEFAULT_TRIE_BACKEND
 from ..core.errors import DuplicateKeyError, KeyNotFoundError
 from ..core.file import THFile
 from ..obs.export import JsonlTraceWriter
@@ -153,7 +154,7 @@ def run_chaos(
     retry: Optional[RetryPolicy] = None,
     scan_every: int = 0,
     trace_path: Optional[str] = None,
-    trie_backend: str = "cells",
+    trie_backend: str = DEFAULT_TRIE_BACKEND,
     transport: str = "sim",
     replication: Optional[object] = None,
     kill_cycles: int = 0,
@@ -181,8 +182,9 @@ def run_chaos(
     ``AssertionError`` surfaces (see :mod:`repro.obs.flight`).
 
     ``trie_backend`` selects the shard files' trie representation; the
-    oracle always stays on the standard cells, so a compact-backed run
-    is *also* a cells-vs-compact differential under faults.
+    oracle always stays on the paper's cells, so a run on the default
+    compact shards is *also* a cells-vs-compact differential under
+    faults.
 
     ``transport="uds"`` runs the *same* schedule over a live asyncio
     server on a Unix-domain socket: the cluster sits behind a
@@ -321,7 +323,7 @@ def _run_chaos(
     else:
         fabric = cluster.router
         client = cluster.client()
-    oracle = THFile(bucket_capacity=bucket_capacity)
+    oracle = THFile(bucket_capacity=bucket_capacity, trie_backend="cells")
     try:
         return _drive_chaos(
             plan=plan,

@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # import cycle: client builds on the coordinator
     from .client import DistributedFile
 
 from ..core.alphabet import DEFAULT_ALPHABET, Alphabet
+from ..core.compact import DEFAULT_TRIE_BACKEND
 from ..core.file import THFile
 from ..core.image import IAMEntry, TrieImage
 from ..core.keys import prefix_gt, prefix_le, split_string
@@ -538,9 +539,9 @@ class Cluster:
         single-digit boundaries (or at ``seed_boundaries``). Scale-out
         grows the count further as records arrive.
     bucket_capacity / policy / alphabet / trie_backend:
-        Per-shard :class:`~repro.core.file.THFile` parameters
-        (``trie_backend="compact"`` runs every shard on the flat
-        column representation of :mod:`repro.core.compact`).
+        Per-shard :class:`~repro.core.file.THFile` parameters (every
+        shard runs on the flat columns of :mod:`repro.core.compact`
+        unless ``trie_backend="cells"``).
     shard_policy:
         The scale-out :class:`ShardPolicy`.
     durable:
@@ -573,7 +574,7 @@ class Cluster:
         seed_boundaries: Optional[list[str]] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
-        trie_backend: str = "cells",
+        trie_backend: str = DEFAULT_TRIE_BACKEND,
         replication: Optional[object] = None,
     ):
         if shards < 1:

@@ -25,6 +25,11 @@ Resolution policy (the soundness contract rules rely on):
 * A call on an unresolvable receiver *widens*: it may target every
   method of that name anywhere in the program. Rules choose whether to
   follow widened edges (:data:`CallSite.kind` is ``"widened"``).
+* A call on a builtin container does not widen: a local whose every
+  binding is a ``list``, ``dict``, ``set`` or ``bytearray`` display,
+  constructor or annotation, or a ``self.`` attribute bound only that
+  way in its owning class, calls no program code (``form`` is
+  ``"builtin"``).
 * A call that resolves to nothing at all is *opaque* ("may call
   anything"); rules treat it per their own policy.
 * A callable handed to ``loop.call_soon``, ``call_soon_threadsafe``,
@@ -61,7 +66,7 @@ __all__ = [
 ]
 
 #: Bump whenever the summary layout changes (invalidates every cache).
-SUMMARY_VERSION = 3
+SUMMARY_VERSION = 4
 
 #: Loop methods that schedule a callback, and the position of the
 #: callable among their arguments.
@@ -107,7 +112,8 @@ class CallSite:
     col: int
     #: ``"dotted"`` (resolved to a dotted path), ``"self"`` (method on
     #: self/cls), ``"super"`` (method on ``super()``), ``"attr"``
-    #: (attribute on an unknown receiver) or ``"opaque"`` (an
+    #: (attribute on an unknown receiver), ``"builtin"`` (method of a
+    #: receiver bound only to a builtin container) or ``"opaque"`` (an
     #: unresolvable callee expression).
     form: str
     #: The terminal identifier being called (``sleep`` for
@@ -512,6 +518,7 @@ class _FunctionExtractor:
         qual: str,
         cls: Optional[str],
         node,
+        container_attrs: frozenset = frozenset(),
     ):
         self.module = module
         self.imports = imports
@@ -519,6 +526,10 @@ class _FunctionExtractor:
         self.qual = qual
         self.cls = cls
         self.node = node
+        #: ``self.`` attributes its class binds only to builtin containers.
+        self.container_attrs = container_attrs
+        #: Locals bound only to builtin containers.
+        self.containers = _local_containers(node, _shadows(imports, local_symbols))
         #: Names of functions nested directly inside this one.
         self.nested: set = {
             child.name
@@ -537,7 +548,7 @@ class _FunctionExtractor:
             is_public=not node.name.startswith("_"),
         )
         call_index: dict = {}
-        for child in self._walk_own(node):
+        for child in _walk_own(node):
             if isinstance(child, ast.Call):
                 call_index[id(child)] = len(summary.calls)
                 summary.calls.append(self._classify(child.func, child))
@@ -560,16 +571,6 @@ class _FunctionExtractor:
         cfg.build_block(node.body, [entry], call_index)
         summary.order = cfg.may_follow_pairs()
         return summary
-
-    def _walk_own(self, root):
-        """Walk the body without descending into nested functions."""
-        stack = list(ast.iter_child_nodes(root))
-        while stack:
-            child = stack.pop()
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield child
-            stack.extend(ast.iter_child_nodes(child))
 
     def _classify(self, func: ast.AST, where: ast.AST) -> CallSite:
         """The call site of callee expression ``func``, located at ``where``."""
@@ -595,6 +596,15 @@ class _FunctionExtractor:
         if isinstance(func, ast.Attribute):
             attr = func.attr
             owner = func.value
+            if isinstance(owner, ast.Name) and owner.id in self.containers:
+                return CallSite(line, col, "builtin", attr, recv=owner.id)
+            if (
+                isinstance(owner, ast.Attribute)
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id == "self"
+                and owner.attr in self.container_attrs
+            ):
+                return CallSite(line, col, "builtin", attr, recv=owner.attr)
             if isinstance(owner, ast.Name):
                 if owner.id in ("self", "cls") and self.cls is not None:
                     return CallSite(line, col, "self", attr, recv=owner.id)
@@ -661,6 +671,17 @@ class _FunctionExtractor:
         return found
 
 
+def _walk_own(root):
+    """Walk the body without descending into nested functions."""
+    stack = list(ast.iter_child_nodes(root))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield child
+        stack.extend(ast.iter_child_nodes(child))
+
+
 def _scheduled_callable(call: ast.Call) -> Optional[ast.AST]:
     """The callable ``call`` hands to a loop scheduler, when ``call`` is
     one and the callable is a plain name or attribute reference."""
@@ -672,6 +693,189 @@ def _scheduled_callable(call: ast.Call) -> Optional[ast.AST]:
         return None
     callback = call.args[position]
     return callback if isinstance(callback, (ast.Name, ast.Attribute)) else None
+
+
+# ----------------------------------------------------------------------
+# Builtin containers: receivers whose method calls reach no program code
+# ----------------------------------------------------------------------
+_CONTAINER_TYPES = frozenset({"list", "dict", "set", "bytearray"})
+_CONTAINER_DISPLAYS = (
+    ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp
+)
+
+
+def _shadows(imports: _ImportMap, local_symbols: set) -> frozenset:
+    """Module names that hide a builtin (``from x import list``)."""
+    return frozenset(imports.names) | frozenset(local_symbols)
+
+
+def _names_container(annotation: Optional[ast.AST], shadows: frozenset) -> bool:
+    """True for ``list``, ``dict[str, int]`` and the like."""
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return (
+        isinstance(annotation, ast.Name)
+        and annotation.id in _CONTAINER_TYPES
+        and annotation.id not in shadows
+    )
+
+
+def _makes_container(value: Optional[ast.AST], shadows: frozenset) -> bool:
+    """True for a container display or comprehension, or ``list(...)``."""
+    return isinstance(value, _CONTAINER_DISPLAYS) or (
+        isinstance(value, ast.Call) and _names_container(value.func, shadows)
+    )
+
+
+def _bindings(node: ast.AST, shadows: frozenset) -> list:
+    """``(target, binds a builtin container)`` for each target an
+    ``Assign`` / ``AnnAssign`` stores to; a parallel assignment
+    (``a, b = x, []``) is judged element by element."""
+    if isinstance(node, ast.AnnAssign):
+        shaped = _names_container(node.annotation, shadows) or _makes_container(
+            node.value, shadows
+        )
+        return [(node.target, shaped)]
+    pairs = []
+    for target in node.targets:
+        value = node.value
+        if (
+            isinstance(target, (ast.Tuple, ast.List))
+            and isinstance(value, (ast.Tuple, ast.List))
+            and len(target.elts) == len(value.elts)
+            and not any(
+                isinstance(e, ast.Starred) for e in (*target.elts, *value.elts)
+            )
+        ):
+            pairs += [
+                (elt, _makes_container(part, shadows))
+                for elt, part in zip(target.elts, value.elts)
+            ]
+        else:
+            pairs.append((target, _makes_container(value, shadows)))
+    return pairs
+
+
+def _container_stores(nodes, name_of, shadows: frozenset) -> tuple:
+    """``(good, bad)``: the names of the store targets among ``nodes``
+    (walked parents first) bound to a builtin container, and those bound
+    otherwise. ``name_of`` names a target, or gives ``None`` for one
+    that does not count. An augmented assignment keeps a container's
+    type."""
+    good: set = set()
+    bad: set = set()
+    judged: set = set()
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target, shaped in _bindings(node, shadows):
+                judged.add(id(target))
+                name = name_of(target)
+                if name is not None:
+                    (good if shaped else bad).add(name)
+        elif isinstance(node, ast.AugAssign):
+            judged.add(id(node.target))
+        elif isinstance(getattr(node, "ctx", None), ast.Store):
+            name = name_of(node)
+            if name is not None and id(node) not in judged:
+                bad.add(name)
+    return good, bad
+
+
+def _name_id(node: ast.AST) -> Optional[str]:
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _self_attribute(node: ast.AST) -> Optional[str]:
+    """``name`` for a ``self.name`` target."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _parameters(fn: ast.AST) -> tuple:
+    """Every ``ast.arg`` of a function or lambda."""
+    args = fn.args
+    return tuple(
+        a
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  args.vararg, args.kwarg)
+        if a is not None
+    )
+
+
+def _bound_in(scope: ast.AST) -> set:
+    """Every name a nested def, lambda or class binds: its own name,
+    its parameters, and every name stored anywhere inside it."""
+    names = {
+        node.id
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    if not isinstance(scope, ast.Lambda):
+        names.add(scope.name)
+    if not isinstance(scope, ast.ClassDef):
+        names.update(a.arg for a in _parameters(scope))
+    return names
+
+
+def _local_containers(fn: ast.AST, shadows: frozenset) -> frozenset:
+    """The locals of ``fn`` whose every binding is a builtin container.
+
+    The bindings are read from the nodes the call sites are read from
+    (:func:`_walk_own`). A binding is a parameter (counted when
+    annotated as a container), an ``Assign`` or ``AnnAssign`` target
+    (counted for a container display, constructor or annotation; see
+    :func:`_bindings`), or anything else that stores the name (a loop or
+    ``with`` target, an unpacking, an import...), which disqualifies it.
+    So does any binding of the name in a nested def, lambda or class:
+    there it may be another variable, or this one rebound through
+    ``nonlocal``.
+    """
+    args = fn.args
+    named = (*args.posonlyargs, *args.args, *args.kwonlyargs)
+    good = {a.arg for a in named if _names_container(a.annotation, shadows)}
+    bad = {a.arg for a in _parameters(fn)}
+    own = list(_walk_own(fn))
+    stored, other = _container_stores(own, _name_id, shadows)
+    for node in own:
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            other.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            other.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            other.add(node.name)
+    for node in ast.walk(fn):
+        if node is not fn and isinstance(
+            node,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+        ):
+            other.update(_bound_in(node))
+    return frozenset((good | stored) - (bad - good) - other)
+
+
+def _attribute_containers(klass: ast.ClassDef, shadows: frozenset) -> frozenset:
+    """The ``self.`` attributes ``klass`` binds only to builtin containers.
+
+    Counted: every store of ``self.<name>`` in the class's methods is an
+    ``Assign`` or ``AnnAssign`` of a container display, constructor or
+    annotation, and a class-body declaration of the name, if any, is one
+    too. Bindings made outside the class (a subclass, another object)
+    are not seen.
+    """
+    declared = [s for s in klass.body if isinstance(s, (ast.Assign, ast.AnnAssign))]
+    good, bad = _container_stores(declared, _name_id, shadows)
+    methods = [
+        node
+        for stmt in klass.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(stmt)
+    ]
+    stored, other = _container_stores(methods, _self_attribute, shadows)
+    return frozenset((good | stored) - bad - other)
 
 
 def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:
@@ -699,20 +903,22 @@ def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:
                 if isinstance(target, ast.Name):
                     local_symbols.add(target.id)
 
-    def extract_function(node, qual: str, cls: Optional[str]) -> None:
+    def extract_function(
+        node, qual: str, cls: Optional[str], containers: frozenset
+    ) -> None:
         extractor = _FunctionExtractor(
-            module, imports, local_symbols, qual, cls, node
+            module, imports, local_symbols, qual, cls, node, containers
         )
         summary.functions[qual] = extractor.extract()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 extract_function(
-                    child, f"{qual}.<locals>.{child.name}", cls
+                    child, f"{qual}.<locals>.{child.name}", cls, containers
                 )
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            extract_function(node, node.name, None)
+            extract_function(node, node.name, None, frozenset())
         elif isinstance(node, ast.ClassDef):
             bases = []
             for base in node.bases:
@@ -725,11 +931,15 @@ def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:
                     bases.append(imports.resolve(dotted) or dotted)
             klass = ClassSummary(name=node.name, bases=bases)
             summary.classes[node.name] = klass
+            containers = _attribute_containers(
+                node, _shadows(imports, local_symbols)
+            )
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     klass.methods.append(child.name)
                     extract_function(
-                        child, f"{node.name}.{child.name}", node.name
+                        child, f"{node.name}.{child.name}", node.name,
+                        containers,
                     )
 
     _collect_module_data(tree, summary, imports, local_symbols)
@@ -965,6 +1175,8 @@ class Program:
                     direct.extend(self._super_targets(owner, site.attr))
             elif site.form == "attr":
                 widened.extend(self.methods_by_name.get(site.attr, []))
+            # "builtin" (a list, dict, set or bytearray method) and
+            # "opaque" calls get no edge.
             node.edges.append(direct)
             node.widened.append(widened)
             node.externals.append(externals)

@@ -34,12 +34,14 @@ Architecture — one callback path:
 * **Replies are never awaited.** A reply leaves through
   ``transport.write``. A batch runs a connection's frames only until
   their replies pass its transport's low-water mark; the rest wait on
-  the connection, its reading paused, for a later batch, so one
-  pipelining client cannot make a batch long for the others. Once its
-  unsent replies pass the high-water mark, a connection runs and reads
-  nothing until they drain: a client that never reads holds back only
-  itself, with at most one read of requests and the two water marks
-  plus one reply of replies. There is no queue and no knob.
+  the connection, its reading paused, and a later batch draws them
+  from there in place. So one pipelining client cannot make a batch
+  long for the others, and a held frame is handed to one more batch
+  only. Once its unsent replies pass the high-water mark, a connection
+  runs and reads nothing until they drain: a client that never reads
+  holds back only itself, with at most one read of requests and the
+  two water marks plus one reply of replies. There is no queue and no
+  knob.
 
 Op and reply values cross the codec at this boundary (the op is decoded
 from the frame, the reply encoded into one), so no Python reference is
@@ -52,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import struct
 import time
+from collections import deque
 from contextlib import ExitStack
 from typing import Optional
 
@@ -90,8 +93,9 @@ class _Conn(asyncio.Protocol):
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.buffer = bytearray()
-        #: Frames a batch left for a later one; its reading is paused.
-        self.held: list = []
+        #: Frames a batch left for a later one to draw in place; its
+        #: reading is paused.
+        self.held: deque = deque()
         #: Its unsent replies are past the high-water mark.
         self.blocked = False
 
@@ -101,7 +105,7 @@ class _Conn(asyncio.Protocol):
 
     def connection_lost(self, exc) -> None:
         self.server._conns.discard(self)
-        self.held = []
+        self.held.clear()
 
     def data_received(self, data: bytes) -> None:
         buffer = self.buffer
@@ -130,6 +134,36 @@ class _Conn(asyncio.Protocol):
     def resume_writing(self) -> None:
         self.blocked = False
         self.server._release(self)
+
+
+def _room(room: dict, conn: _Conn) -> int:
+    """The reply bytes ``conn`` may still take in this batch.
+
+    A batch runs a connection's frames until their replies pass its
+    transport's low-water mark, and none while its unsent replies are
+    past the high.
+    """
+    left = room.get(conn)
+    if left is None:
+        limits = conn.transport.get_write_buffer_limits()
+        left = room[conn] = -1 if conn.blocked else limits[0]
+    return left
+
+
+def _frames(batch: list, room: dict):
+    """``(index, frame)`` for each frame of ``batch``, in order.
+
+    A connection in the batch gives its held frames in place while it
+    has room; the rest stay on it for a later batch, so a held frame is
+    handed to one more batch only.
+    """
+    for index, item in enumerate(batch):
+        if item.__class__ is _Conn:
+            held = item.held
+            while held and _room(room, item) >= 0:
+                yield index, held.popleft()
+        else:
+            yield index, item
 
 
 class ServingServer:
@@ -161,7 +195,9 @@ class ServingServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._health: Optional[asyncio.TimerHandle] = None
         self._conns: set = set()
-        #: Frames received and not yet run: ``(conn, kind, corr_id, payload)``.
+        #: What the next batch runs, in order: frames received, as
+        #: ``(conn, kind, corr_id, payload)``, and connections whose held
+        #: frames it draws.
         self._pending: list = []
         #: The scheduled batch callback, or the timer ending a ``stall``;
         #: while it is set, arriving frames just join the pending batch.
@@ -254,14 +290,13 @@ class ServingServer:
         self._pending.append((conn, *frame))
 
     def _release(self, conn: _Conn) -> None:
-        """Queue ``conn``'s held frames for the next batch, or read it again."""
+        """Let the next batch draw ``conn``'s held frames, or read it again."""
         if not conn.held:
             conn.transport.resume_reading()
             return
         if self._wakeup is None:
             self._wakeup = self._loop.call_soon(self._run_batch)
-        self._pending += conn.held
-        conn.held = []
+        self._pending.append(conn)
 
     def _run_batch(self) -> None:
         self._wakeup = None
@@ -281,15 +316,9 @@ class ServingServer:
         room: dict = {}
         stack: Optional[ExitStack] = None
         try:
-            for index, item in enumerate(batch):
+            for index, item in _frames(batch, room):
                 conn, kind, corr_id, payload = item
-                left = room.get(conn)
-                if left is None:
-                    # A batch runs a connection's frames until their
-                    # replies pass its transport's low-water mark, and
-                    # none while its unsent replies are past the high.
-                    limits = conn.transport.get_write_buffer_limits()
-                    left = -1 if conn.blocked else limits[0]
+                left = _room(room, conn)
                 if left < 0:
                     # Its later frames wait for a later batch.
                     conn.held.append(item)
@@ -307,8 +336,10 @@ class ServingServer:
                         # A stall: the rest of the batch waits for it,
                         # each frame behind those its connection holds.
                         for rest in batch[index + 1:]:
-                            held = rest[0].held
-                            (held if held else self._pending).append(rest)
+                            if rest.__class__ is _Conn or not rest[0].held:
+                                self._pending.append(rest)
+                            else:
+                                rest[0].held.append(rest)
                         break
                     continue
                 try:

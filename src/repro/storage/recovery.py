@@ -56,6 +56,7 @@ from typing import Any, Optional
 
 from ..check.hook import maybe_audit
 from ..core.alphabet import DEFAULT_ALPHABET, Alphabet
+from ..core.compact import DEFAULT_TRIE_BACKEND
 from ..core.errors import (
     DuplicateKeyError,
     InvalidKeyError,
@@ -253,7 +254,7 @@ class _THEngine:
         capacity: int = 4,
         policy: Optional[SplitPolicy] = None,
         alphabet: Alphabet = DEFAULT_ALPHABET,
-        trie_backend: str = "cells",
+        trie_backend: str = DEFAULT_TRIE_BACKEND,
     ) -> dict:
         policy = policy if policy is not None else SplitPolicy()
         return {
@@ -272,7 +273,8 @@ class _THEngine:
             policy=SplitPolicy(**params["policy"]),
             alphabet=Alphabet(params["alphabet"]),
             # .get(): manifests written before the compact backend
-            # existed carry no entry and mean the standard cells.
+            # existed carry no entry and mean the paper's cells, not
+            # today's default.
             trie_backend=params.get("trie_backend", "cells"),
         )
 

@@ -16,9 +16,14 @@ Three layers of assurance over :mod:`repro.core.compact`:
   with per-key loops on TH / THCL / MLTH, empty / duplicate / unsorted
   batches, atomicity across splits triggered mid-batch, durable batches
   surviving reopen, and distributed batches spanning shard boundaries
-  under injected faults.
+  under injected faults;
+* the default: every entry point that builds a file names the one
+  :data:`~repro.core.compact.DEFAULT_TRIE_BACKEND`, and a MANIFEST
+  written before the compact backend existed still reopens as cells.
 """
 
+import inspect
+import json
 import random
 import string
 
@@ -33,15 +38,19 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro.cli
 from repro import Cluster, DuplicateKeyError, ShardPolicy, THFile
 from repro.check import AuditLevel, audit
-from repro.core.compact import CompactTrie
+from repro.core.bulk import bulk_load_th
+from repro.core.compact import DEFAULT_TRIE_BACKEND, CompactTrie
 from repro.core.cursor import Cursor
 from repro.core.mlth import MLTHFile
 from repro.core.policies import SplitPolicy
 from repro.core.reconstruct import reconstruct_trie
+from repro.core.trie import Trie
 from repro.distributed import FaultPlan, RetryPolicy
-from repro.storage.recovery import DurableFile
+from repro.distributed.chaos import run_chaos
+from repro.storage.recovery import DurableFile, _THEngine
 from repro.storage.serializer import serialize_trie
 from repro.storage.wal import StableStore
 from repro.workloads import KeyGenerator
@@ -468,3 +477,52 @@ class TestBatchContracts:
         plan.heal()
         cluster.check()
         assert cluster.router.duplicate_applies() == 0
+
+
+# ----------------------------------------------------------------------
+# The default backend
+# ----------------------------------------------------------------------
+class TestDefaultBackend:
+    @pytest.mark.parametrize(
+        "entry",
+        [THFile, _THEngine.fresh_params, Cluster, run_chaos, bulk_load_th],
+    )
+    def test_every_entry_point_defaults_to_the_one_name(self, entry):
+        default = inspect.signature(entry).parameters["trie_backend"].default
+        assert default == DEFAULT_TRIE_BACKEND == "compact"
+
+    def test_a_bare_serve_parses_to_it(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(
+            repro.cli, "_serve_command", lambda args: parsed.append(args) or 0
+        )
+        assert repro.cli.main(["serve"]) == 0
+        (args,) = parsed
+        assert args.trie_backend == DEFAULT_TRIE_BACKEND
+
+    def test_a_fresh_file_and_shard_build_compact(self):
+        assert type(THFile().trie) is CompactTrie
+        durable = DurableFile.open(StableStore(), engine="th")
+        assert type(durable.file.trie) is CompactTrie
+        assert durable.manifest["params"]["trie_backend"] == "compact"
+        cluster = Cluster(shards=2, durable=True)
+        for server in cluster.coordinator.servers.values():
+            assert type(server.file.file.trie) is CompactTrie
+
+    def test_a_manifest_without_a_backend_reopens_as_cells(self):
+        # Written before the compact backend existed, such a MANIFEST
+        # means the paper's cells, whatever today's default is.
+        store = StableStore()
+        f = DurableFile.open(store, engine="th", capacity=4, checkpoint_every=8)
+        rng = random.Random(59)
+        for _ in range(60):
+            f.put(_word(rng), _word(rng))
+        expected = dict(f.items())
+        f.close()
+        manifest = json.loads(store.read("MANIFEST").decode("utf-8"))
+        del manifest["params"]["trie_backend"]
+        store.write_atomic("MANIFEST", json.dumps(manifest).encode("utf-8"))
+        reopened = DurableFile.open(store)
+        assert type(reopened.file.trie) is Trie
+        assert dict(reopened.items()) == expected
+        reopened.check()

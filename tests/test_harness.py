@@ -31,6 +31,7 @@ from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.validation import CLAIMS
 from repro.bench import BENCH_FILES, PROFILES, SUITES, reproduce
 from repro.cli import main as cli_main
+from repro.core.compact import DEFAULT_TRIE_BACKEND
 
 REPO = Path(__file__).resolve().parent.parent
 GATE = REPO / "scripts" / "bench_gate.py"
@@ -125,7 +126,7 @@ class TestReproduce:
         chaos = json.loads((bench / "BENCH_chaos.json").read_text())
         assert set(chaos["config"]) == {"chaos", "throughput"}
         assert chaos["config"]["chaos"]["count"] == TINY["chaos"]
-        assert chaos["config"]["chaos"]["trie_backend"] == "cells"
+        assert chaos["config"]["chaos"]["trie_backend"] == DEFAULT_TRIE_BACKEND
         assert {"differential", "throughput"} <= set(chaos["results"])
         compact = json.loads((bench / "BENCH_compact.json").read_text())
         assert compact["results"]["backends_identical"] is True
@@ -234,13 +235,13 @@ class TestBenchGate:
         assert "not comparable" in result.stdout
 
     def test_mismatched_trie_backend_refuses_to_compare(self, copy):
-        # A compact-backed fresh run must never be gated against a
-        # cells-backed committed baseline: the backends share results
-        # structurally but not wall rates, so the config block carries
-        # the backend and any drift voids the comparison.
+        # A fresh run under one default backend must never be gated
+        # against a baseline committed under the other: the backends
+        # share results structurally but not wall rates, so the config
+        # block carries the backend and any drift voids the comparison.
         baseline, fresh, edit = copy
         edit("BENCH_core.json", "config", "core", "trie_backend",
-             change=lambda _: "compact")
+             change=lambda _: "cells")
         result = _gate(baseline, fresh)
         assert result.returncode == 1
         assert "not comparable" in result.stdout
@@ -275,7 +276,7 @@ class TestCommittedTrajectory:
             assert doc["results"], name
             for config in doc["config"].values():
                 assert config["profile"] == "quick"
-                assert config["trie_backend"] == "cells"
+                assert config["trie_backend"] == DEFAULT_TRIE_BACKEND
 
     def test_committed_compact_speedups_meet_targets(self):
         # The tentpole's acceptance bar: the committed trajectory shows

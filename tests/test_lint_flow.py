@@ -50,6 +50,29 @@ def codes(violations):
     return sorted(v.code for v in violations)
 
 
+def _real_summaries():
+    """Every module of the package, summarized."""
+    summaries = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        summary = summarize_module(path)
+        summaries[summary.module] = summary
+    return summaries
+
+
+#: Program methods that share their names with container methods, and
+#: block.
+_BLOCKING_LOG = (
+    "import time\n\n\n"
+    "class Log:\n"
+    "    def append(self, data):\n"
+    "        time.sleep(1)\n\n"
+    "    def get(self, key):\n"
+    "        self.append(key)\n\n"
+    "    def add(self, item):\n"
+    "        self.append(item)\n"
+)
+
+
 # ======================================================================
 # TH010 — blocking calls reachable from serving coroutines
 # ======================================================================
@@ -191,14 +214,110 @@ class TestTH010:
         })
         assert findings(program, "TH010") == []
 
+    @pytest.mark.parametrize(
+        "setup, call",
+        [
+            ("self._q: list = []", "self._q.append(data)"),
+            ("self._q = []", "self._q.append(data)"),
+            ("self._q, self._r = [], {}", "self._r.get(data)"),
+            ("pass", "pending = []\n        pending.append(data)"),
+            ("pass", "room: dict = {}\n        room.get(data)"),
+            ("pass", "buffer = bytearray()\n        buffer.append(data)"),
+            ("pass", "seen = set(data)\n        seen.add(1)"),
+        ],
+    )
+    def test_a_builtin_container_receiver_does_not_widen(self, setup, call):
+        # The list's append is not Log.append (nor its get Log.get): a
+        # receiver bound only to a builtin container calls no program
+        # code.
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def __init__(self):\n"
+                f"        {setup}\n\n"
+                "    def data_received(self, data):\n"
+                f"        {call}\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        assert findings(program, "TH010") == []
+
+    @pytest.mark.parametrize(
+        "setup, call",
+        [
+            # An unknown receiver still widens to every append.
+            ("self.sink = sink", "self.sink.append(data)"),
+            # So does an attribute the class also binds to something else.
+            ("self._q = []\n        self._q = sink", "self._q.append(data)"),
+            ("self._q = []", "q = self._q\n        q.append(data)"),
+            # A parameter without a container annotation is unknown.
+            ("pass", "sink.append(data)"),
+        ],
+    )
+    def test_an_unknown_receiver_still_widens(self, setup, call):
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def __init__(self, sink=None):\n"
+                f"        {setup}\n\n"
+                "    def data_received(self, data, sink=None):\n"
+                f"        {call}\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert "Conn.data_received -> storage.log.Log.append" in found[0].message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # The list a nested def builds is its own local: the outer
+            # name is still the module's.
+            "def fill():\n"
+            "            sink = []\n"
+            "            return sink\n\n"
+            "        sink.append(data)",
+            # A lambda's parameter may be anything, whatever the
+            # enclosing function binds to the same name.
+            "sink = []\n"
+            "        push = lambda sink: sink.append(data)\n"
+            "        push(self)",
+        ],
+    )
+    def test_a_name_bound_in_a_nested_scope_still_widens(self, call):
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n\n"
+                "sink = None\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def data_received(self, data):\n"
+                f"        {call}\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert "Conn.data_received -> storage.log.Log.append" in found[0].message
+
+    def test_the_real_pending_list_does_not_widen(self):
+        # ServingServer._accept appends to its own pending list; that
+        # append must not stand for StableStore.append.
+        program = build_program(_real_summaries())
+        node = program.functions["repro.serving.server.ServingServer._accept"]
+        (index,) = [
+            i for i, site in enumerate(node.summary.calls)
+            if site.attr == "append"
+        ]
+        assert node.summary.calls[index].form == "builtin"
+        assert node.widened[index] == [] and node.edges[index] == []
+
     def test_the_real_event_loop_reaches_the_batch_path(self):
         # The serving server has no coroutine on its request path: the
         # protocol and loop-callback entries must carry the traversal.
-        summaries = {}
-        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-            summary = summarize_module(path)
-            summaries[summary.module] = summary
-        program = build_program(summaries)
+        program = build_program(_real_summaries())
         parents = program.reachable(
             event_loop_entries(program),
             follow_widened=True,

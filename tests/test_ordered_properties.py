@@ -31,7 +31,7 @@ KEYS = st.text(alphabet="abcdefg", min_size=1, max_size=5)
 HISTORIES = st.lists(st.tuples(st.booleans(), KEYS), max_size=120)
 
 ENGINES = {
-    "th": lambda: THFile(bucket_capacity=4),
+    "th": lambda: THFile(bucket_capacity=4, trie_backend="cells"),
     "thcl": lambda: THFile(bucket_capacity=4, policy=SplitPolicy.thcl()),
     "th-compact": lambda: THFile(bucket_capacity=4, trie_backend="compact"),
     "th-nil": lambda: THFile(

@@ -126,7 +126,7 @@ class TestMLTHRoundTrip:
 
 
 ENGINES = {
-    "th-cells": lambda: THFile(bucket_capacity=4),
+    "th-cells": lambda: THFile(bucket_capacity=4, trie_backend="cells"),
     "th-compact": lambda: THFile(bucket_capacity=4, trie_backend="compact"),
     "thcl": lambda: THFile(bucket_capacity=4, policy=SplitPolicy.thcl()),
     "mlth": lambda: MLTHFile(bucket_capacity=5, page_capacity=8),

@@ -75,7 +75,7 @@ from repro.serving import (
     read_frame,
 )
 from repro.serving.client import DEFAULT_WALL_TIMEOUT, LoopRunner
-from repro.serving.server import ServingServer
+from repro.serving.server import ServingServer, _Conn
 
 _U32 = struct.Struct(">I")
 
@@ -1106,6 +1106,44 @@ class TestSlowAndHostileClients:
         assert all(payload[0] == 0 for _, _, payload in replies)
         gets = [decode_reply(p[1:]).value for _, corr, p in replies if corr % 2]
         assert gets == [f"v{i}" for i in range(len(keys))]
+
+    def test_a_held_frame_is_handed_to_one_more_batch_at_most(self):
+        # 3 000 pipelined gets in one write: each batch runs a share of
+        # them and leaves the rest on the connection, where the next
+        # batch draws them in place. So a frame is handed to the batch
+        # it arrives in and, if held there, to one more.
+        cluster = Cluster(shards=1, shard_policy=ShardPolicy(shard_capacity=8192))
+        shard = _U32.pack(min(cluster.coordinator.servers))
+        keys = _keys(26)
+        frames = [
+            pack_frame(FRAME_REQUEST, i, shard + encode_op(Op.get(keys[i % 26])))
+            for i in range(3000)
+        ]
+        handed = []
+        with ServingFixture(cluster) as fx:
+            with fx.open_session() as session:
+                session.file.put_many((k, k.upper()) for k in keys)
+            process = fx.server._process
+
+            def counting(batch):
+                # A frame in the batch, or one drawn from a connection's
+                # held frames, is handed to it.
+                drawn = [item for item in batch if isinstance(item, _Conn)]
+                held = sum(len(conn.held) for conn in drawn)
+                process(batch)
+                left = sum(len(conn.held) for conn in drawn)
+                handed.append(len(batch) - len(drawn) + held - left)
+
+            fx.server._process = counting
+            raw = _raw_conn(fx)
+            try:
+                raw.sendall(b"".join(frames))
+                replies = _read_frames(raw, len(frames))
+            finally:
+                raw.close()
+        assert [corr for _, corr, _ in replies] == list(range(len(frames)))
+        assert len(handed) > 1
+        assert sum(handed) <= 2 * len(frames)
 
     @pytest.mark.parametrize(
         "case",
