@@ -47,17 +47,20 @@ A checkpoint or whole-file image is read straight into the columns:
 through the same surface.
 
 :class:`CompactTrie` subclasses :class:`~repro.core.trie.Trie`, swaps
-the cell table for the columns, and overrides the two hot entry points
-(:meth:`CompactTrie.search` and :meth:`CompactTrie.lookup`) with loops
-that read the columns directly instead of going through row views.
-Everything else — model conversion, traversal, surgery, checking — is
-inherited and operates through :class:`CompactCellView` proxies.
+the cell table for the columns, and overrides the hot entry points with
+loops that read the columns directly instead of going through row
+views: the descents (:meth:`CompactTrie.search` and
+:meth:`CompactTrie.lookup`) and the leaf walk of scans and cursors
+(:meth:`CompactTrie.step` and :meth:`CompactTrie.get_ptr`). Everything
+else — model conversion, traversal, surgery, checking — is inherited
+and operates through :class:`CompactCellView` proxies.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
+from typing import Optional
 
 from .alphabet import Alphabet
 from .cells import NIL, is_edge, is_leaf
@@ -252,9 +255,9 @@ class CompactTrie(Trie):
 
     Drop-in for :class:`~repro.core.trie.Trie`: the full API (search,
     surgery, traversal, model conversion, checking) behaves identically;
-    :meth:`search` and :meth:`lookup` are reimplemented over the raw
-    columns for speed. It is the default backend of
-    :class:`~repro.core.file.THFile`
+    :meth:`search`, :meth:`lookup`, :meth:`step` and :meth:`get_ptr`
+    are reimplemented over the raw columns for speed. It is the default
+    backend of :class:`~repro.core.file.THFile`
     (:data:`DEFAULT_TRIE_BACKEND`).
     """
 
@@ -265,6 +268,49 @@ class CompactTrie(Trie):
         self.cells = CompactCells()
         self._min_ord = ord(alphabet.min_digit)
         self._max_ord = ord(alphabet.max_digit)
+
+    def get_ptr(self, location: Location) -> int:
+        """The pointer stored at ``location``, read off the columns."""
+        index = location.cell
+        if index is None:
+            return self.root
+        cells = self.cells
+        if cells._dn[index] == _FREED:
+            raise TrieCorruptionError(f"cell {index} was freed")
+        return (cells._lp if location.side == "L" else cells._rp)[index]
+
+    def step(
+        self, trail: list[tuple[int, str]], forward: bool = True
+    ) -> Optional[int]:
+        """:meth:`Trie.step` over the columns: the leaf walk of a scan.
+
+        Moves ``trail`` in place to the next (previous) leaf and returns
+        its pointer, or returns ``None`` at the last (first) leaf.
+        """
+        cells = self.cells
+        dn = cells._dn
+        if forward:
+            turn, other, down, across = "L", "R", cells._lp, cells._rp
+        else:
+            turn, other, down, across = "R", "L", cells._rp, cells._lp
+        depth = len(trail) - 1
+        while depth >= 0 and trail[depth][1] != turn:
+            depth -= 1
+        if depth < 0:
+            return None
+        index = trail[depth][0]
+        del trail[depth:]
+        trail.append((index, other))
+        if dn[index] == _FREED:
+            raise TrieCorruptionError(f"cell {index} was freed")
+        ptr = across[index]
+        while ptr < 0 and ptr != NIL:
+            index = ~ptr  # the edge encoding -(i + 1)
+            trail.append((index, turn))
+            if dn[index] == _FREED:
+                raise TrieCorruptionError(f"cell {index} was freed")
+            ptr = down[index]
+        return ptr
 
     def lookup(self, key: str) -> int:
         """Map ``key`` to its raw leaf pointer — the descent alone.

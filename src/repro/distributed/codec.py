@@ -17,6 +17,17 @@ Three layers:
   dicts, sets and exception instances. Tuples and lists are *distinct*
   tags: IAM entries, request ids, trace contexts and scan records must
   come back as the tuples the rest of the layer pattern-matches on.
+  An integer outside the signed 64-bit range travels as its signed
+  big-endian bytes (``int.to_bytes``), so no size of integer meets the
+  interpreter's cap on decimal conversion.
+  A non-empty list of ``(str, str)`` tuples — scan replies,
+  ``put_many`` legs and their leftovers, ``get_many`` results, resync
+  snapshots — travels as one **record block** instead: the keys as one
+  UTF-8 run and the values as another, each preceded by its strings'
+  lengths in code points, so a run is decoded once and then sliced. A
+  block decodes to exactly the list of tuples the generic list layout
+  gives, so no caller knows which layout carried it; records with any
+  other value keep the generic layout.
 * **Messages** — :func:`encode_op` / :func:`decode_op` and
   :func:`encode_reply` / :func:`decode_reply` serialise the slot tuples
   of :class:`~repro.distributed.messages.Op` and
@@ -40,6 +51,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable
+from itertools import accumulate
 from typing import Optional
 
 from ..check.framework import ParanoidAuditError
@@ -69,7 +81,8 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the value or message layout.
-WIRE_VERSION = 1
+#: Version 2 added the record block and carries big ints as bytes.
+WIRE_VERSION = 2
 
 #: Frame kinds.
 FRAME_REQUEST = 1  # payload: u32 shard_id | encoded Op
@@ -149,7 +162,7 @@ _TAG_F64 = struct.Struct(">cd")
 _ERROR_HEAD = struct.Struct(">cHI")  # tag, error code, message length
 _u32_at = _U32.unpack_from
 _NONE, _TRUE, _FALSE, _INT, _BIG_INT, _FLOAT = b"NTFiIf"
-_STR, _BYTES, _TUPLE, _LIST, _DICT, _SET, _ERROR = b"sbtldSe"
+_STR, _BYTES, _TUPLE, _LIST, _DICT, _SET, _ERROR, _RECORDS = b"sbtldSer"
 
 
 def _write_value(write: Callable[[bytes], None], value: object) -> None:
@@ -173,7 +186,9 @@ def _write_value(write: Callable[[bytes], None], value: object) -> None:
         if -(2**63) <= value < 2**63:
             write(_TAG_I64.pack(b"i", value))
         else:
-            data = str(value).encode("utf-8")
+            # Two's complement: one sign bit more than the magnitude
+            # needs, rounded up to whole bytes.
+            data = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
             write(_TAG_U32.pack(b"I", len(data)))
             write(data)
     elif isinstance(value, tuple):
@@ -181,9 +196,19 @@ def _write_value(write: Callable[[bytes], None], value: object) -> None:
         for item in value:
             _write_value(write, item)
     elif isinstance(value, list):
-        write(_TAG_U32.pack(b"l", len(value)))
-        for item in value:
-            _write_value(write, item)
+        # The first item decides whether the block is worth a walk: a
+        # point reply's IAM list of 3-tuples pays two cheap tests.
+        first = value[0] if value else None
+        if not (
+            type(first) is tuple
+            and len(first) == 2
+            and type(first[0]) is str
+            and type(first[1]) is str
+            and _write_records(write, value)
+        ):
+            write(_TAG_U32.pack(b"l", len(value)))
+            for item in value:
+                _write_value(write, item)
     elif isinstance(value, dict):
         write(_TAG_U32.pack(b"d", len(value)))
         for key, item in value.items():
@@ -209,6 +234,35 @@ def _write_value(write: Callable[[bytes], None], value: object) -> None:
         )
 
 
+def _write_run(write: Callable[[bytes], None], strings: tuple) -> None:
+    """Append ``strings`` as one run: their lengths, then their UTF-8."""
+    data = "".join(strings).encode("utf-8")
+    write(struct.pack(">%dI" % len(strings), *map(len, strings)))
+    write(_U32.pack(len(data)))
+    write(data)
+
+
+def _write_records(write: Callable[[bytes], None], records: list) -> bool:
+    """Append ``records`` as one record block, if they all fit it.
+
+    Returns ``False``, having written nothing, when some item is not a
+    2-tuple of ``str``; the caller then writes a generic list.
+    """
+    for item in records:
+        if (
+            type(item) is not tuple
+            or len(item) != 2
+            or type(item[0]) is not str
+            or type(item[1]) is not str
+        ):
+            return False
+    keys, values = zip(*records)
+    write(_TAG_U32.pack(b"r", len(keys)))
+    _write_run(write, keys)
+    _write_run(write, values)
+    return True
+
+
 def encode_value(value: object) -> bytes:
     """Encode one value into the tagged-union wire form."""
     parts: list[bytes] = []
@@ -227,6 +281,48 @@ def _read_str(data: bytes, pos: int) -> tuple[str, int]:
         return data[pos:end].decode("utf-8"), end
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"malformed string payload: {exc}") from None
+
+
+def _read_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The length-prefixed bytes at ``pos``, and the offset past them."""
+    (length,) = _u32_at(data, pos)
+    pos += 4
+    end = pos + length
+    if end > len(data):
+        raise ProtocolError("truncated value payload")
+    return bytes(data[pos:end]), end
+
+
+def _read_run(data: bytes, pos: int, count: int) -> tuple[list[str], int]:
+    """The ``count`` strings of the run at ``pos``, and the offset past it.
+
+    The run is decoded once and sliced by its code-point lengths, which
+    must add up to exactly the decoded run. The lengths are checked to
+    fit the payload before they are read, so a forged count allocates
+    nothing.
+    """
+    end = pos + 4 * count
+    if end > len(data):
+        raise ProtocolError(f"record count {count} exceeds its payload")
+    lengths = struct.unpack_from(">%dI" % count, data, pos)
+    text, pos = _read_str(data, end)
+    strings: list[str] = []
+    append = strings.append
+    start = 0
+    for stop in accumulate(lengths):
+        append(text[start:stop])
+        start = stop
+    if start != len(text):
+        raise ProtocolError("record lengths do not add up to their run")
+    return strings, pos
+
+
+def _read_records(data: bytes, pos: int) -> tuple[list, int]:
+    """The record block at ``pos`` (past its tag) as a list of tuples."""
+    (count,) = _u32_at(data, pos)
+    keys, pos = _read_run(data, pos + 4, count)
+    values, pos = _read_run(data, pos, count)
+    return list(zip(keys, values)), pos
 
 
 def _read_value(data: bytes, pos: int) -> tuple[object, int]:
@@ -256,6 +352,8 @@ def _read_value(data: bytes, pos: int) -> tuple[object, int]:
         return True, pos
     if tag == _FALSE:
         return False, pos
+    if tag == _RECORDS:
+        return _read_records(data, pos)
     if tag == _DICT:
         (count,) = _u32_at(data, pos)
         pos += 4
@@ -275,15 +373,10 @@ def _read_value(data: bytes, pos: int) -> tuple[object, int]:
     if tag == _FLOAT:
         return _F64.unpack_from(data, pos)[0], pos + 8
     if tag == _BIG_INT:
-        text, pos = _read_str(data, pos)
-        return int(text), pos
+        raw, pos = _read_bytes(data, pos)
+        return int.from_bytes(raw, "big", signed=True), pos
     if tag == _BYTES:
-        (length,) = _u32_at(data, pos)
-        pos += 4
-        end = pos + length
-        if end > len(data):
-            raise ProtocolError("truncated value payload")
-        return bytes(data[pos:end]), end
+        return _read_bytes(data, pos)
     if tag == _ERROR:
         (code,) = _U16.unpack_from(data, pos)
         message, pos = _read_str(data, pos + 2)
@@ -300,16 +393,15 @@ def decode_value(data: bytes) -> object:
     Any bytes either decode or raise :class:`ProtocolError`. The tag
     walk rejects what it can see; the rest surfaces from Python itself
     and is converted here, once per payload rather than per value: a
-    read past the end (``IndexError``, ``struct.error``), a big-int
-    literal that is not a number (``ValueError``), an unhashable dict
-    key or set member (``TypeError``), and nesting deeper than the
+    read past the end (``IndexError``, ``struct.error``), an unhashable
+    dict key or set member (``TypeError``), and nesting deeper than the
     interpreter stack (``RecursionError``).
     """
     try:
         value, end = _read_value(data, 0)
     except (IndexError, struct.error):
         raise ProtocolError("truncated value payload") from None
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (TypeError, RecursionError) as exc:
         raise ProtocolError(
             f"malformed value payload ({type(exc).__name__})"
         ) from None

@@ -396,7 +396,7 @@ class Replicator:
             "epoch": self.epoch,
             "seq": self.seq,
             "lsn": wal.last_lsn if wal is not None else 0,
-            "items": [[k, v] for k, v in self.server.items()],
+            "items": self.server.items(),  # tuples: one record block
             "dedup": self.server.dedup.to_spec(),
         }
         self.server.registry.counter(

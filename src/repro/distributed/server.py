@@ -441,7 +441,9 @@ class ShardServer:
         value: object = None
         error: Optional[Exception] = None
         if op.kind == GET_MANY:
-            value = self.file.get_many(owned) if owned else {}
+            # The found records as pairs: they travel as one record
+            # block, and the client merges them with ``dict.update``.
+            value = list(self.file.get_many(owned).items()) if owned else []
         elif op.rid is not None and self.dedup.lookup(op.rid)[0]:
             # The owned slice already applied on an earlier delivery
             # (possibly on the shard this window was inherited from);

@@ -8,6 +8,9 @@ Three layers of assurance over :mod:`repro.core.compact`:
   results, identical boundary models, byte-identical serialised tries,
   and byte-identical Section-6 reconstructions from bucket headers
   alone;
+* the column walk: ``CompactTrie.step`` visits the cells trie's leaves
+  in order on TH, THCL and nil-leaf files, and a compact scan or cursor
+  builds no row view;
 * a Hypothesis stateful machine (:class:`CompactAgainstCells`, modelled
   on the chaos machine) driving mixed point and batch operations against
   both backends, with the registered ``repro.check`` audits run at FULL
@@ -42,12 +45,14 @@ import repro.cli
 from repro import Cluster, DuplicateKeyError, ShardPolicy, THFile
 from repro.check import AuditLevel, audit
 from repro.core.bulk import bulk_load_th
-from repro.core.compact import DEFAULT_TRIE_BACKEND, CompactTrie
+from repro.core.cells import NIL, edge_target, is_edge
+from repro.core.compact import DEFAULT_TRIE_BACKEND, CompactCellView, CompactTrie
 from repro.core.cursor import Cursor
+from repro.core.errors import TrieCorruptionError
 from repro.core.mlth import MLTHFile
 from repro.core.policies import SplitPolicy
 from repro.core.reconstruct import reconstruct_trie
-from repro.core.trie import Trie
+from repro.core.trie import Location, Trie
 from repro.distributed import FaultPlan, RetryPolicy
 from repro.distributed.chaos import run_chaos
 from repro.storage.recovery import DurableFile, _THEngine
@@ -264,6 +269,103 @@ class TestDifferential:
         assert any(
             v.code == "AUD-COMPACT-COLUMNS" for v in report.violations
         )
+
+
+# ----------------------------------------------------------------------
+# The leaf walk over the columns
+# ----------------------------------------------------------------------
+def _walk_pair(kind):
+    """A cells and a compact file holding the same seeded records.
+
+    ``th`` is the basic method, ``thcl`` shares leaves between buckets,
+    and ``nil`` deletes two thirds of a basic file so that emptied
+    leaves revert to nil.
+    """
+    policy = SplitPolicy.thcl() if kind == "thcl" else None
+    cells, compact = pair(b=4, policy=policy)
+    keys = KeyGenerator(31).uniform(300)
+    for f in (cells, compact):
+        for k in keys:
+            f.insert(k, k.upper())
+        if kind == "nil":
+            for k in keys[:200]:
+                f.delete(k)
+    return cells, compact
+
+
+def _leaf_walk(trie, step, forward):
+    """Every ``(trail, pointer)`` the walk visits from one end to the other."""
+    side = "L" if forward else "R"
+    trail = []
+    ptr = trie.root
+    while is_edge(ptr):  # down to the first (last) leaf
+        trail.append((edge_target(ptr), side))
+        ptr = trie.cells[edge_target(ptr)].child(side)
+    visits = [(list(trail), trie.get_ptr(Location(*trail[-1])))]
+    while (ptr := step(trie, trail, forward)) is not None:
+        assert ptr == trie.get_ptr(Location(*trail[-1]))
+        visits.append((list(trail), ptr))
+    return visits
+
+
+class TestColumnWalk:
+    @pytest.mark.parametrize("kind", ["th", "thcl", "nil"])
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+    def test_step_matches_the_cells_trie_leaf_for_leaf(self, kind, forward):
+        cells, compact = _walk_pair(kind)
+        leaves = [ptr for _, ptr, _ in cells.trie.leaves_in_order()]
+        if kind == "thcl":
+            assert len(set(leaves)) < len(leaves)  # shared leaves
+        if kind == "nil":
+            assert NIL in leaves
+        walked = _leaf_walk(compact.trie, CompactTrie.step, forward)
+        assert walked == _leaf_walk(cells.trie, Trie.step, forward)
+        # The column walk and the inherited view walk agree too.
+        assert walked == _leaf_walk(compact.trie, Trie.step, forward)
+        assert [ptr for _, ptr in walked] == (
+            leaves if forward else leaves[::-1]
+        )
+
+    def test_a_freed_cell_on_the_trail_raises_as_on_cells(self):
+        messages = []
+        for f in _walk_pair("th"):
+            # The first leaf's trail turns left at every cell, so the
+            # step climbs to its last cell and turns right there.
+            trail = list(f.trie.search("").trail)
+            f.trie.cells.free(trail[-1][0])
+            with pytest.raises(TrieCorruptionError) as info:
+                f.trie.step(trail)
+            messages.append(str(info.value))
+            with pytest.raises(TrieCorruptionError):
+                f.trie.get_ptr(Location(*trail[-1]))
+        assert messages[0] == messages[1]
+
+    def test_a_compact_scan_and_cursor_walk_build_no_cell_view(self, monkeypatch):
+        _, compact = _walk_pair("thcl")
+        ordered = sorted(compact.keys())
+        built = []
+        make_view = CompactCellView.__init__
+
+        def counting(view, table, index):
+            built.append(index)
+            make_view(view, table, index)
+
+        monkeypatch.setattr(CompactCellView, "__init__", counting)
+        scanned = list(compact.range_items(ordered[10], ordered[250]))
+        assert [k for k, _ in scanned] == ordered[10:251]
+        cursor = Cursor(compact)
+        forward, backward = [], []
+        ok = cursor.first()
+        while ok:
+            forward.append(cursor.item()[0])
+            ok = cursor.next()
+        ok = cursor.last()
+        while ok:
+            backward.append(cursor.item()[0])
+            ok = cursor.prev()
+        assert forward == ordered
+        assert backward == ordered[::-1]
+        assert built == []
 
 
 # ----------------------------------------------------------------------

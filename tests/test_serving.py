@@ -29,6 +29,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -88,13 +89,27 @@ def _counter_sum(registry, name):
     )
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _keys(count):
-    """Alphabet-legal distinct keys spread across the key space."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    return [
-        letters[i % 26] + letters[(i * 7) % 26] + letters[(i * 3) % 26]
-        for i in range(count)
-    ]
+    """``count`` distinct alphabet-legal keys spread evenly, in order,
+    over the three-letter keys ``aaa`` .. ``zzz``."""
+    span = len(_LETTERS) ** 3
+    assert count <= span
+    keys = []
+    for i in range(count):
+        n = i * span // count  # strictly increasing: span >= count
+        keys.append(_LETTERS[n // 676] + _LETTERS[n // 26 % 26] + _LETTERS[n % 26])
+    return keys
+
+
+@pytest.mark.parametrize("count", [26, 30, 40, 50, 60, 80, 1500])
+def test_keys_are_distinct_for_every_size_the_tests_use(count):
+    keys = _keys(count)
+    assert len(set(keys)) == count
+    assert keys == sorted(keys)
+    assert keys[0] == "aaa" and keys[-1][0] == "z"
 
 
 # The tagged-union value space. Sets decode as mutable ``set``, so set
@@ -116,17 +131,25 @@ _EXCEPTIONS = st.builds(
     st.sampled_from(sorted(ERROR_CODES.values(), key=repr)),
     st.text(),
 )
+# Record lists: all-``str`` pairs take the record block, pairs with any
+# other value keep the generic list layout. Keys and values are drawn to
+# hold non-ASCII code points, NUL and the empty string.
+_RECORD_TEXT = st.text(alphabet=st.sampled_from("ab\x00é✓\U0001f600"), max_size=4)
+_RECORDS = st.lists(
+    st.tuples(_RECORD_TEXT, _RECORD_TEXT), min_size=1, max_size=6
+) | st.lists(st.tuples(_RECORD_TEXT, _SCALARS), min_size=1, max_size=6)
 _VALUES = st.recursive(
-    _SCALARS | _EXCEPTIONS,
+    _SCALARS | _EXCEPTIONS | _RECORDS,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(_HASHABLES, inner, max_size=4)
         | st.frozensets(_HASHABLES, max_size=4)
+        | st.lists(st.tuples(_RECORD_TEXT, inner), min_size=1, max_size=4)
     ),
     max_leaves=12,
 )
-_TAGS = [bytes([tag]) for tag in b"NTFiIfsbtldSe"]
+_TAGS = [bytes([tag]) for tag in b"NTFiIfsbtldSer"]
 _BYTES = [bytes([byte]) for byte in range(256)]
 
 
@@ -148,6 +171,11 @@ def _damaged_encodings(draw):
             byte = draw(st.sampled_from(_TAGS if edit == "retag" else _BYTES))
             data[pos:pos + 1] = byte
     return bytes(data)
+
+
+def _run(lengths, raw):
+    """A record block run: code-point lengths, then the UTF-8 bytes."""
+    return b"".join(_U32.pack(n) for n in lengths) + _U32.pack(len(raw)) + raw
 
 
 def _canon(value):
@@ -217,9 +245,10 @@ def _put_with_rid_and_ctx():
     return op
 
 
-#: Wire bytes pinned under ``WIRE_VERSION`` 1, recorded from the codec
-#: as it stood before the offset decoder: (id, encode, decode, make,
-#: hex). A change to any of them is a wire break, not a refactor.
+#: Wire bytes pinned under ``WIRE_VERSION`` 2: (id, encode, decode,
+#: make, hex). Version 2 re-pinned the big int (bytes) and added the
+#: all-``str`` scan reply (a record block); the rest kept their version-1
+#: bytes. A change to any of them is a wire break, not a refactor.
 _GOLDEN = [
     (
         "get-op",
@@ -248,6 +277,7 @@ _GOLDEN = [
         "464e",
     ),
     (
+        # Records whose values are not all strings: the generic list.
         "scan-reply",
         encode_reply,
         decode_reply,
@@ -262,6 +292,23 @@ _GOLDEN = [
         "006900000000000000006900000000000000006c000000027400000002730000"
         "000261616900000000000000017400000002730000000261624e730000000174"
         "46464e",
+    ),
+    (
+        # All values strings: two runs, lengths in code points ("✓" is
+        # one code point and three UTF-8 bytes).
+        "str-scan-reply",
+        encode_reply,
+        decode_reply,
+        lambda: Reply(
+            records=[("apple", "crunchy"), ("mango", "ripe ✓")],
+            done=True,
+            iam=[("m", None, 1)],
+            owner=1,
+        ),
+        "740000000a4e4e6c00000001740000000373000000016d4e6900000000000000"
+        "0169000000000000000069000000000000000172000000020000000500000005"
+        "0000000a6170706c656d616e676f00000007000000060000000f6372756e6368"
+        "797269706520e29c934e54464e",
     ),
     (
         "errored-reply",
@@ -282,8 +329,7 @@ _GOLDEN = [
         encode_value,
         decode_value,
         lambda: -(2**100),
-        "49000000202d3132363736353036303032323832323934303134393637303332"
-        "3035333736",
+        "490000000df0000000000000000000000000",
     ),
     (
         "set",
@@ -315,7 +361,7 @@ class TestValueCodec:
     )
     def test_wire_bytes_are_pinned(self, encode, decode, make, golden):
         data = bytes.fromhex(golden)
-        assert WIRE_VERSION == 1
+        assert WIRE_VERSION == 2
         assert encode(make()) == data
         # And the bytes decode to a message that encodes back to them.
         assert encode(decode(data)) == data
@@ -438,18 +484,79 @@ class TestValueCodec:
     @pytest.mark.parametrize(
         "payload",
         [
-            b"I" + _U32.pack(3) + b"xyz",
+            b"I" + _U32.pack(4) + b"xyz",
             b"d" + _U32.pack(1) + b"l" + _U32.pack(0) + b"N",
             b"S" + _U32.pack(1) + b"d" + _U32.pack(0),
             (b"l" + _U32.pack(1)) * 5000 + b"N",
         ],
-        ids=["big-int-not-a-number", "list-dict-key", "dict-set-member", "deep"],
+        ids=["big-int-cut", "list-dict-key", "dict-set-member", "deep"],
     )
     def test_hostile_payloads_raise_protocol_error(self, payload):
-        # Python itself raises ValueError / TypeError / RecursionError
-        # on these; only ProtocolError is the server's typed boundary.
+        # Python itself raises IndexError / TypeError / RecursionError
+        # on some of these; only ProtocolError is the server's typed
+        # boundary.
         with pytest.raises(ProtocolError):
             decode_value(payload)
+
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["+", "-"])
+    def test_big_ints_past_the_decimal_cap_roundtrip(self, value):
+        # str(10**5000) raises ValueError on interpreters that cap
+        # int/str conversion at 4 300 digits; the escape carries bytes.
+        back = decode_value(encode_value(value))
+        assert type(back) is int
+        assert back == value
+
+    def test_records_take_the_block_and_decode_as_the_list_does(self):
+        records = [("a\x00b", "é✓"), ("", ""), ("k", "\U0001f600")]
+        data = encode_value(records)
+        assert data[:1] == b"r"
+        back = decode_value(data)
+        assert back == records
+        assert all(type(item) is tuple for item in back)
+        # Not every item a (str, str) pair: the generic list layout,
+        # whether the first item or a later one is the odd one out.
+        for mixed in (
+            [("a", 1), ("b", "x")],
+            [("a", "x"), ("b", 1)],
+            [("a", "x"), ("b", "y", "z")],
+            [("a", "x"), ["b", "y"]],
+            [(1, "a")],
+        ):
+            data = encode_value(mixed)
+            assert data[:1] == b"l"
+            assert decode_value(data) == mixed
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"r\x00\x00",
+            b"r" + _U32.pack(2**32 - 1) + _run([2], b"ab"),
+            b"r" + _U32.pack(2) + _run([1, 1], b"ab")[:-1],
+            b"r" + _U32.pack(2) + _run([1, 1], b"ab") + _run([1, 1], b"cd")[:-1],
+            b"r" + _U32.pack(2) + _run([1, 1], b"a\xff") + _run([1, 1], b"cd"),
+            b"r" + _U32.pack(2) + _run([1, 1], b"abc") + _run([1, 1], b"cd"),
+            b"r" + _U32.pack(2) + _run([1, 1], b"ab") + _run([2, 1], b"cd"),
+        ],
+        ids=[
+            "short-count",
+            "count-beyond-payload",
+            "cut-key-run",
+            "cut-value-run",
+            "bad-utf8",
+            "lengths-short-of-run",
+            "lengths-past-run",
+        ],
+    )
+    def test_damaged_record_blocks_raise_protocol_error(self, payload):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError):
+                decode_value(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A forged count fails before anything is sized by it.
+        assert peak < 1 << 20
 
 
 # ======================================================================
@@ -507,10 +614,12 @@ class TestFrames:
         assert unpack_frame(frame[4:]) == (FRAME_REQUEST, 77, b"payload")
 
     def test_foreign_wire_version_rejected(self):
-        body = bytearray(pack_frame(FRAME_REQUEST, 0, b"x")[4:])
-        body[0] = WIRE_VERSION + 1
-        with pytest.raises(ProtocolError, match="wire version"):
-            unpack_frame(bytes(body))
+        # Version 1 (no record block) and a future version alike.
+        for version in (1, WIRE_VERSION + 1):
+            body = bytearray(pack_frame(FRAME_REQUEST, 0, b"x")[4:])
+            body[0] = version
+            with pytest.raises(ProtocolError, match=f"wire version {version}"):
+                unpack_frame(bytes(body))
 
     def test_short_body_rejected(self):
         with pytest.raises(ProtocolError):
@@ -816,6 +925,20 @@ class TestBlockingTransport:
         finally:
             fake_server.close()
 
+    def test_version_1_reply_fails_typed_and_closes(self):
+        client, fake_server = socket.socketpair()
+        transport = RemoteTransport(client)
+        try:
+            frame = bytearray(_response_frame(0, "from a version-1 server"))
+            frame[4] = 1  # bytes 0-3 are the length
+            fake_server.sendall(bytes(frame))
+            with pytest.raises(ProtocolError, match="wire version 1"):
+                transport.request(0, Op.get("apple"), 5.0)
+            assert transport.sock is None
+            assert client.fileno() == -1
+        finally:
+            fake_server.close()
+
     def test_tcp_session_sets_nodelay_and_starts_no_thread(self):
         runner = LoopRunner()
         server = ServingServer(Cluster(shards=1))
@@ -880,28 +1003,29 @@ class TestTransportEdges:
             assert [r.value for r in replies] == [k.upper() for k in keys]
 
     def test_foreign_version_frame_hangs_up_the_connection(self):
+        async def send_poison(conn, poison):
+            conn._writer.write(poison)
+            await conn._writer.drain()
+
         with ServingFixture(Cluster(shards=1)) as fx:
-            runner, conn = fx.open_conn()
-            poison = bytearray(pack_frame(FRAME_REQUEST, 0, b""))
-            poison[4] = WIRE_VERSION + 1  # bytes 0-3 are the length
-
-            async def send_poison():
-                conn._writer.write(bytes(poison))
-                await conn._writer.drain()
-
-            runner.call(send_poison(), 10.0)
-            # The stream can no longer be framed; the server hangs up
-            # and every in-flight op surfaces as a lost message.
-            with pytest.raises(MessageLostError):
-                runner.call(conn.request(0, Op.get("a"), 5.0), 10.0)
+            # Version 1 (no record block) and a future version alike.
+            for version in (1, WIRE_VERSION + 1):
+                runner, conn = fx.open_conn()
+                poison = bytearray(pack_frame(FRAME_REQUEST, 0, b""))
+                poison[4] = version  # bytes 0-3 are the length
+                runner.call(send_poison(conn, bytes(poison)), 10.0)
+                # The stream can no longer be framed; the server hangs
+                # up and every in-flight op surfaces as a lost message.
+                with pytest.raises(MessageLostError):
+                    runner.call(conn.request(0, Op.get("a"), 5.0), 10.0)
 
     @pytest.mark.parametrize(
         "op_payload",
         [
-            b"I" + _U32.pack(3) + b"xyz",
+            b"I" + _U32.pack(4) + b"xyz",
             encode_value((["get"], "apple", None, None, None, None, None, None)),
         ],
-        ids=["big-int-not-a-number", "unhashable-op-kind"],
+        ids=["big-int-cut", "unhashable-op-kind"],
     )
     def test_hostile_request_fails_typed_and_spares_other_clients(
         self, op_payload
