@@ -255,8 +255,8 @@ class CompactTrie(Trie):
 
     Drop-in for :class:`~repro.core.trie.Trie`: the full API (search,
     surgery, traversal, model conversion, checking) behaves identically;
-    :meth:`search`, :meth:`lookup`, :meth:`step` and :meth:`get_ptr`
-    are reimplemented over the raw columns for speed. It is the default
+    :meth:`search`, :meth:`lookup`, :meth:`trail`, :meth:`step` and
+    :meth:`get_ptr` are reimplemented over the raw columns for speed. It is the default
     backend of :class:`~repro.core.file.THFile`
     (:data:`DEFAULT_TRIE_BACKEND`).
     """
@@ -363,6 +363,54 @@ class CompactTrie(Trie):
             else:
                 n = rp[index]
         return n
+
+    def trail(self, key: str) -> list[tuple[int, str]]:
+        """The A1 descent trail of ``key`` read off the columns.
+
+        The descent of :meth:`lookup`, keeping each ``(cell, side)``
+        step and nothing else: no logical path and no location, which a
+        scan's two bounds and a full walk never read. Equal to
+        ``list(search(key).trail)``.
+        """
+        try:
+            kb = key.encode("latin-1")
+        except UnicodeEncodeError:
+            return list(self.search(key).trail)
+        cells = self.cells
+        md = cells._md
+        lp = cells._lp
+        rp = cells._rp
+        min_ord = self._min_ord
+        trail: list[tuple[int, str]] = []
+        append = trail.append
+        n = self.root
+        j = 0
+        klen = len(kb)
+        while n < 0:
+            index = ~n
+            try:
+                m = md[index]
+            except IndexError:  # the NIL sentinel, as in lookup
+                return trail
+            i = m >> _DV_BITS
+            if j == i:
+                cj = kb[j] if j < klen else min_ord
+                d = m & _DV_MASK
+                if cj <= d:
+                    append((index, "L"))
+                    n = lp[index]
+                    if cj == d:
+                        j += 1
+                else:
+                    append((index, "R"))
+                    n = rp[index]
+            elif j < i:
+                append((index, "L"))
+                n = lp[index]
+            else:
+                append((index, "R"))
+                n = rp[index]
+        return trail
 
     def search(
         self,

@@ -462,7 +462,7 @@ class THFile:
     # ------------------------------------------------------------------
     def items(self) -> Iterator[tuple[str, object]]:
         """Iterate every record in key order (reads each bucket once)."""
-        for address in self._buckets(list(self.trie.search("").trail)):
+        for address in self._buckets(self.trie.trail("")):
             keys, values = self._records(address)
             yield from zip(keys, values)
 

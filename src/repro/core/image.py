@@ -13,11 +13,17 @@ A :class:`TrieImage` is the shape-free form of that partition: a list of
 *boundaries* sorted in boundary order (see
 :mod:`repro.core.boundaries`), plus one shard id per gap — exactly a
 :class:`~repro.core.boundaries.BoundaryModel` whose children are shard
-ids instead of bucket addresses. The coordinator holds the authoritative
-instance; clients hold stale copies. Because shard splits only ever
-*add* boundaries (there is no shard merge), a client image's boundary
-set is always a subset of the authoritative one, and patching is pure
-refinement: insert the missing cuts, repoint the covered gaps.
+ids instead of bucket addresses. Beside the boundaries it keeps their
+*cuts*: each boundary followed by a sentinel character just above the
+alphabet's largest digit. Native string order on cuts is boundary
+order, and a key falls at or below a boundary exactly when it sorts
+below the boundary's cut (a key never holds the sentinel), so the gap
+of a key is one C-level ``bisect`` over the cuts. The coordinator holds
+the authoritative instance; clients hold stale copies. Because shard
+splits only ever *add* boundaries (there is no shard merge), a client
+image's boundary set is always a subset of the authoritative one, and
+patching is pure refinement: insert the missing cuts, repoint the
+covered gaps.
 
 IAM entries are triples ``(low, high, shard)``: the authoritative fact
 that every key strictly above boundary ``low`` and at or below boundary
@@ -27,14 +33,14 @@ that every key strictly above boundary ``low`` and at or below boundary
 
 from __future__ import annotations
 
-import bisect
+import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from ..check.hook import maybe_audit
 from .alphabet import Alphabet
-from .boundaries import boundary_sort_key, gap_index
-from .errors import TrieCorruptionError
+from .errors import InvalidKeyError, TrieCorruptionError
 
 __all__ = ["IAMEntry", "TrieImage"]
 
@@ -55,9 +61,12 @@ class TrieImage:
         One shard id per gap: ``len(boundaries) + 1`` entries;
         ``shards[j]`` owns the keys between ``boundaries[j-1]``
         (exclusive) and ``boundaries[j]`` (inclusive).
+
+    An alphabet whose largest digit is ``U+10FFFF`` leaves no character
+    for the sentinel and raises :class:`InvalidKeyError`.
     """
 
-    __slots__ = ("alphabet", "boundaries", "shards", "_sort_keys")
+    __slots__ = ("alphabet", "boundaries", "shards", "_cuts", "_sentinel")
 
     def __init__(
         self,
@@ -73,12 +82,15 @@ class TrieImage:
                 f"{len(self.boundaries)} boundaries need "
                 f"{len(self.boundaries) + 1} shards, got {len(self.shards)}"
             )
-        self._sort_keys = [
-            boundary_sort_key(s, alphabet) for s in self.boundaries
-        ]
-        for a, b in zip(self._sort_keys, self._sort_keys[1:]):
-            if not a < b:
-                raise TrieCorruptionError("image boundaries not increasing")
+        top = ord(alphabet.max_digit)
+        if top >= sys.maxunicode:
+            raise InvalidKeyError(
+                "an image needs a character above the alphabet's largest "
+                f"digit, and U+{top:04X} has none"
+            )
+        self._sentinel = chr(top + 1)
+        self._cuts = [self._cut(s) for s in self.boundaries]
+        self.check()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -95,14 +107,20 @@ class TrieImage:
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
+    def _cut(self, boundary: str) -> str:
+        """``boundary`` followed by the sentinel; refuses foreign digits."""
+        for digit in boundary:
+            self.alphabet.index(digit)
+        return boundary + self._sentinel
+
     def locate(self, key: str) -> tuple[int, int]:
         """The ``(gap, shard)`` this image maps ``key`` to."""
-        gap = gap_index(self.boundaries, key, self.alphabet)
+        gap = bisect_left(self._cuts, key)
         return gap, self.shards[gap]
 
     def shard_for_key(self, key: str) -> int:
         """The shard id this image routes ``key`` to."""
-        return self.locate(key)[1]
+        return self.shards[bisect_left(self._cuts, key)]
 
     def region(self, gap: int) -> tuple[Optional[str], Optional[str]]:
         """Gap ``gap``'s bounding boundaries ``(low, high)``.
@@ -115,9 +133,7 @@ class TrieImage:
 
     def gap_above(self, boundary: str) -> int:
         """Index of the first gap strictly above ``boundary``."""
-        return bisect.bisect_right(
-            self._sort_keys, boundary_sort_key(boundary, self.alphabet)
-        )
+        return bisect_right(self._cuts, self._cut(boundary))
 
     # ------------------------------------------------------------------
     # Refinement
@@ -149,15 +165,13 @@ class TrieImage:
         Returns the insertion index, or ``-(index + 1)`` when the
         boundary was already present at ``index``.
         """
-        sk = boundary_sort_key(boundary, self.alphabet)
-        position = bisect.bisect_left(self._sort_keys, sk)
-        if (
-            position < len(self._sort_keys)
-            and self._sort_keys[position] == sk
-        ):
+        cut = self._cut(boundary)
+        cuts = self._cuts
+        position = bisect_left(cuts, cut)
+        if position < len(cuts) and cuts[position] == cut:
             return -(position + 1)
         self.boundaries.insert(position, boundary)
-        self._sort_keys.insert(position, sk)
+        cuts.insert(position, cut)
         self.shards.insert(position, self.shards[position])
         return position
 
@@ -200,6 +214,6 @@ class TrieImage:
         """Verify the image invariants (sorted cuts, aligned shards)."""
         if len(self.shards) != len(self.boundaries) + 1:
             raise TrieCorruptionError("boundary/shard arity mismatch")
-        for a, b in zip(self._sort_keys, self._sort_keys[1:]):
+        for a, b in zip(self._cuts, self._cuts[1:]):
             if not a < b:
                 raise TrieCorruptionError("image boundaries not increasing")

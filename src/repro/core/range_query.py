@@ -2,9 +2,11 @@
 
 Trie hashing preserves key order (the logical paths partition the key
 space order-preservingly, Section 2.2), so a range query is a position
-search followed by a walk over successive leaves: A1 finds the leaf of
-the low bound, and :meth:`THFile._buckets <repro.core.file.THFile._buckets>`
-steps the search trail on through the leaf of the high bound. A scan
+search followed by a walk over successive leaves: the A1 descent finds
+the leaf of the low bound (keeping only its trail, :meth:`Trie.trail
+<repro.core.trie.Trie.trail>`), and :meth:`THFile._buckets
+<repro.core.file.THFile._buckets>` steps the trail on through the leaf
+of the high bound. A scan
 therefore costs in proportion to its range, not to the file. THCL's
 shared leaves even make some scans cheaper: consecutive leaves carrying
 the same bucket cost a single access (Section 4.1).
@@ -17,6 +19,7 @@ from collections.abc import Iterator
 from typing import Optional, TYPE_CHECKING
 
 from .cursor import CursorInvalidError
+from .trie import ROOT_LOCATION, Location
 
 if TYPE_CHECKING:  # pragma: no cover
     from .file import THFile
@@ -50,8 +53,12 @@ def scan(
     generation = file.structure_generation
     trie = file.trie
     # The empty key pads to all min digits: A1 maps it to the first leaf.
-    trail = list(trie.search("" if low is None else low).trail)
-    stop = None if high is None else trie.search(high).location
+    trail = trie.trail("" if low is None else low)
+    stop = None
+    if high is not None:
+        # The walk stops at the high bound's leaf: its last trail step.
+        last = trie.trail(high)
+        stop = Location(*last[-1]) if last else ROOT_LOCATION
     for address in file._buckets(trail, stop=stop):
         keys, values = file._records(address)
         begin = 0 if low is None else bisect.bisect_left(keys, low)

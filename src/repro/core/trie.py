@@ -199,6 +199,17 @@ class Trie:
         """
         return self.search(key).ptr
 
+    def trail(self, key: str) -> list[tuple[int, str]]:
+        """The descent steps ``(cell, side)`` Algorithm A1 takes for ``key``.
+
+        Equal to ``list(search(key).trail)``: the start of a leaf walk
+        (:meth:`step`), whose leaf location is ``Location(*trail[-1])``
+        (the root slot for an empty trail). Backends may override it
+        with a loop that keeps the trail alone, as the compact backend
+        does; the default projects :meth:`search`.
+        """
+        return list(self.search(key).trail)
+
     @staticmethod
     def _extend_path(path: str, d: str, i: int) -> str:
         """``C <- (C)_{i-1} · d`` with a gap check (valid tries never gap)."""

@@ -5,10 +5,11 @@ A :class:`DistributedFile` exposes the single-node
 ``get`` / ``contains`` / ``delete`` / ``range_items`` — but routes every
 operation through its cached :class:`~repro.core.image.TrieImage`. The
 image may be arbitrarily stale (a cold client believes the whole key
-space lives on shard 0); servers forward misaddressed operations and the
-reply's IAM refines the image, so the miss rate decays as the client
-works — the TH* convergence property, which :meth:`convergence`
-measures and reports through :mod:`repro.obs`.
+space lives on shard 0); servers forward misaddressed operations, and
+a reply to an op the image addressed wrongly carries the IAM that
+refines it, so the miss rate decays as the client works — the TH*
+convergence property, which :meth:`convergence` measures and reports
+through :mod:`repro.obs`.
 
 Under a faulty fabric the client is also the resilience layer. Every
 delivery runs inside a retry loop governed by a
@@ -100,8 +101,6 @@ class DistributedFile:
         self.retries_total = 0
         self._seq = 0
         self._rng = random.Random(client_id)
-        #: The image gap the last point op was addressed by.
-        self._gap = 0
         # Per-op instruments, bound on first use: a bound instrument
         # costs one ``inc``/``set`` and no label sort, and a series the
         # client never touches is never created.
@@ -191,32 +190,18 @@ class DistributedFile:
                 histogram.observe(self.router.now - start)
             return reply
 
-    def _address(self, key: str) -> int:
-        """The shard the image routes ``key`` to; remembers the gap."""
-        self._gap, shard = self.image.locate(key)
-        return shard
-
-    def _absorb(self, reply: Reply, gap: Optional[int] = None) -> None:
+    def _absorb(self, reply: Reply) -> None:
         """Learn from ``reply``'s IAM and count the op's routing.
 
-        ``gap`` is the image gap the op was addressed by, when it had
-        one (point ops). A reply whose only IAM entry is that gap's
-        ``(low, high, shard)`` teaches nothing — the image already
-        holds the region — so the patch is skipped.
+        A reply carries an IAM only when the image addressed the wrong
+        shard, so a client whose image was right patches nothing.
         """
         registry = self.cluster.registry
         # The IAM is authoritative whatever the outcome — a reply whose
         # operation failed (duplicate key, missing key) still teaches
         # the client the true region cuts.
-        iam = reply.iam
-        image = self.image
-        known = (
-            gap is not None
-            and len(iam) == 1
-            and iam[0] == (*image.region(gap), image.shards[gap])
-        )
-        if not known:
-            learned = image.patch(iam)
+        if reply.iam:
+            learned = self.image.patch(reply.iam)
             self.iam_boundaries += learned
             if learned:
                 if self._learned is None:
@@ -252,8 +237,8 @@ class DistributedFile:
     def _point(self, op: Op) -> object:
         if op.kind in MUTATING_OPS:
             op.rid = self._fresh_rid()
-        reply = self._send(op, lambda: self._address(op.key))
-        self._absorb(reply, self._gap)
+        reply = self._send(op, lambda: self.image.shard_for_key(op.key))
+        self._absorb(reply)
         if reply.error is not None:
             raise reply.error
         return reply.value

@@ -15,8 +15,8 @@ Three layers:
 * **Values** — a tagged union covering ``None``, booleans, integers
   (with a big-int escape), floats, strings, bytes, lists, tuples,
   dicts, sets and exception instances. Tuples and lists are *distinct*
-  tags: IAM entries, request ids, trace contexts and scan records must
-  come back as the tuples the rest of the layer pattern-matches on.
+  tags: request ids, trace contexts and scan records must come back as
+  the tuples the rest of the layer pattern-matches on.
   An integer outside the signed 64-bit range travels as its signed
   big-endian bytes (``int.to_bytes``), so no size of integer meets the
   interpreter's cap on decimal conversion.
@@ -29,12 +29,29 @@ Three layers:
   gives, so no caller knows which layout carried it; records with any
   other value keep the generic layout.
 * **Messages** — :func:`encode_op` / :func:`decode_op` and
-  :func:`encode_reply` / :func:`decode_reply` serialise the slot tuples
-  of :class:`~repro.distributed.messages.Op` and
-  :class:`~repro.distributed.messages.Reply`. Exceptions travel as a
-  ``(code, message)`` pair through the :data:`ERROR_CODES` registry and
-  come back as fresh instances of the same class, so ``raise
-  reply.error`` behaves identically on either side of a wire.
+  :func:`encode_reply` / :func:`decode_reply` write an
+  :class:`~repro.distributed.messages.Op` or a
+  :class:`~repro.distributed.messages.Reply` as one fixed ``struct``
+  head, then only the fields it sets, each in the value layout::
+
+      op    := u8 flags | u8 n | kind (n bytes UTF-8) | set slots
+      reply := u8 flags | u16 forwards | i32 owner | set fields
+      iam   := u32 count | count × (u32 low_len | u32 high_len |
+                                    i32 shard | low | high)
+
+  An op's flags mark its set slots (key, value, low, high, after, rid,
+  ctx); the kind travels as a string, so an unknown kind still reaches
+  the server and fails typed there. A reply's flags mark its set
+  fields (value, error, iam, records, region_high, ctx) and hold
+  ``done`` and ``dedup``. The IAM is the one field with its own
+  layout: a count, then ``(low, high, shard)`` entries whose cut length
+  ``0xFFFFFFFF`` stands for an open end. Unknown op flag bits, a cut
+  head, an IAM count the payload cannot hold and trailing bytes raise
+  :class:`ProtocolError`. ``Op.addressed`` is never encoded.
+  Exceptions travel as a ``(code, message)`` pair through the
+  :data:`ERROR_CODES` registry and come back as fresh instances of the
+  same class, so ``raise reply.error`` behaves identically on either
+  side of a wire.
 * **Frames** — the length-prefixed envelope of the asyncio serving
   protocol (:mod:`repro.serving`)::
 
@@ -42,7 +59,8 @@ Three layers:
 
   ``length`` counts everything after itself. ``corr_id`` is the
   pipelining correlation id the client matches replies with. A version
-  mismatch or malformed payload raises
+  mismatch (an older version included: no decoder for one is kept) or
+  malformed payload raises
   :class:`~repro.distributed.errors.ProtocolError` — wire damage is a
   protocol violation, never a silent misdecode.
 """
@@ -81,8 +99,9 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the value or message layout.
-#: Version 2 added the record block and carries big ints as bytes.
-WIRE_VERSION = 2
+#: Version 2 added the record block and carries big ints as bytes;
+#: version 3 sends each message as a fixed head plus the fields it sets.
+WIRE_VERSION = 3
 
 #: Frame kinds.
 FRAME_REQUEST = 1  # payload: u32 shard_id | encoded Op
@@ -197,7 +216,7 @@ def _write_value(write: Callable[[bytes], None], value: object) -> None:
             _write_value(write, item)
     elif isinstance(value, list):
         # The first item decides whether the block is worth a walk: a
-        # point reply's IAM list of 3-tuples pays two cheap tests.
+        # list of anything but pairs pays two cheap tests.
         first = value[0] if value else None
         if not (
             type(first) is tuple
@@ -329,8 +348,8 @@ def _read_value(data: bytes, pos: int) -> tuple[object, int]:
     """The value encoded at ``pos``, and the offset just past it.
 
     Reading past the end raises ``IndexError`` (a missing tag) or
-    ``struct.error`` (a short field); :func:`decode_value` turns both
-    into :class:`ProtocolError`.
+    ``struct.error`` (a short field); :func:`_decode` turns both into
+    :class:`ProtocolError`.
     """
     tag = data[pos]
     pos += 1
@@ -387,76 +406,211 @@ def _read_value(data: bytes, pos: int) -> tuple[object, int]:
     raise ProtocolError(f"unknown value tag {bytes([tag])!r}")
 
 
-def decode_value(data: bytes) -> object:
-    """Decode one value; trailing bytes are a protocol violation.
+def _decode(read: Callable, data: bytes, what: str):
+    """Run ``read`` over the whole of ``data``; the one typed boundary.
 
-    Any bytes either decode or raise :class:`ProtocolError`. The tag
-    walk rejects what it can see; the rest surfaces from Python itself
-    and is converted here, once per payload rather than per value: a
-    read past the end (``IndexError``, ``struct.error``), an unhashable
-    dict key or set member (``TypeError``), and nesting deeper than the
-    interpreter stack (``RecursionError``).
+    Any bytes either decode or raise :class:`ProtocolError`. The
+    readers reject what they can see; the rest surfaces from Python
+    itself and is converted here, once per payload rather than per
+    field: a read past the end (``IndexError``, ``struct.error``), an
+    unhashable dict key or set member (``TypeError``), a bad UTF-8 run
+    (``UnicodeDecodeError``), and nesting deeper than the interpreter
+    stack (``RecursionError``).
     """
     try:
-        value, end = _read_value(data, 0)
+        decoded, end = read(data, 0)
     except (IndexError, struct.error):
-        raise ProtocolError("truncated value payload") from None
-    except (TypeError, RecursionError) as exc:
+        raise ProtocolError(f"truncated {what} payload") from None
+    except (TypeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProtocolError(
-            f"malformed value payload ({type(exc).__name__})"
+            f"malformed {what} payload ({type(exc).__name__})"
         ) from None
     if end != len(data):
-        raise ProtocolError("trailing bytes after value")
-    return value
+        raise ProtocolError(f"trailing bytes after {what}")
+    return decoded
+
+
+def decode_value(data: bytes) -> object:
+    """Decode one value; trailing bytes are a protocol violation."""
+    return _decode(_read_value, data, "value")
 
 
 # ----------------------------------------------------------------------
 # Message layer
 # ----------------------------------------------------------------------
+# The layouts are drawn in the module docstring.
+_OP_HEAD = struct.Struct(">BB")  # presence flags, kind length
+_OP_FIELDS = 0x7F  # key, value, low, high, after, rid, ctx
+_REPLY_HEAD = struct.Struct(">BHi")  # flags, forwards, owner
+# The reply flag bits, one per optional field, then done and dedup.
+(_R_VALUE, _R_ERROR, _R_IAM, _R_RECORDS, _R_REGION_HIGH, _R_CTX, _R_DONE,
+ _R_DEDUP) = (1 << bit for bit in range(8))
+_IAM_ENTRY = struct.Struct(">IIi")  # low length, high length, shard
+_OPEN = 0xFFFFFFFF
+
+
 def encode_op(op: Op) -> bytes:
-    """Serialise an :class:`Op` (its eight slots, as one tuple)."""
-    return encode_value(
-        (op.kind, op.key, op.value, op.low, op.high, op.after, op.rid, op.ctx)
-    )
+    """Serialise an :class:`Op`: its head, then the slots it sets."""
+    parts = [b""]
+    write = parts.append
+    flags = 0
+    bit = 1
+    for field in (op.key, op.value, op.low, op.high, op.after, op.rid, op.ctx):
+        if field is not None:
+            flags |= bit
+            _write_value(write, field)
+        bit <<= 1
+    try:
+        kind = op.kind.encode("utf-8")
+        parts[0] = _OP_HEAD.pack(flags, len(kind)) + kind
+    except (AttributeError, struct.error):
+        raise ProtocolError(f"op kind {op.kind!r} is not wire-encodable") from None
+    return b"".join(parts)
+
+
+def _read_op(data: bytes, pos: int) -> tuple[Op, int]:
+    flags, size = _OP_HEAD.unpack_from(data, pos)
+    if flags & ~_OP_FIELDS:
+        raise ProtocolError(f"unknown op flag bits {flags:#04x}")
+    pos += _OP_HEAD.size
+    end = pos + size
+    if end > len(data):
+        raise ProtocolError("truncated op kind")
+    kind = data[pos:end].decode("utf-8")
+    pos = end
+    # The slots travel in the constructor's positional order.
+    fields = []
+    while flags:
+        field = None
+        if flags & 1:
+            field, pos = _read_value(data, pos)
+        fields.append(field)
+        flags >>= 1
+    return Op(kind, *fields), pos
 
 
 def decode_op(data: bytes) -> Op:
     """Rebuild an :class:`Op` from :func:`encode_op` output."""
-    fields = decode_value(data)
-    if not isinstance(fields, tuple) or len(fields) != 8:
-        raise ProtocolError("malformed op payload")
-    # The slots travel in the constructor's positional order.
-    return Op(*fields)
+    return _decode(_read_op, data, "op")
+
+
+def _write_iam(write: Callable[[bytes], None], iam: list) -> None:
+    write(_U32.pack(len(iam)))
+    for low, high, shard in iam:
+        low_data = b"" if low is None else low.encode("utf-8")
+        high_data = b"" if high is None else high.encode("utf-8")
+        write(
+            _IAM_ENTRY.pack(
+                _OPEN if low is None else len(low_data),
+                _OPEN if high is None else len(high_data),
+                shard,
+            )
+        )
+        write(low_data + high_data)
+
+
+def _read_cut(data: bytes, pos: int, size: int) -> tuple[Optional[str], int]:
+    if size == _OPEN:
+        return None, pos
+    end = pos + size
+    if end > len(data):
+        raise ProtocolError("truncated IAM entry")
+    return data[pos:end].decode("utf-8"), end
+
+
+def _read_iam(data: bytes, pos: int) -> tuple[list, int]:
+    """The IAM list at ``pos``; a count the payload cannot hold is
+    refused before anything is sized by it."""
+    (count,) = _u32_at(data, pos)
+    pos += 4
+    if pos + count * _IAM_ENTRY.size > len(data):
+        raise ProtocolError(f"IAM count {count} exceeds its payload")
+    iam = []
+    for _ in range(count):
+        low_size, high_size, shard = _IAM_ENTRY.unpack_from(data, pos)
+        low, pos = _read_cut(data, pos + _IAM_ENTRY.size, low_size)
+        high, pos = _read_cut(data, pos, high_size)
+        iam.append((low, high, shard))
+    return iam, pos
 
 
 def encode_reply(reply: Reply) -> bytes:
-    """Serialise a :class:`Reply` (its ten slots, as one tuple)."""
-    return encode_value(
-        (
-            reply.value,
-            reply.error,
-            reply.iam,
-            reply.forwards,
-            reply.owner,
-            reply.records,
-            reply.region_high,
-            reply.done,
-            reply.dedup,
-            reply.ctx,
-        )
+    """Serialise a :class:`Reply`: its head, then the fields it sets."""
+    parts = [b""]
+    write = parts.append
+    flags = _R_DONE if reply.done else 0
+    if reply.dedup:
+        flags |= _R_DEDUP
+    if reply.value is not None:
+        flags |= _R_VALUE
+        _write_value(write, reply.value)
+    if reply.error is not None:
+        flags |= _R_ERROR
+        _write_value(write, reply.error)
+    if reply.iam:
+        flags |= _R_IAM
+        try:
+            _write_iam(write, reply.iam)
+        except (AttributeError, TypeError, ValueError, struct.error):
+            raise ProtocolError(
+                f"IAM {reply.iam!r} is not a list of (low, high, shard)"
+            ) from None
+    if reply.records is not None:
+        flags |= _R_RECORDS
+        _write_value(write, reply.records)
+    if reply.region_high is not None:
+        flags |= _R_REGION_HIGH
+        _write_value(write, reply.region_high)
+    if reply.ctx is not None:
+        flags |= _R_CTX
+        _write_value(write, reply.ctx)
+    try:
+        parts[0] = _REPLY_HEAD.pack(flags, reply.forwards, reply.owner)
+    except struct.error:
+        raise ProtocolError(
+            f"reply head out of range (forwards {reply.forwards!r}, "
+            f"owner {reply.owner!r})"
+        ) from None
+    return b"".join(parts)
+
+
+def _read_reply(data: bytes, pos: int) -> tuple[Reply, int]:
+    flags, forwards, owner = _REPLY_HEAD.unpack_from(data, pos)
+    pos += _REPLY_HEAD.size
+    value = error = records = region_high = ctx = None
+    iam: list = []
+    if flags & _R_VALUE:
+        value, pos = _read_value(data, pos)
+    if flags & _R_ERROR:
+        error, pos = _read_value(data, pos)
+        if not isinstance(error, BaseException):
+            raise ProtocolError("reply error field does not decode to an exception")
+    if flags & _R_IAM:
+        iam, pos = _read_iam(data, pos)
+    if flags & _R_RECORDS:
+        records, pos = _read_value(data, pos)
+    if flags & _R_REGION_HIGH:
+        region_high, pos = _read_value(data, pos)
+    if flags & _R_CTX:
+        ctx, pos = _read_value(data, pos)
+    reply = Reply(
+        value,
+        error,
+        iam,
+        forwards,
+        owner,
+        records,
+        region_high,
+        bool(flags & _R_DONE),
+        bool(flags & _R_DEDUP),
+        ctx,
     )
+    return reply, pos
 
 
 def decode_reply(data: bytes) -> Reply:
     """Rebuild a :class:`Reply` from :func:`encode_reply` output."""
-    fields = decode_value(data)
-    if not isinstance(fields, tuple) or len(fields) != 10:
-        raise ProtocolError("malformed reply payload")
-    error = fields[1]
-    if error is not None and not isinstance(error, BaseException):
-        raise ProtocolError("reply error field does not decode to an exception")
-    # The slots travel in the constructor's positional order.
-    return Reply(*fields)
+    return _decode(_read_reply, data, "reply")
 
 
 def roundtrip_op(op: Op) -> Op:

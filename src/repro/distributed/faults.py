@@ -407,28 +407,36 @@ class FaultyTransport:
         """A server-to-server leg (only in-process servers send these)."""
         fabric = self.inner
         servers = self._servers
-        server = self._reach(edge, target)
+        reached = self._reach(edge, target)
 
         def send(again: bool) -> Reply:
             if not again:
                 fabric._count_leg(edge, source, target, op)
-            return servers.send(server, op, edge)
+            return servers.send(reached, op, edge)
 
         return servers.accept(self._deliver(edge, target, send))
 
 
 class _LocalServers:
-    """Shard servers in this process: crashed and reached directly."""
+    """Shard servers in this process: crashed and reached directly.
+
+    A reached target is the pair ``(server, shard_id)``: the server
+    that answers for the id (a promoted backup, after a failover) and
+    the id the sender addressed.
+    """
 
     def __init__(self, fabric: InProcessTransport):
         self.fabric = fabric
 
-    def reach(self, edge: str, shard_id: int) -> Any:
-        return self.fabric._lookup(shard_id, edge)
+    def reach(self, edge: str, shard_id: int) -> tuple[Any, int]:
+        return self.fabric._lookup(shard_id, edge), shard_id
 
-    def send(self, server: Any, op: Op, edge: str = "request") -> Reply:
+    def send(self, target: tuple[Any, int], op: Op, edge: str = "request") -> Reply:
         # Each copy is a fresh decode, exactly what a network duplicate
-        # hands the server.
+        # hands the server; a client request records what it addressed.
+        server, shard_id = target
+        if edge == "request":
+            return self.fabric.hand(server, shard_id, roundtrip_op(op))
         self.fabric._count(edge)
         return server.handle(roundtrip_op(op))
 

@@ -2,10 +2,11 @@
 
 Clients and servers exchange plain value objects — an :class:`Op` going
 in, a :class:`Reply` coming back — through a
-:class:`~repro.distributed.transport.Transport`. Every reply may carry Image
-Adjustment Message entries (see :mod:`repro.core.image`): the
-authoritative cut points around whatever the operation touched, which
-the client grafts into its trie image. Errors travel as exception
+:class:`~repro.distributed.transport.Transport`. A reply carries Image
+Adjustment Message entries (see :mod:`repro.core.image`) only when the
+client addressed the wrong shard: the authoritative cut points around
+whatever the operation touched, which the client grafts into its trie
+image. Errors travel as exception
 *instances* (the same :class:`~repro.core.errors.DuplicateKeyError` /
 :class:`~repro.core.errors.KeyNotFoundError` the single-node file
 raises) so the distributed file is behaviorally indistinguishable from
@@ -90,9 +91,18 @@ class Op:
     is what stitches client, router and shard spans into one causal
     tree. It is ``None`` whenever tracing is off and never affects
     execution — purely observational freight.
+
+    ``addressed`` is delivery-side state that never crosses the wire:
+    the shard id a client request was sent to, recorded by the
+    transport that hands the request to its server (``None`` on a
+    forward, a shipping leg, or an op nobody delivered yet). The owner
+    names the client's choice with it when it decides whether the reply
+    needs an IAM.
     """
 
-    __slots__ = ("kind", "key", "value", "low", "high", "after", "rid", "ctx")
+    __slots__ = (
+        "kind", "key", "value", "low", "high", "after", "rid", "ctx", "addressed"
+    )
 
     def __init__(
         self,
@@ -113,6 +123,7 @@ class Op:
         self.after = after
         self.rid = rid
         self.ctx = ctx
+        self.addressed: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind == SCAN:
@@ -176,7 +187,9 @@ class Reply:
     ``error`` holds the exception the operation raised on the owning
     shard (re-raised client-side); ``forwards`` counts server-to-server
     hops the op needed (0 = the client's image addressed correctly);
-    ``iam`` is the list of Image Adjustment entries to graft. Scan legs
+    ``iam`` is the list of Image Adjustment entries to graft, one per
+    region the op touched whose owner is not the shard the client
+    addressed (empty when the client's image was right). Scan legs
     additionally fill ``records``, ``region_high`` (the boundary the
     served region ends at, the continuation point) and ``done``.
     ``dedup`` marks a reply served from the owner's dedup window — the

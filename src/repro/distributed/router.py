@@ -25,8 +25,11 @@ and a forwarded op counts both the relayed reply from the owner back to
 the forwarding server and the forwarding server's reply to the client.
 :meth:`InProcessTransport.deliver` is that lookup → count → handle →
 count sequence for one request; both :meth:`~InProcessTransport
-.client_send` and the asyncio server's dispatcher
-(:class:`~repro.serving.server.ServingServer`) run it.
+.client_send` and the asyncio server's batch callback
+(:class:`~repro.serving.server.ServingServer`) run it. Its middle,
+:meth:`InProcessTransport.hand`, is the one place a request learns the
+shard id its client addressed (``Op.addressed``, never encoded): the
+owner sends an IAM only when that id is not its own region's owner.
 
 This base transport is a perfect fabric — no losses, no delays, no
 failures beyond an explicitly crashed server (which refuses connections
@@ -145,11 +148,24 @@ class InProcessTransport:
         must already be the server's own (decoded) copy; the reply is
         the handler's, not yet encoded.
         """
-        server = self._lookup(shard_id, "request")
-        self._count("request")
-        reply = server.handle(op)
+        reply = self.hand(self._lookup(shard_id, "request"), shard_id, op)
         self._count("reply")
         return reply
+
+    def hand(self, server: Any, shard_id: int, op: Op) -> Reply:
+        """Hand a client request addressed to ``shard_id`` to ``server``.
+
+        Counts the request and records ``shard_id`` on ``op`` (the
+        server's own copy), so the owner can tell whether the client's
+        image addressed it. ``server`` is whoever answers for the id —
+        after a failover, the promoted backup. Every client request
+        leg runs this: :meth:`deliver`, and the request leg of a
+        :class:`~repro.distributed.faults.FaultyTransport` (each copy
+        of a duplicated request included).
+        """
+        self._count("request")
+        op.addressed = shard_id
+        return server.handle(op)
 
     def client_send(
         self, shard_id: int, op: Op, timeout: Optional[float] = None

@@ -6,9 +6,14 @@ whose keys fall in it, in a single-node :class:`~repro.core.file.THFile`
 — or a crash-safe :class:`~repro.storage.recovery.DurableFile` wrapping
 one. Servers never trust client routing: an operation addressed to the
 wrong shard is forwarded to its owner through the router (one hop — the
-coordinator's partition is authoritative), and every reply carries the
-IAM entries for the region the operation actually landed in, so the
-addressing client's image converges.
+coordinator's partition is authoritative). A reply carries an IAM
+entry for a region the operation landed in only when that region's
+owner is not the shard the client addressed (``Op.addressed``), so a
+misaddressing client's image converges and a correct one pays nothing.
+Image cuts are a subset of the authoritative cuts, so such a region lies
+inside the image gap the client routed by; an entry naming the
+addressed shard would only add cuts whose gaps keep that same shard,
+and the client's routing is the same without it.
 
 Fault tolerance adds two responsibilities:
 
@@ -338,9 +343,10 @@ class ShardServer:
                     TRACER.emit(
                         "dedup_hit", shard=self.shard_id, rid=rid_str(op.rid)
                     )
+                taught = owner != op.addressed
                 return Reply(
                     value=stored,
-                    iam=self.coordinator.iam_for_key(op.key),
+                    iam=self.coordinator.iam_for_key(op.key) if taught else [],
                     owner=self.shard_id,
                     dedup=True,
                 )
@@ -358,11 +364,14 @@ class ShardServer:
         if op.kind in MUTATING_OPS and error is None:
             self.router.note_apply(op.rid)
             # The op may have pushed this shard over its load policy;
-            # scale out *before* building the IAM so the client learns
-            # the fresh cut immediately. Only a split moves the key's
-            # region, so only a split needs it located again.
+            # scale out *before* building the IAM so a client the split
+            # made wrong learns the fresh cut immediately. Only a split
+            # moves the key's region, so only a split needs it located
+            # again.
             if self.coordinator.maybe_split(self.shard_id):
                 gap, owner = model.locate(op.key)
+        if owner == op.addressed:
+            return Reply(value=value, error=error, owner=owner)
         low, high = model.region(gap)
         return Reply(
             value=value, error=error, iam=[(low, high, owner)], owner=owner
@@ -399,15 +408,18 @@ class ShardServer:
         )
         return result
 
-    def _partition(self, keys: list, items: list) -> tuple[list, list, list]:
+    def _partition(
+        self, keys: list, items: list, addressed: Optional[int]
+    ) -> tuple[list, list, list]:
         """One pass of a batch leg over the partition.
 
         ``items[i]`` carries ``keys[i]``. Returns the items this shard
         owns, the leftovers, and the IAM entries of every distinct
-        region the keys fall in, in first-seen order: a batch leg
-        teaches the client all the cuts it tripped over in one reply (a
-        point op teaches exactly one), which is why the leftover
-        re-batching loop converges in a single extra round.
+        region the keys fall in whose owner is not the ``addressed``
+        shard, in first-seen order: a batch leg teaches the client all
+        the cuts it tripped over in one reply (a point op teaches at
+        most one), which is why the leftover re-batching loop converges
+        in a single extra round.
         """
         model = self.coordinator.model
         owned: list = []
@@ -417,7 +429,7 @@ class ShardServer:
         for key, item in zip(keys, items):
             gap, shard = model.locate(key)
             (owned if shard == self.shard_id else leftover).append(item)
-            if gap not in seen:
+            if shard != addressed and gap not in seen:
                 seen.add(gap)
                 low, high = model.region(gap)
                 iam.append((low, high, shard))
@@ -429,15 +441,16 @@ class ShardServer:
         Batches are never forwarded: the shard serves exactly the keys
         the authoritative partition assigns to it and returns the
         *leftovers* in ``Reply.records`` together with IAM entries for
-        every region the batch touched, so the client re-batches the
-        remainder straight to the true owners. A retried ``put_many``
-        leg short-circuits on the shard's dedup window exactly like a
-        point mutation — shard splits copy the window to both halves,
-        so the guarantee survives keys migrating between deliveries.
+        every region the batch touched that the addressed shard does not
+        own, so the client re-batches the remainder straight to the true
+        owners. A retried ``put_many`` leg short-circuits on the shard's
+        dedup window exactly like a point mutation — shard splits copy
+        the window to both halves, so the guarantee survives keys
+        migrating between deliveries.
         """
         items = op.value
         keys = items if op.kind == GET_MANY else [key for key, _ in items]
-        owned, leftover, iam = self._partition(keys, items)
+        owned, leftover, iam = self._partition(keys, items, op.addressed)
         value: object = None
         error: Optional[Exception] = None
         if op.kind == GET_MANY:
@@ -478,7 +491,7 @@ class ShardServer:
                 # Only a split moves regions, so only a split needs the
                 # IAM built again.
                 if self.coordinator.maybe_split(self.shard_id):
-                    iam = self._partition(keys, items)[2]
+                    iam = self._partition(keys, items, op.addressed)[2]
         if TRACER.enabled:
             TRACER.emit(
                 "batch_leg",
@@ -510,11 +523,12 @@ class ShardServer:
             TRACER.emit(
                 "scan_leg", shard=self.shard_id, records=len(records)
             )
+        taught = op.addressed != self.shard_id
         return Reply(
             records=records,
             region_high=high_b,
             done=done,
-            iam=[(low_b, high_b, self.shard_id)],
+            iam=[(low_b, high_b, self.shard_id)] if taught else [],
             owner=self.shard_id,
         )
 
@@ -655,11 +669,13 @@ class ShardServer:
                 "replica_scan_leg", shard=self.shard_id, records=len(records)
             )
         # The IAM names the *primary*: replica routing is a client-side
-        # choice, the authoritative partition never points at backups.
+        # choice, the authoritative partition never points at backups,
+        # so a client that addressed the backup is always taught.
+        taught = op.addressed != self.replica_of
         return Reply(
             records=records,
             region_high=high_b,
             done=done,
-            iam=[(low_b, high_b, self.replica_of)],
+            iam=[(low_b, high_b, self.replica_of)] if taught else [],
             owner=self.replica_of,
         )

@@ -9,8 +9,9 @@ Three layers of assurance over :mod:`repro.core.compact`:
   and byte-identical Section-6 reconstructions from bucket headers
   alone;
 * the column walk: ``CompactTrie.step`` visits the cells trie's leaves
-  in order on TH, THCL and nil-leaf files, and a compact scan or cursor
-  builds no row view;
+  in order on TH, THCL and nil-leaf files, ``CompactTrie.trail`` is the
+  A1 search trail, a compact scan descends once per bound with no A1
+  search, and a compact scan or cursor builds no row view;
 * a Hypothesis stateful machine (:class:`CompactAgainstCells`, modelled
   on the chaos machine) driving mixed point and batch operations against
   both backends, with the registered ``repro.check`` audits run at FULL
@@ -325,6 +326,32 @@ class TestColumnWalk:
         assert [ptr for _, ptr in walked] == (
             leaves if forward else leaves[::-1]
         )
+
+    @pytest.mark.parametrize("kind", ["th", "thcl", "nil"])
+    def test_the_trail_descent_is_the_a1_search_trail(self, kind):
+        cells, compact = _walk_pair(kind)
+        rng = random.Random(7)
+        probes = list(KeyGenerator(31).uniform(300))  # stored and deleted
+        probes += ["", "a", "zzzzzzzzzz", "m a", "\u0101"]  # past latin-1
+        probes += [_word(rng, 1, 12) for _ in range(200)]
+        for key in probes:
+            expected = list(cells.trie.search(key).trail)
+            assert cells.trie.trail(key) == expected, key
+            assert compact.trie.trail(key) == expected, key
+            assert list(compact.trie.search(key).trail) == expected, key
+
+    def test_a_compact_scan_and_full_walk_run_no_a1_search(self, monkeypatch):
+        _, compact = _walk_pair("thcl")
+        ordered = sorted(compact.keys())
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a scan bound ran a full A1 search")
+
+        monkeypatch.setattr(CompactTrie, "search", no_search)
+        scanned = compact.range_items(ordered[10], ordered[250])
+        assert [k for k, _ in scanned] == ordered[10:251]
+        assert [k for k, _ in compact.range_items(None, ordered[5])] == ordered[:6]
+        assert [k for k, _ in compact.items()] == ordered
 
     def test_a_freed_cell_on_the_trail_raises_as_on_cells(self):
         messages = []

@@ -11,8 +11,11 @@ without a server-side forward, measured through :mod:`repro.obs`).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    Alphabet,
     Cluster,
     DuplicateKeyError,
     KeyNotFoundError,
@@ -21,7 +24,8 @@ from repro import (
     TrieImage,
 )
 from repro.core.alphabet import DEFAULT_ALPHABET
-from repro.core.errors import TrieCorruptionError, TrieHashingError
+from repro.core.boundaries import boundary_sort_key, gap_index
+from repro.core.errors import InvalidKeyError, TrieCorruptionError, TrieHashingError
 from repro.core.policies import SplitPolicy
 from repro.distributed.faults import FaultPlan
 from repro.distributed.messages import Op
@@ -123,6 +127,67 @@ class TestTrieImage:
         assert image.shard_for_key("ac") == 1
         assert image.shard_for_key("az") == 1
         assert image.shard_for_key("b") == 2
+
+    def test_an_alphabet_with_no_room_for_the_sentinel_is_refused(self):
+        with pytest.raises(InvalidKeyError):
+            TrieImage(Alphabet([" ", "a", chr(0x10FFFF)]), (), (0,))
+        # One code point lower leaves the last one as the sentinel.
+        top = chr(0x10FFFE)
+        image = TrieImage(Alphabet([" ", "a", top]), ("a",), (0, 1))
+        assert image.shard_for_key("a" + top) == 0
+        assert image.shard_for_key(top + "a") == 1
+
+    def test_foreign_digits_in_a_boundary_are_refused(self):
+        with pytest.raises(InvalidKeyError):
+            TrieImage(DEFAULT_ALPHABET, ("G",), (0, 1))
+        image = TrieImage(DEFAULT_ALPHABET, (), (0,))
+        with pytest.raises(InvalidKeyError):
+            image.patch([("g", "t~", 5)])
+        with pytest.raises(InvalidKeyError):
+            image.gap_above("g~")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_bisect_gap_is_the_prefix_le_search(self, data):
+        # Random alphabets (any code points but the last), boundaries
+        # that are prefixes of each other, boundaries and keys with
+        # trailing minimum digits.
+        digits = sorted(
+            data.draw(
+                st.lists(
+                    st.characters(max_codepoint=0x10FFFE),
+                    min_size=2,
+                    max_size=5,
+                    unique=True,
+                )
+            )
+        )
+        alphabet = Alphabet(digits)
+        low = digits[0]
+        word = st.lists(st.sampled_from(digits), min_size=1, max_size=5).map(
+            "".join
+        )
+        found = set()
+        for w in data.draw(st.lists(word, max_size=6)):
+            found.update(w[:n] for n in range(1, len(w) + 1))
+            found.add(w + low * data.draw(st.integers(0, 2)))
+        boundaries = sorted(found, key=lambda b: boundary_sort_key(b, alphabet))
+        image = TrieImage(alphabet, boundaries, range(len(boundaries) + 1))
+        keys = [k.rstrip(low) for k in data.draw(st.lists(word, max_size=12))]
+        keys += [""] + [b.rstrip(low) for b in boundaries]
+        keys += [b + digits[-1] for b in boundaries]
+        for key in keys:
+            gap = gap_index(boundaries, key, alphabet)
+            assert image.locate(key) == (gap, gap)
+        for j, boundary in enumerate(boundaries):
+            assert image.gap_above(boundary) == j + 1
+        # Cuts inserted in any order land in boundary order.
+        grown = TrieImage(alphabet, (), (0,))
+        shuffled = list(boundaries)
+        random.Random(len(boundaries)).shuffle(shuffled)
+        for boundary in shuffled:
+            grown.patch([(boundary, None, 0)])
+        assert grown.boundaries == boundaries
 
 
 # ======================================================================
@@ -465,16 +530,20 @@ class TestPointPath:
     """What a point op pays above the trie, and what it must not lose.
 
     The owning shard locates the key once and builds the reply's owner
-    and IAM from that gap (locating again only after a split), a
+    and IAM from that gap (locating again only after a split), a reply
+    carries the IAM only when the client addressed another shard, a
     converged client skips the image patch, and the per-op instruments
     are bound on first use.
     """
 
     def test_every_point_reply_names_the_owner_and_region_after_it(self):
+        # The owner always; the region exactly when the shard the
+        # client addressed is not the owner once the op (and any split
+        # it caused) is done.
         cluster = Cluster(shards=1, shard_policy=ShardPolicy(shard_capacity=8))
         coordinator = cluster.coordinator
         first = min(coordinator.servers)
-        splits = moved = 0
+        splits = moved = taught = 0
         for seq, key in enumerate(KeyGenerator(7).uniform(160), 1):
             owner_before = coordinator.owner_of(key)
             shards_before = cluster.shard_count()
@@ -484,14 +553,19 @@ class TestPointPath:
             target = owner_before if seq % 2 else first
             reply = cluster.router.client_send(target, op)
             assert reply.error is None
-            assert reply.iam == coordinator.iam_for_key(key)
             assert reply.owner == coordinator.owner_of(key)
+            if reply.owner == target:
+                assert reply.iam == []
+            else:
+                assert reply.iam == coordinator.iam_for_key(key)
+                taught += 1
             if cluster.shard_count() > shards_before:
                 splits += 1
                 moved += reply.owner != owner_before
         # Both sides of the re-locate ran: splits that kept the key on
         # its shard and splits that moved it to the new one.
         assert splits > moved > 0
+        assert 0 < taught < 160
         cluster.check()
 
     def test_instruments_account_for_a_cold_run(self):
@@ -596,17 +670,63 @@ class TestPointPath:
         assert patched == []
 
 
+class TestIAMOnlyOnMisaddressing:
+    """A reply carries an IAM only when the client addressed the wrong
+    shard, and that loses no routing: image cuts are a subset of the
+    authoritative ones, so an entry naming the addressed shard could
+    only add cuts whose gaps keep that shard."""
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_a_client_routes_like_one_taught_after_every_op(self, seed):
+        rng = random.Random(seed)
+        shards = rng.choice((1, 2, 4))
+        cluster = Cluster(shards=shards, shard_policy=ShardPolicy(shard_capacity=8))
+        coordinator = cluster.coordinator
+        client = cluster.client()
+        # The reference takes the key's region after every op, as every
+        # reply carried it before wire version 3.
+        reference = client.image.copy()
+        keys = KeyGenerator(seed).uniform(120)
+        probes = keys + KeyGenerator(seed + 1).uniform(60)
+        reference_learned = 0
+        for value in range(200):
+            key = rng.choice(keys)
+            draw = rng.random()
+            try:
+                if draw < 0.5:
+                    client.put(key, value)
+                elif draw < 0.6:
+                    client.insert(key, value)
+                elif draw < 0.7:
+                    client.delete(key)
+                elif draw < 0.9:
+                    client.get(key)
+                else:
+                    client.contains(key)
+            except (DuplicateKeyError, KeyNotFoundError):
+                pass
+            reference_learned += reference.patch(coordinator.iam_for_key(key))
+            for probe in probes:
+                assert client.image.shard_for_key(probe) == (
+                    reference.shard_for_key(probe)
+                ), (value, probe)
+        assert cluster.shard_count() > shards and client.ops_forwarded > 0
+        assert client.iam_boundaries <= reference_learned
+        cluster.check()
+
+
 class TestBatchLegs:
     """A batch leg locates each key once on its shard, and its reply's
-    IAM names every region the leg touched, as the partition stands
-    after the leg."""
+    IAM names every region the leg touched that the addressed shard
+    does not own, as the partition stands after the leg."""
 
     @staticmethod
-    def _regions_after(coordinator, keys):
+    def _regions_after(coordinator, keys, addressed):
         regions = []
         for key in keys:
             (entry,) = coordinator.iam_for_key(key)
-            if entry not in regions:
+            if entry[2] != addressed and entry not in regions:
                 regions.append(entry)
         return regions
 
@@ -614,7 +734,7 @@ class TestBatchLegs:
         cluster = Cluster(shards=2, shard_policy=ShardPolicy(shard_capacity=16))
         coordinator = cluster.coordinator
         keys = KeyGenerator(11).uniform(240)
-        splits = 0
+        splits = taught = 0
         for seq, start in enumerate(range(0, len(keys), 24), 1):
             chunk = sorted(keys[start:start + 24])
             target = coordinator.owner_of(chunk[len(chunk) // 2])
@@ -623,12 +743,13 @@ class TestBatchLegs:
             op.rid = (77, seq)
             reply = cluster.router.client_send(target, op)
             assert reply.error is None
-            assert reply.iam == self._regions_after(coordinator, chunk)
+            assert reply.iam == self._regions_after(coordinator, chunk, target)
+            taught += bool(reply.iam)
             splits += cluster.shard_count() > shards_before
             reply = cluster.router.client_send(target, Op.get_many(chunk))
-            assert reply.iam == self._regions_after(coordinator, chunk)
+            assert reply.iam == self._regions_after(coordinator, chunk, target)
             assert len(reply.value) + len(reply.records) == len(chunk)
-        assert splits > 0
+        assert splits > 0 and taught > 0
         cluster.check()
 
     def test_a_leg_that_does_not_split_locates_each_key_once(self, monkeypatch):

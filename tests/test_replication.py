@@ -233,6 +233,38 @@ class TestFailover:
         assert cluster.router.duplicate_applies() == 0
         assert _counter_sum(cluster.registry, "dist_failovers_total") == 1
 
+    def test_the_fault_fabric_sends_an_iam_only_to_a_misaddressed_get(self):
+        # The request leg of the fault fabric records the addressed id
+        # like the plain fabric's delivery does: after crashes and a
+        # failover, a get sent to the owner carries no IAM, and one
+        # sent to the deposed id learns the promoted shard.
+        cluster = _cluster(retry=RetryPolicy(max_retries=40))
+        router = cluster.router
+        coordinator = cluster.coordinator
+        f = cluster.client(warm=True)
+        keys = _keys(80)
+        for k in keys:
+            f.insert(k, k)
+        router.crash_server(1, downtime=0.05)  # transient: restarts
+        victim = coordinator.owner_of(keys[0])
+        promoted = coordinator.replica_of(victim)
+        router.crash_server(victim, downtime=None)
+        _settle(cluster)
+        assert [e["shard"] for e in coordinator.failover_log] == [victim]
+        for k in keys:
+            owner = coordinator.owner_of(k)
+            reply = router.client_send(owner, Op.get(k))
+            assert (reply.value, reply.iam, reply.forwards) == (k, [], 0)
+        for k in keys:
+            if coordinator.owner_of(k) != promoted:
+                continue
+            reply = router.client_send(victim, Op.get(k))
+            assert reply.value == k and reply.forwards == 0
+            (entry,) = reply.iam
+            assert entry == coordinator.iam_for_key(k)[0]
+            assert entry[2] == promoted
+        assert router.duplicate_applies() == 0
+
     def test_transient_crash_is_not_deposed(self):
         cluster = _cluster()
         f = cluster.client(warm=True)

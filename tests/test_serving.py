@@ -153,13 +153,61 @@ _TAGS = [bytes([tag]) for tag in b"NTFiIfsbtldSer"]
 _BYTES = [bytes([byte]) for byte in range(256)]
 
 
+_TEXT_OR_NONE = st.none() | st.text(max_size=8)
+_WIRE_IDS = st.none() | st.tuples(st.integers(0, 2**40), st.integers(0, 2**40))
+_OPS = st.builds(
+    Op,
+    st.text(max_size=12),  # any kind crosses; the server judges it
+    _TEXT_OR_NONE,
+    _VALUES,
+    _TEXT_OR_NONE,
+    _TEXT_OR_NONE,
+    _TEXT_OR_NONE,
+    _WIRE_IDS,
+    _WIRE_IDS,
+)
+_IAMS = st.lists(
+    st.tuples(_TEXT_OR_NONE, _TEXT_OR_NONE, st.integers(-(2**31), 2**31 - 1)),
+    max_size=4,
+)
+_REPLIES = st.builds(
+    Reply,
+    _VALUES,
+    st.none() | _EXCEPTIONS,
+    _IAMS,
+    st.integers(0, 0xFFFF),
+    st.integers(-(2**31), 2**31 - 1),
+    st.none() | st.just([]) | _RECORDS,
+    _TEXT_OR_NONE,
+    st.booleans(),
+    st.booleans(),
+    _WIRE_IDS,
+)
+
+
+def _op_slots(op):
+    return _canon(
+        (op.kind, op.key, op.value, op.low, op.high, op.after, op.rid, op.ctx)
+    )
+
+
+def _reply_slots(reply):
+    return _canon(
+        (
+            reply.value, reply.error, reply.iam, reply.forwards, reply.owner,
+            reply.records, reply.region_high, reply.done, reply.dedup,
+            reply.ctx,
+        )
+    )
+
+
 @st.composite
-def _damaged_encodings(draw):
+def _damaged_encodings(draw, encode=encode_value, values=_VALUES):
     """Arbitrary bytes, or a real encoding with a few bytes mangled."""
     if draw(st.booleans()):
         data = bytearray(draw(st.binary(max_size=64)))
     else:
-        data = bytearray(encode_value(draw(_VALUES)))
+        data = bytearray(encode(draw(values)))
     for _ in range(draw(st.integers(0, 4))):
         pos = draw(st.integers(0, len(data)))
         edit = draw(st.sampled_from(("byte", "retag", "tag", "cut")))
@@ -245,36 +293,34 @@ def _put_with_rid_and_ctx():
     return op
 
 
-#: Wire bytes pinned under ``WIRE_VERSION`` 2: (id, encode, decode,
-#: make, hex). Version 2 re-pinned the big int (bytes) and added the
-#: all-``str`` scan reply (a record block); the rest kept their version-1
-#: bytes. A change to any of them is a wire break, not a refactor.
+#: Wire bytes pinned under ``WIRE_VERSION`` 3: (id, encode, decode,
+#: make, hex). Version 3 re-pinned every op and reply (a fixed head,
+#: then only the fields set; the IAM as a count and its entries); the
+#: values kept their version-2 bytes. A change to any of them is a wire
+#: break, not a refactor.
 _GOLDEN = [
     (
         "get-op",
         encode_op,
         decode_op,
         lambda: Op.get("abc"),
-        "7400000008730000000367657473000000036162634e4e4e4e4e4e",
+        "01036765747300000003616263",
     ),
     (
         "put-op-with-rid-and-ctx",
         encode_op,
         decode_op,
         _put_with_rid_and_ctx,
-        "7400000008730000000370757473000000036b65796400000001730000000176"
-        "6c000000026900000000000000016640040000000000004e4e4e740000000269"
-        "000000000000000769000000000000002a740000000269000000000000007b69"
-        "00000000000001c8",
+        "630370757473000000036b657964000000017300000001766c00000002690000"
+        "0000000000016640040000000000007400000002690000000000000007690000"
+        "00000000002a740000000269000000000000007b6900000000000001c8",
     ),
     (
         "reply-with-one-iam-entry",
         encode_reply,
         decode_reply,
         lambda: Reply(value="v", iam=[("g", "t", 5)], owner=5),
-        "740000000a7300000001764e6c00000001740000000373000000016773000000"
-        "01746900000000000000056900000000000000006900000000000000054e4e54"
-        "464e",
+        "45000000000005730000000176000000010000000100000001000000056774",
     ),
     (
         # Records whose values are not all strings: the generic list.
@@ -288,10 +334,9 @@ _GOLDEN = [
             iam=[(None, "t", 0)],
             owner=0,
         ),
-        "740000000a4e4e6c0000000174000000034e7300000001746900000000000000"
-        "006900000000000000006900000000000000006c000000027400000002730000"
-        "000261616900000000000000017400000002730000000261624e730000000174"
-        "46464e",
+        "1c00000000000000000001ffffffff0000000100000000746c00000002740000"
+        "0002730000000261616900000000000000017400000002730000000261624e73"
+        "0000000174",
     ),
     (
         # All values strings: two runs, lengths in code points ("✓" is
@@ -305,10 +350,9 @@ _GOLDEN = [
             iam=[("m", None, 1)],
             owner=1,
         ),
-        "740000000a4e4e6c00000001740000000373000000016d4e6900000000000000"
-        "0169000000000000000069000000000000000172000000020000000500000005"
-        "0000000a6170706c656d616e676f00000007000000060000000f6372756e6368"
-        "797269706520e29c934e54464e",
+        "4c0000000000010000000100000001ffffffff000000016d7200000002000000"
+        "05000000050000000a6170706c656d616e676f00000007000000060000000f63"
+        "72756e6368797269706520e29c93",
     ),
     (
         "errored-reply",
@@ -320,9 +364,8 @@ _GOLDEN = [
             owner=2,
             forwards=1,
         ),
-        "740000000a4e650004000000076d697373696e676c0000000174000000037300"
-        "000001674e690000000000000002690000000000000001690000000000000002"
-        "4e4e54464e",
+        "46000100000002650004000000076d697373696e670000000100000001ffffff"
+        "ff0000000267",
     ),
     (
         "big-int",
@@ -361,7 +404,7 @@ class TestValueCodec:
     )
     def test_wire_bytes_are_pinned(self, encode, decode, make, golden):
         data = bytes.fromhex(golden)
-        assert WIRE_VERSION == 2
+        assert WIRE_VERSION == 3
         assert encode(make()) == data
         # And the bytes decode to a message that encodes back to them.
         assert encode(decode(data)) == data
@@ -562,6 +605,12 @@ class TestValueCodec:
 # ======================================================================
 # The message codec
 # ======================================================================
+#: A reply head whose flags set ``done`` and the IAM, and one IAM entry
+#: with both cuts open.
+_HEAD_IAM = b"\x44\x00\x00\x00\x00\x00\x00"
+_ENTRY_NONE = struct.pack(">IIi", 0xFFFFFFFF, 0xFFFFFFFF, 0)
+
+
 class TestMessageCodec:
     def test_op_roundtrips_every_slot(self):
         op = Op.insert("key", {"v": [1, 2]})
@@ -602,6 +651,123 @@ class TestMessageCodec:
         with pytest.raises(ProtocolError):
             decode_reply(encode_value("not a reply"))
 
+    def test_unset_fields_take_no_bytes(self):
+        # A head, the kind and the key; a head alone.
+        assert len(encode_op(Op.get("abc"))) == 2 + 3 + 8
+        assert len(encode_reply(Reply(owner=3))) == 7
+        back = decode_reply(encode_reply(Reply(owner=3)))
+        assert _reply_slots(back) == _reply_slots(Reply(owner=3))
+
+    def test_addressed_never_crosses_the_wire(self):
+        op = Op.get("abc")
+        op.addressed = 4
+        assert decode_op(encode_op(op)).addressed is None
+        assert encode_op(op) == encode_op(Op.get("abc"))
+
+    def test_unencodable_heads_fail_typed(self):
+        with pytest.raises(ProtocolError):
+            encode_op(Op("k" * 256, key="a"))
+        with pytest.raises(ProtocolError):
+            encode_op(Op(["get"], key="a"))
+        with pytest.raises(ProtocolError):
+            encode_reply(Reply(forwards=1 << 16))
+        with pytest.raises(ProtocolError):
+            encode_reply(Reply(iam=[("g", "t")]))
+        with pytest.raises(ProtocolError):
+            encode_reply(Reply(iam=[("g", "t", 1 << 40)]))
+
+    @given(op=_OPS)
+    @settings(max_examples=150)
+    def test_every_op_roundtrips(self, op):
+        assert _op_slots(decode_op(encode_op(op))) == _op_slots(op)
+
+    @given(reply=_REPLIES)
+    @settings(max_examples=150)
+    def test_every_reply_roundtrips(self, reply):
+        assert _reply_slots(decode_reply(encode_reply(reply))) == _reply_slots(
+            reply
+        )
+
+    @given(data=_damaged_encodings(encode_op, _OPS))
+    @settings(max_examples=300)
+    def test_any_bytes_decode_as_an_op_or_raise_protocol_error(self, data):
+        try:
+            decode_op(data)
+        except ProtocolError:
+            pass
+
+    @given(data=_damaged_encodings(encode_reply, _REPLIES))
+    @settings(max_examples=300)
+    def test_any_bytes_decode_as_a_reply_or_raise_protocol_error(self, data):
+        try:
+            decode_reply(data)
+        except ProtocolError:
+            pass
+
+    @pytest.mark.parametrize(
+        "decode, payload, match",
+        [
+            (decode_op, b"", "truncated"),
+            (decode_op, b"\x01", "truncated"),
+            (decode_op, b"\x80\x03get", "flag bits"),
+            (decode_op, b"\x00\x0aget", "truncated op kind"),
+            (decode_op, b"\x00\x02\xff\xfe", "UnicodeDecodeError"),
+            (decode_op, b"\x01\x03get", "truncated"),
+            (decode_op, b"\x00\x03getN", "trailing"),
+            (decode_reply, b"\x40\x00\x00", "truncated"),
+            (
+                decode_reply,
+                _HEAD_IAM + _U32.pack(2**32 - 1) + _ENTRY_NONE,
+                "IAM count 4294967295 exceeds",
+            ),
+            (decode_reply, _HEAD_IAM + _U32.pack(1) + _ENTRY_NONE[:-1], "IAM count"),
+            (
+                decode_reply,
+                _HEAD_IAM + _U32.pack(1) + struct.pack(">IIi", 9, 0, 1) + b"ab",
+                "truncated IAM entry",
+            ),
+            (
+                decode_reply,
+                _HEAD_IAM + _U32.pack(1) + struct.pack(">IIi", 2, 0, 1) + b"\xff\xfe",
+                "UnicodeDecodeError",
+            ),
+            (
+                decode_reply,
+                b"\x42\x00\x00\x00\x00\x00\x00" + encode_value("boom"),
+                "exception",
+            ),
+            (decode_reply, b"\x41\x00\x00\x00\x00\x00\x00", "truncated"),
+            (decode_reply, encode_reply(Reply()) + b"\x00", "trailing"),
+        ],
+        ids=[
+            "op-empty",
+            "op-head-cut",
+            "op-unknown-flag",
+            "op-kind-cut",
+            "op-kind-bad-utf8",
+            "op-field-missing",
+            "op-trailing",
+            "reply-head-cut",
+            "iam-count-beyond-payload",
+            "iam-entry-cut",
+            "iam-cut-past-payload",
+            "iam-cut-bad-utf8",
+            "reply-error-not-an-exception",
+            "reply-field-missing",
+            "reply-trailing",
+        ],
+    )
+    def test_hostile_heads_raise_protocol_error(self, decode, payload, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match=match):
+                decode(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A forged count fails before anything is sized by it.
+        assert peak < 1 << 20
+
 
 # ======================================================================
 # The frame envelope
@@ -614,8 +780,9 @@ class TestFrames:
         assert unpack_frame(frame[4:]) == (FRAME_REQUEST, 77, b"payload")
 
     def test_foreign_wire_version_rejected(self):
-        # Version 1 (no record block) and a future version alike.
-        for version in (1, WIRE_VERSION + 1):
+        # Version 1 (no record block), version 2 (tagged-tuple messages)
+        # and a future version alike.
+        for version in (1, 2, WIRE_VERSION + 1):
             body = bytearray(pack_frame(FRAME_REQUEST, 0, b"x")[4:])
             body[0] = version
             with pytest.raises(ProtocolError, match=f"wire version {version}"):
@@ -1008,8 +1175,9 @@ class TestTransportEdges:
             await conn._writer.drain()
 
         with ServingFixture(Cluster(shards=1)) as fx:
-            # Version 1 (no record block) and a future version alike.
-            for version in (1, WIRE_VERSION + 1):
+            # Version 1 (no record block), version 2 (tagged-tuple
+            # messages) and a future version alike.
+            for version in (1, 2, WIRE_VERSION + 1):
                 runner, conn = fx.open_conn()
                 poison = bytearray(pack_frame(FRAME_REQUEST, 0, b""))
                 poison[4] = version  # bytes 0-3 are the length
