@@ -8,7 +8,7 @@ partition of trie hashing makes this natural — successive buckets hold
 successive key ranges.
 
 The cursor holds the A1 search trail of the bucket it has loaded: a seek
-is one trie search, and a step across a bucket border moves the trail to
+is one trie descent, and a step across a bucket border moves the trail to
 the next distinct bucket (:meth:`THFile._buckets
 <repro.core.file.THFile._buckets>`), so nothing is listed up front.
 Structural file modifications (splits, merges) invalidate the trail,
@@ -61,8 +61,17 @@ class Cursor:
             )
 
     def _start(self, key: str, pad: str = "min") -> None:
-        """Stand before the bucket of ``key``'s leaf (one A1 search)."""
-        self._trail = list(self._file.trie.search(key, pad=pad).trail)
+        """Stand before the bucket of ``key``'s leaf (one A1 descent).
+
+        A min-padded key needs only the descent trail, which
+        :meth:`~repro.core.trie.Trie.trail` keeps alone; a max-padded
+        one takes the full search.
+        """
+        trie = self._file.trie
+        if pad == "min":
+            self._trail = trie.trail(key)
+        else:
+            self._trail = list(trie.search(key, pad=pad).trail)
         self._address = None
         self._keys, self._values = [], []
 
@@ -133,7 +142,7 @@ class Cursor:
 
         Returns True when such a record exists; otherwise the cursor
         stands past the end, so :meth:`prev` reaches the largest key.
-        Costs one trie search plus a walk past buckets holding only
+        Costs one trie descent plus a walk past buckets holding only
         smaller keys.
         """
         self._check_generation()

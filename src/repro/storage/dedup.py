@@ -10,16 +10,18 @@ The window is bounded (FIFO eviction) because retries are prompt: a
 request id only needs to survive the retry horizon of one logical
 operation, not forever. For durable shards the window rides the
 existing crash-safety machinery — request ids travel inside the WAL
-operation records and the current window is embedded in every
-checkpoint header — so a server crash between applying an op and the
-client's retry cannot forget that the op already happened (see
-:mod:`repro.storage.recovery`).
+operation records, and each checkpoint header carries the window: a
+full checkpoint the whole of it, an incremental one the entries recorded
+since the chain's previous checkpoint — so a server crash between
+applying an op and the client's retry cannot forget that the op already
+happened (see :mod:`repro.storage.recovery`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
+from itertools import islice
 from typing import Optional
 
 from ..check.hook import maybe_audit
@@ -37,15 +39,26 @@ _MISSING = object()
 
 
 class DedupWindow:
-    """A bounded map from request id to the applied op's result."""
+    """A bounded map from request id to the applied op's result.
 
-    __slots__ = ("limit", "_entries")
+    The window also counts the :meth:`record` calls since a checkpoint
+    last took it (:meth:`take_spec`). Each record moves its id to the
+    end, so every entry recorded since then lies in the window's last
+    ``min(count, len)`` entries, and an incremental checkpoint writes
+    only that suffix. The count overshoots when an id is recorded twice
+    or a :meth:`merge` re-records ids already present; the surplus
+    entries are then the newest of the untouched ones, so folding the
+    suffix onto the previous checkpoint's window still rebuilds this one.
+    """
+
+    __slots__ = ("limit", "_entries", "_fresh")
 
     def __init__(self, limit: int = DEFAULT_WINDOW):
         if limit < 1:
             raise ValueError("dedup window must hold at least one entry")
         self.limit = limit
         self._entries: OrderedDict[RequestId, object] = OrderedDict()
+        self._fresh = 0  # record calls since the last take_spec
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -66,6 +79,7 @@ class DedupWindow:
             return
         self._entries[rid] = result
         self._entries.move_to_end(rid)
+        self._fresh += 1
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
         maybe_audit(self, "DedupWindow.record")
@@ -87,12 +101,32 @@ class DedupWindow:
         """JSON-ready form: ``[[client, seq, result], ...]`` oldest first."""
         return [[c, s, v] for (c, s), v in self._entries.items()]
 
+    def take_spec(self, full: bool) -> list[list]:
+        """What a checkpoint header carries, then zero the record count.
+
+        The whole window when ``full``; otherwise its last
+        ``min(count, len)`` entries, oldest first — a delta that
+        :meth:`from_spec` folds onto the previous checkpoint's window.
+        """
+        if full:
+            spec = self.to_spec()
+        else:
+            tail = list(islice(reversed(self._entries.items()), self._fresh))
+            spec = [[c, s, v] for (c, s), v in reversed(tail)]
+        self._fresh = 0
+        return spec
+
     @classmethod
     def from_spec(
         cls, spec: Iterable[list], limit: int = DEFAULT_WINDOW
     ) -> DedupWindow:
-        """Rebuild a window from :meth:`to_spec` output."""
+        """Rebuild a window from :meth:`to_spec` output, or fold a chain:
+        a full spec followed by each later :meth:`take_spec` delta.
+
+        The rebuilt window counts no records: the spec is its checkpoint.
+        """
         window = cls(limit)
         for client, seq, result in spec:
             window.record((int(client), int(seq)), result)
+        window._fresh = 0
         return window

@@ -11,7 +11,10 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
   set, which the session installs and drains) are rewritten, and the
   manifest keeps a short *chain* of checkpoint names whose newest-wins
   union reconstitutes every live bucket. Every ``max_chain``-th
-  checkpoint is full and resets the chain.
+  checkpoint is full and resets the chain. The request-dedup window
+  rides in each header the same way: whole in a full checkpoint, the
+  entries recorded since the previous one in an incremental, and
+  recovery folds the chain's windows oldest to newest.
 
 * **Recovery** — :func:`DurableFile.open` on a store holding a MANIFEST
   loads the chain newest-to-oldest, re-materialises the file, and
@@ -801,6 +804,7 @@ class DurableFile:
             newest_index = None
             live = set()
             raw_buckets: dict[int, bytes] = {}
+            windows = []  # each header's dedup, newest first
             for name in reversed(chain):
                 try:
                     data = stable.read(name)
@@ -816,6 +820,7 @@ class DurableFile:
                 for address, payload in ckpt_buckets.items():
                     if address in live and address not in raw_buckets:
                         raw_buckets[address] = payload
+                windows.append(header.get("dedup", []))
                 report.checkpoints += 1
             file = restore_file(
                 adapter, manifest["params"], newest_header, newest_index,
@@ -837,10 +842,15 @@ class DurableFile:
                 stable, adapter, file, wal, manifest, checkpoint_every, max_chain
             )
             # The dedup window recovers alongside the data it guards:
-            # the checkpointed window is the base, and every replayed
-            # record re-records its request id with the re-executed
-            # result — so a retry arriving after the crash still hits.
-            self.dedup = DedupWindow.from_spec(newest_header.get("dedup", []))
+            # the chain's windows fold oldest to newest (the full
+            # checkpoint's whole window, then each incremental's delta;
+            # a chain of whole windows folds to its newest), and every
+            # replayed record re-records its request id with the
+            # re-executed result — so a retry arriving after the crash
+            # still hits, and the next incremental carries those ids.
+            self.dedup = DedupWindow.from_spec(
+                entry for window in reversed(windows) for entry in window
+            )
             for record in records:
                 if record.lsn <= manifest["lsn"]:
                     continue
@@ -1093,7 +1103,7 @@ class DurableFile:
             "records": len(self.file),
             "live": live,
             "max_address": top,
-            "dedup": self.dedup.to_spec(),
+            "dedup": self.dedup.take_spec(full),
         }
         image = encode_checkpoint(header, adapter.index_bytes(self.file), buckets)
         self.stable.write_atomic(name, image)

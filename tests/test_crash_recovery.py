@@ -95,44 +95,53 @@ def mixed_ops(n, seed):
     return ops
 
 
+#: The one client whose request ids stamp every op of a recorded run.
+CLIENT = 1
+
+
 def run_recorded(engine, params, ops, checkpoint_every=16):
     """Run ``ops`` on a RecordingStableStore; return (store, timeline).
 
-    ``timeline[i] = (start, end, model_after)`` where start/end are the
-    physical-write watermarks bracketing logical op ``i``.
+    Op ``i`` carries the request id ``(CLIENT, i + 1)``.
+    ``timeline[i] = (start, end, model_after, window_after)`` where
+    start/end are the physical-write watermarks bracketing logical op
+    ``i`` and ``window_after`` is the dedup window's spec after it.
     """
     store = RecordingStableStore()
     f = DurableFile.open(store, engine=engine, checkpoint_every=checkpoint_every, **params)
     model = {}
     timeline = []
-    for kind, key, value in ops:
+    for seq, (kind, key, value) in enumerate(ops, start=1):
         start = store.stats.write_ops
+        rid = (CLIENT, seq)
         if kind == "insert":
-            f.insert(key, value)
+            f.insert(key, value, rid=rid)
             model[key] = value
         elif kind == "put":
-            f.put(key, value)
+            f.put(key, value, rid=rid)
             model[key] = value
         else:
-            f.delete(key)
+            f.delete(key, rid=rid)
             del model[key]
-        timeline.append((start, store.stats.write_ops, dict(model)))
+        timeline.append((start, store.stats.write_ops, dict(model), f.dedup.to_spec()))
     return store, timeline
 
 
 def allowed_states(timeline, index):
-    """Recovered-state candidates for a crash at physical write ``index``.
+    """Recovered-state candidates ``(model, window)`` for a crash at
+    physical write ``index``.
 
-    The model of every acknowledged op, plus — when an op was in flight —
-    the model including it (its record may have survived in a torn block).
+    The state after every acknowledged op, plus — when an op was in
+    flight — the state including it (its record may have survived in a
+    torn block).
     """
-    acked = {}
+    acked = ({}, [])
     inflight = None
-    for start, end, after in timeline:
+    for start, end, *after in timeline:
         if end <= index:
-            acked = after
+            acked = tuple(after)
         elif start <= index:
-            inflight = after
+            inflight = tuple(after)
             break
         else:
             break
@@ -140,6 +149,11 @@ def allowed_states(timeline, index):
     if inflight is not None:
         states.append(inflight)
     return states
+
+
+def allowed_models(timeline, index):
+    """The file contents of :func:`allowed_states`."""
+    return [model for model, _window in allowed_states(timeline, index)]
 
 
 def assert_reconstruction_agrees(th_file):
@@ -175,7 +189,7 @@ def test_crash_point_sweep_mixed_workload(config):
         survivor = StableStore.from_snapshot(point.image)
         recovered = DurableFile.open(survivor, engine=engine, **params)
         got = dict(recovered.items())
-        states = allowed_states(timeline, point.index)
+        states = allowed_models(timeline, point.index)
         assert got in states, (
             f"{config}: crash {point!r} recovered {len(got)} keys, "
             f"expected one of {[len(s) for s in states]}"
@@ -188,6 +202,30 @@ def test_crash_point_sweep_mixed_workload(config):
     kinds = {p.kind for p in store.crash_points}
     assert kinds >= {"append", "rename"}
     assert checked == len(store.crash_points)
+
+
+@pytest.mark.parametrize("config", sorted(SWEEP_CONFIGS))
+def test_crash_point_sweep_recovers_the_dedup_window(config):
+    # Checkpoints every 8 ops build chains of incrementals, each header
+    # carrying only the ids recorded since the previous one; recovery
+    # must fold them into exactly the window of an allowed state.
+    engine, params = SWEEP_CONFIGS[config]
+    ops = mixed_ops(160, seed=SWEEP_SEEDS[config] + 1)
+    store, timeline = run_recorded(engine, params, ops, checkpoint_every=8)
+    assert {p.variant for p in store.crash_points} == {"clean", "torn-half", "torn-full"}
+    for point in store.crash_points:
+        survivor = StableStore.from_snapshot(point.image)
+        recovered = DurableFile.open(survivor, engine=engine, **params)
+        window = recovered.dedup.to_spec()
+        got = (dict(recovered.items()), window)
+        assert got in allowed_states(timeline, point.index), point
+        acked = sum(1 for _start, end, *_ in timeline if end <= point.index)
+        for seq in range(1, acked + 1):
+            assert recovered.dedup.lookup((CLIENT, seq))[0], (point, seq)
+        # The end-of-recovery checkpoint carries the replayed ids: a
+        # second crash right behind it recovers the same window.
+        survivor.lose_volatile()
+        assert DurableFile.open(survivor).dedup.to_spec() == window, point
 
 
 def test_sweep_covers_torn_and_clean_variants():
@@ -624,7 +662,7 @@ def test_btree_crash_sweep_small():
     for point in store.crash_points:
         survivor = StableStore.from_snapshot(point.image)
         g = DurableFile.open(survivor, engine="btree", leaf_capacity=4)
-        assert dict(g.items()) in allowed_states(timeline, point.index)
+        assert dict(g.items()) in allowed_models(timeline, point.index)
         g.check()
 
 
@@ -726,6 +764,90 @@ def test_rids_survive_via_checkpoint_header():
     assert recovered.last_recovery.replayed == 0  # nothing left to replay
     assert recovered.dedup.lookup((7, 1)) == (True, None)
     assert recovered.get("apple") == "A"
+
+
+_RID = st.tuples(st.integers(0, 2), st.integers(0, 12))
+_WINDOW_STEP = st.one_of(
+    st.tuples(st.just("record"), _RID, st.one_of(st.none(), st.text(max_size=2))),
+    st.tuples(st.just("merge"), st.lists(_RID, max_size=6)),
+    st.tuples(st.just("take"), st.sampled_from([False, False, False, True])),
+)
+
+
+def _fold(specs, limit):
+    """The window recovery rebuilds from a chain's header specs."""
+    return DedupWindow.from_spec([e for spec in specs for e in spec], limit=limit)
+
+
+@given(limit=st.integers(1, 16), steps=st.lists(_WINDOW_STEP, max_size=60))
+def test_folded_checkpoint_deltas_rebuild_the_live_window(limit, steps):
+    # A full spec followed by every later delta folds to the live window,
+    # through evictions (small limits), repeated ids, merges and
+    # full-checkpoint resets.
+    window = DedupWindow(limit)
+    chain = [window.take_spec(full=True)]
+    for step in steps:
+        if step[0] == "record":
+            window.record(step[1], step[2])
+        elif step[0] == "merge":
+            other = DedupWindow(limit)
+            for rid in step[1]:
+                other.record(rid, "merged")
+            window.merge(other)
+        else:
+            spec = window.take_spec(full=step[1])
+            chain = [spec] if step[1] else chain + [spec]
+            assert _fold(chain, limit).to_spec() == window.to_spec()
+    chain.append(window.take_spec(full=False))
+    assert _fold(chain, limit).to_spec() == window.to_spec()
+    assert window.take_spec(full=False) == []  # nothing recorded since
+
+
+@given(limit=st.integers(1, 16), steps=st.lists(_WINDOW_STEP, max_size=60))
+def test_a_chain_of_whole_windows_folds_to_the_newest(limit, steps):
+    # Headers written before the delta carried the whole window in every
+    # chain entry; such a chain still reopens to its newest window.
+    window = DedupWindow(limit)
+    chain = [window.to_spec()]
+    for step in steps:
+        if step[0] == "record":
+            window.record(step[1], step[2])
+        elif step[0] == "merge":
+            window.merge(DedupWindow.from_spec([[*rid, None] for rid in step[1]], limit))
+        else:
+            chain.append(window.to_spec())
+    chain.append(window.to_spec())
+    assert _fold(chain, limit).to_spec() == chain[-1]
+
+
+class _HeaderLog(StableStore):
+    """A store that keeps the header of every checkpoint it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.headers = []
+
+    def write_atomic(self, name, data):
+        super().write_atomic(name, data)
+        if name.startswith("ckpt-"):
+            self.headers.append(decode_checkpoint(data, name)[0])
+
+
+def test_incremental_headers_carry_only_the_ids_since_the_last_checkpoint():
+    store = _HeaderLog()
+    f = DurableFile.open(store, engine="th", capacity=8, checkpoint_every=64)
+    rng = random.Random(29)
+    for seq in range(1, 2001):
+        f.put(_word(rng, 3, 6), str(seq), rid=(3, seq))
+    assert len(f.dedup) == f.dedup.limit  # the window filled and evicted
+    incremental = [h for h in store.headers if not h["full"]]
+    full = [h for h in store.headers if h["full"]]
+    assert len(incremental) > 20 and len(full) > 2
+    assert max(len(h["dedup"]) for h in incremental) <= 64
+    assert max(len(h["dedup"]) for h in full) == f.dedup.limit
+    store.lose_volatile()
+    g = DurableFile.open(store)
+    assert g.dedup.to_spec() == f.dedup.to_spec()
 
 
 def test_rids_without_stamp_are_not_tracked():
@@ -910,9 +1032,11 @@ def _with(key, value):
     return _edit_manifest(lambda m: {**m, key: value})
 
 
-def _edit_header(**fields):
+def _edit_header(at=-1, **fields):
+    """Rewrite fields of the header of chain entry ``at`` (the newest)."""
+
     def apply(store):
-        name = _newest_checkpoint(store)
+        name = json.loads(store.read("MANIFEST"))["chain"][at]
         header, index, buckets = decode_checkpoint(store.read(name), name)
         header.update(fields)
         image = encode_checkpoint(header, index, sorted(buckets.items()))
@@ -957,6 +1081,10 @@ MALFORMED = {
     "header-max-address-a-string": _edit_header(max_address="nine"),
     "header-dedup-an-int": _edit_header(dedup=5),
     "header-dedup-entry-short": _edit_header(dedup=[[1, 2]]),
+    # Recovery folds every chain entry's window, the oldest one too.
+    "header-dedup-an-int-oldest": _edit_header(0, dedup=5),
+    "header-dedup-entry-short-oldest": _edit_header(0, dedup=[[1, 2]]),
+    "header-dedup-rid-strings-oldest": _edit_header(0, dedup=[["a", "b", None]]),
     "op-without-key": _logged({"v": "x"}),
     "op-key-an-int": _logged({"k": 5}),
     "op-value-an-int": _logged({"k": "hotel", "v": 5}),

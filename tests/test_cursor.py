@@ -191,8 +191,8 @@ class TestInvalidation:
 class TestSeekIndexing:
     """Regression: ordered access must never re-walk the trie's leaves.
 
-    A seek is one A1 search and every step moves the search trail to the
-    next leaf, so no ordered surface lists the whole trie.
+    A seek is one A1 descent and every step moves the search trail to
+    the next leaf, so no ordered surface lists the whole trie.
     """
 
     def test_seek_never_rewalks_the_trie(self, small_keys, monkeypatch):
@@ -236,6 +236,43 @@ class TestSeekIndexing:
                 assert cur.key() == expected[0]
             else:
                 assert not cur.seek(probe)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [None, SplitPolicy.thcl(), SplitPolicy(split_position=-1)],
+        ids=["th", "thcl", "th-nil"],
+    )
+    def test_seek_and_first_descend_by_the_trail_alone(
+        self, small_keys, monkeypatch, policy
+    ):
+        from repro.core.compact import CompactTrie
+
+        files = {}
+        for backend in ("cells", "compact"):
+            f = THFile(bucket_capacity=4, policy=policy, trie_backend=backend)
+            for i, k in enumerate(small_keys):
+                f.insert(k, i)
+            files[backend] = f
+
+        def boom(self, *args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a min-padded cursor start ran a full A1 search")
+
+        monkeypatch.setattr(CompactTrie, "search", boom)
+        s = sorted(small_keys)
+        probes = ["a"] + s[::23] + [k + "a" for k in s[::31]] + [s[-1] + "z"]
+
+        def walk(f):
+            cur = Cursor(f)
+            seen = [cur.next() and cur.key(), cur.first() and cur.key()]
+            for probe in probes:
+                seen.append(cur.seek(probe) and cur.key())
+                seen += [cur.next() and cur.key() for _ in range(3)]
+                seen += [cur.prev() and cur.key() for _ in range(5)]
+            return seen
+
+        seen = walk(files["compact"])
+        assert seen == walk(files["cells"])
+        assert seen[:2] == [s[0], s[0]]
 
     @pytest.mark.parametrize("backend", ["cells", "compact"])
     @pytest.mark.parametrize(
