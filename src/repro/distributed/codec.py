@@ -32,22 +32,26 @@ Three layers:
   :func:`encode_reply` / :func:`decode_reply` write an
   :class:`~repro.distributed.messages.Op` or a
   :class:`~repro.distributed.messages.Reply` as one fixed ``struct``
-  head, then only the fields it sets, each in the value layout::
+  head, then only the fields it sets, each in the value layout but for
+  two with their own::
 
       op    := u8 flags | u8 n | kind (n bytes UTF-8) | set slots
+      rid   := i64 client | i64 seq
       reply := u8 flags | u16 forwards | i32 owner | set fields
       iam   := u32 count | count × (u32 low_len | u32 high_len |
                                     i32 shard | low | high)
 
   An op's flags mark its set slots (key, value, low, high, after, rid,
   ctx); the kind travels as a string, so an unknown kind still reaches
-  the server and fails typed there. A reply's flags mark its set
-  fields (value, error, iam, records, region_high, ctx) and hold
-  ``done`` and ``dedup``. The IAM is the one field with its own
-  layout: a count, then ``(low, high, shard)`` entries whose cut length
-  ``0xFFFFFFFF`` stands for an open end. Unknown op flag bits, a cut
-  head, an IAM count the payload cannot hold and trailing bytes raise
-  :class:`ProtocolError`. ``Op.addressed`` is never encoded.
+  the server and fails typed there. The request id, set on every
+  mutation, is two fixed-width integers; one that is not two integers
+  in the signed 64-bit range fails at encode. A reply's flags mark its
+  set fields (value, error, iam, records, region_high, ctx) and hold
+  ``done`` and ``dedup``. The IAM is a count, then ``(low, high,
+  shard)`` entries whose cut length ``0xFFFFFFFF`` stands for an open
+  end. Unknown op flag bits, a cut head, an IAM count the payload
+  cannot hold and trailing bytes raise :class:`ProtocolError`.
+  ``Op.addressed`` is never encoded.
   Exceptions travel as a ``(code, message)`` pair through the
   :data:`ERROR_CODES` registry and come back as fresh instances of the
   same class, so ``raise reply.error`` behaves identically on either
@@ -63,6 +67,10 @@ Three layers:
   malformed payload raises
   :class:`~repro.distributed.errors.ProtocolError` — wire damage is a
   protocol violation, never a silent misdecode.
+
+The encoders fail typed too: a value of no wire type, a string that is
+not UTF-8 encodable (a lone surrogate) and a head field out of range
+raise :class:`ProtocolError`.
 """
 
 from __future__ import annotations
@@ -100,8 +108,9 @@ __all__ = [
 
 #: Bump on any incompatible change to the value or message layout.
 #: Version 2 added the record block and carries big ints as bytes;
-#: version 3 sends each message as a fixed head plus the fields it sets.
-WIRE_VERSION = 3
+#: version 3 sends each message as a fixed head plus the fields it sets;
+#: version 4 carries an op's request id as two fixed-width integers.
+WIRE_VERSION = 4
 
 #: Frame kinds.
 FRAME_REQUEST = 1  # payload: u32 shard_id | encoded Op
@@ -285,8 +294,16 @@ def _write_records(write: Callable[[bytes], None], records: list) -> bool:
 def encode_value(value: object) -> bytes:
     """Encode one value into the tagged-union wire form."""
     parts: list[bytes] = []
-    _write_value(parts.append, value)
+    try:
+        _write_value(parts.append, value)
+    except UnicodeEncodeError as exc:
+        raise _unencodable(exc) from None
     return b"".join(parts)
+
+
+def _unencodable(exc: UnicodeEncodeError) -> ProtocolError:
+    """The one refusal of a string the wire cannot carry."""
+    return ProtocolError(f"a string is not UTF-8 encodable: {exc}")
 
 
 def _read_str(data: bytes, pos: int) -> tuple[str, int]:
@@ -441,6 +458,10 @@ def decode_value(data: bytes) -> object:
 # The layouts are drawn in the module docstring.
 _OP_HEAD = struct.Struct(">BB")  # presence flags, kind length
 _OP_FIELDS = 0x7F  # key, value, low, high, after, rid, ctx
+_O_VALUE_SLOTS = 0x1F  # key, value, low, high, after: the value layout
+_O_RID = 1 << 5
+_O_CTX = 1 << 6
+_RID = struct.Struct(">qq")  # client, seq
 _REPLY_HEAD = struct.Struct(">BHi")  # flags, forwards, owner
 # The reply flag bits, one per optional field, then done and dedup.
 (_R_VALUE, _R_ERROR, _R_IAM, _R_RECORDS, _R_REGION_HIGH, _R_CTX, _R_DONE,
@@ -455,15 +476,29 @@ def encode_op(op: Op) -> bytes:
     write = parts.append
     flags = 0
     bit = 1
-    for field in (op.key, op.value, op.low, op.high, op.after, op.rid, op.ctx):
-        if field is not None:
-            flags |= bit
-            _write_value(write, field)
-        bit <<= 1
+    try:
+        for field in (op.key, op.value, op.low, op.high, op.after):
+            if field is not None:
+                flags |= bit
+                _write_value(write, field)
+            bit <<= 1
+        if op.rid is not None:
+            flags |= _O_RID
+            try:
+                write(_RID.pack(*op.rid))
+            except (TypeError, struct.error):
+                raise ProtocolError(
+                    f"request id {op.rid!r} is not two signed 64-bit integers"
+                ) from None
+        if op.ctx is not None:
+            flags |= _O_CTX
+            _write_value(write, op.ctx)
+    except UnicodeEncodeError as exc:
+        raise _unencodable(exc) from None
     try:
         kind = op.kind.encode("utf-8")
         parts[0] = _OP_HEAD.pack(flags, len(kind)) + kind
-    except (AttributeError, struct.error):
+    except (AttributeError, UnicodeEncodeError, struct.error):
         raise ProtocolError(f"op kind {op.kind!r} is not wire-encodable") from None
     return b"".join(parts)
 
@@ -478,15 +513,23 @@ def _read_op(data: bytes, pos: int) -> tuple[Op, int]:
         raise ProtocolError("truncated op kind")
     kind = data[pos:end].decode("utf-8")
     pos = end
-    # The slots travel in the constructor's positional order.
+    # The value slots travel in the constructor's positional order.
     fields = []
-    while flags:
+    slots = flags & _O_VALUE_SLOTS
+    while slots:
         field = None
-        if flags & 1:
+        if slots & 1:
             field, pos = _read_value(data, pos)
         fields.append(field)
-        flags >>= 1
-    return Op(kind, *fields), pos
+        slots >>= 1
+    op = Op(kind, *fields)
+    if flags > _O_VALUE_SLOTS:  # a request id, a trace context or both
+        if flags & _O_RID:
+            op.rid = _RID.unpack_from(data, pos)
+            pos += _RID.size
+        if flags & _O_CTX:
+            op.ctx, pos = _read_value(data, pos)
+    return op, pos
 
 
 def decode_op(data: bytes) -> Op:
@@ -541,29 +584,32 @@ def encode_reply(reply: Reply) -> bytes:
     flags = _R_DONE if reply.done else 0
     if reply.dedup:
         flags |= _R_DEDUP
-    if reply.value is not None:
-        flags |= _R_VALUE
-        _write_value(write, reply.value)
-    if reply.error is not None:
-        flags |= _R_ERROR
-        _write_value(write, reply.error)
-    if reply.iam:
-        flags |= _R_IAM
-        try:
-            _write_iam(write, reply.iam)
-        except (AttributeError, TypeError, ValueError, struct.error):
-            raise ProtocolError(
-                f"IAM {reply.iam!r} is not a list of (low, high, shard)"
-            ) from None
-    if reply.records is not None:
-        flags |= _R_RECORDS
-        _write_value(write, reply.records)
-    if reply.region_high is not None:
-        flags |= _R_REGION_HIGH
-        _write_value(write, reply.region_high)
-    if reply.ctx is not None:
-        flags |= _R_CTX
-        _write_value(write, reply.ctx)
+    try:
+        if reply.value is not None:
+            flags |= _R_VALUE
+            _write_value(write, reply.value)
+        if reply.error is not None:
+            flags |= _R_ERROR
+            _write_value(write, reply.error)
+        if reply.iam:
+            flags |= _R_IAM
+            try:
+                _write_iam(write, reply.iam)
+            except (AttributeError, TypeError, ValueError, struct.error):
+                raise ProtocolError(
+                    f"IAM {reply.iam!r} is not a list of (low, high, shard)"
+                ) from None
+        if reply.records is not None:
+            flags |= _R_RECORDS
+            _write_value(write, reply.records)
+        if reply.region_high is not None:
+            flags |= _R_REGION_HIGH
+            _write_value(write, reply.region_high)
+        if reply.ctx is not None:
+            flags |= _R_CTX
+            _write_value(write, reply.ctx)
+    except UnicodeEncodeError as exc:
+        raise _unencodable(exc) from None
     try:
         parts[0] = _REPLY_HEAD.pack(flags, reply.forwards, reply.owner)
     except struct.error:

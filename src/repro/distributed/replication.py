@@ -177,13 +177,7 @@ class ReplicaState:
 def wire_records(wal_records: Iterable[WALRecord]) -> list[list]:
     """WAL op records in shipping form ``[lsn, type, key, value, rid]``."""
     return [
-        [
-            record.lsn,
-            record.type,
-            record.payload.get("k"),
-            record.payload.get("v"),
-            record.payload.get("rid"),
-        ]
+        [record.lsn, record.type, record.key, record.value, record.rid]
         for record in wal_records
     ]
 

@@ -27,8 +27,10 @@ Resolution policy (the soundness contract rules rely on):
   follow widened edges (:data:`CallSite.kind` is ``"widened"``).
 * A call on a builtin container does not widen: a local whose every
   binding is a ``list``, ``dict``, ``set`` or ``bytearray`` display,
-  constructor or annotation, or a ``self.`` attribute bound only that
-  way in its owning class, calls no program code (``form`` is
+  comprehension, constructor or annotation, a ``self.`` attribute
+  bound only that way in its owning class, or a name of the module
+  itself bound only that way or to a ``contextvars.ContextVar`` (and
+  not rebound by the function), calls no program code (``form`` is
   ``"builtin"``).
 * A call that resolves to nothing at all is *opaque* ("may call
   anything"); rules treat it per their own policy.
@@ -66,7 +68,7 @@ __all__ = [
 ]
 
 #: Bump whenever the summary layout changes (invalidates every cache).
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 #: Loop methods that schedule a callback, and the position of the
 #: callable among their arguments.
@@ -519,6 +521,7 @@ class _FunctionExtractor:
         cls: Optional[str],
         node,
         container_attrs: frozenset = frozenset(),
+        module_containers: frozenset = frozenset(),
     ):
         self.module = module
         self.imports = imports
@@ -528,8 +531,12 @@ class _FunctionExtractor:
         self.node = node
         #: ``self.`` attributes its class binds only to builtin containers.
         self.container_attrs = container_attrs
-        #: Locals bound only to builtin containers.
-        self.containers = _local_containers(node, _shadows(imports, local_symbols))
+        #: Locals bound only to builtin containers, and the module's own
+        #: container names this function and its enclosers do not bind.
+        self.containers = (
+            _local_containers(node, _shadows(imports, local_symbols))
+            | module_containers
+        )
         #: Names of functions nested directly inside this one.
         self.nested: set = {
             child.name
@@ -727,12 +734,13 @@ def _makes_container(value: Optional[ast.AST], shadows: frozenset) -> bool:
     )
 
 
-def _bindings(node: ast.AST, shadows: frozenset) -> list:
+def _bindings(node: ast.AST, shadows: frozenset, makes=_makes_container) -> list:
     """``(target, binds a builtin container)`` for each target an
     ``Assign`` / ``AnnAssign`` stores to; a parallel assignment
-    (``a, b = x, []``) is judged element by element."""
+    (``a, b = x, []``) is judged element by element. ``makes`` judges
+    an assigned value."""
     if isinstance(node, ast.AnnAssign):
-        shaped = _names_container(node.annotation, shadows) or _makes_container(
+        shaped = _names_container(node.annotation, shadows) or makes(
             node.value, shadows
         )
         return [(node.target, shaped)]
@@ -748,26 +756,28 @@ def _bindings(node: ast.AST, shadows: frozenset) -> list:
             )
         ):
             pairs += [
-                (elt, _makes_container(part, shadows))
+                (elt, makes(part, shadows))
                 for elt, part in zip(target.elts, value.elts)
             ]
         else:
-            pairs.append((target, _makes_container(value, shadows)))
+            pairs.append((target, makes(value, shadows)))
     return pairs
 
 
-def _container_stores(nodes, name_of, shadows: frozenset) -> tuple:
+def _container_stores(
+    nodes, name_of, shadows: frozenset, makes=_makes_container
+) -> tuple:
     """``(good, bad)``: the names of the store targets among ``nodes``
     (walked parents first) bound to a builtin container, and those bound
     otherwise. ``name_of`` names a target, or gives ``None`` for one
-    that does not count. An augmented assignment keeps a container's
-    type."""
+    that does not count; ``makes`` judges an assigned value. An
+    augmented assignment keeps a container's type."""
     good: set = set()
     bad: set = set()
     judged: set = set()
     for node in nodes:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target, shaped in _bindings(node, shadows):
+            for target, shaped in _bindings(node, shadows, makes):
                 judged.add(id(target))
                 name = name_of(target)
                 if name is not None:
@@ -878,6 +888,68 @@ def _attribute_containers(klass: ast.ClassDef, shadows: frozenset) -> frozenset:
     return frozenset((good | stored) - bad - other)
 
 
+def _is_context_var(value: Optional[ast.AST], imports: _ImportMap) -> bool:
+    """True for a ``contextvars.ContextVar(...)`` call."""
+    return (
+        isinstance(value, ast.Call)
+        and imports.resolve(_dotted(value.func) or "") == "contextvars.ContextVar"
+    )
+
+
+def _module_containers(
+    tree: ast.Module, imports: _ImportMap, shadows: frozenset
+) -> frozenset:
+    """The module's own names whose every binding is a builtin container
+    (as for a local) or a ``contextvars.ContextVar``, and that no
+    function rebinds through ``global``. Their methods run no program
+    code. The bindings read are the module-level statements, nested
+    blocks included, but not function or class bodies."""
+    nodes = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        nodes.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+
+    def makes(value: Optional[ast.AST], shadows: frozenset) -> bool:
+        return _makes_container(value, shadows) or _is_context_var(value, imports)
+
+    good, bad = _container_stores(nodes, _name_id, shadows, makes)
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bad.update((a.asname or a.name).split(".")[0] for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            bad.update(node.names)
+    return frozenset(good - bad)
+
+
+def _locally_bound(fn: ast.AST) -> set:
+    """Every name ``fn`` or a scope nested in it binds: parameters,
+    stores, imports, exception names, nested definitions, and the names
+    declared global or nonlocal."""
+    bound = {a.arg for a in _parameters(fn)}
+    for node in ast.walk(fn):
+        if node is fn:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(
+            node,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+        ):
+            bound.update(_bound_in(node))
+    return bound
+
+
 def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:
     """Digest one parsed file into its :class:`ModuleSummary`."""
     tree = ast.parse(source, filename=str(path))
@@ -903,17 +975,29 @@ def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:
                 if isinstance(target, ast.Name):
                     local_symbols.add(target.id)
 
+    module_containers = _module_containers(
+        tree, imports, _shadows(imports, local_symbols)
+    )
+
     def extract_function(
-        node, qual: str, cls: Optional[str], containers: frozenset
+        node,
+        qual: str,
+        cls: Optional[str],
+        containers: frozenset,
+        outer: frozenset = module_containers,
     ) -> None:
+        # A name the function (or an enclosing one) binds is not the
+        # module's any more.
+        visible = outer - _locally_bound(node)
         extractor = _FunctionExtractor(
-            module, imports, local_symbols, qual, cls, node, containers
+            module, imports, local_symbols, qual, cls, node, containers, visible
         )
         summary.functions[qual] = extractor.extract()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 extract_function(
-                    child, f"{qual}.<locals>.{child.name}", cls, containers
+                    child, f"{qual}.<locals>.{child.name}", cls, containers,
+                    visible,
                 )
 
     for node in tree.body:

@@ -22,11 +22,11 @@ Architecture — one callback path:
   time, which is what makes the shard layer's single-writer assumptions
   hold without locks.
 * **Group fsync.** A batch's first mutation opens one
-  :func:`~repro.storage.recovery.group_commit` for the rest of the
-  batch; a durable file joins it on its first WAL append, so the fsync
-  barrier is paid once per batch per written file. Replies are withheld
-  until the group closes: a client never sees an ack for an op whose
-  WAL record could still be lost.
+  :class:`~repro.storage.recovery.group_commit`, which the batch holds
+  for the rest of its frames; a durable file joins it on its first WAL
+  append, so the fsync barrier is paid once per batch per written
+  file. Replies are withheld until the group closes: a client never
+  sees an ack for an op whose WAL record could still be lost.
 * **Controls are barriers.** A control (crash, restart, stats, ...)
   closes the open group and releases its replies before it runs. The
   ``stall`` test hook pauses batch processing; the frames that arrive
@@ -55,7 +55,6 @@ import asyncio
 import struct
 import time
 from collections import deque
-from contextlib import ExitStack
 from typing import Optional
 
 from ..distributed.codec import (
@@ -314,7 +313,7 @@ class ServingServer:
         replies: list[tuple[_Conn, bytes]] = []
         #: Reply bytes each connection may still take in this batch.
         room: dict = {}
-        stack: Optional[ExitStack] = None
+        group: Optional[group_commit] = None
         try:
             for index, item in _frames(batch, room):
                 conn, kind, corr_id, payload = item
@@ -326,7 +325,7 @@ class ServingServer:
                 if kind == FRAME_CONTROL:
                     # Controls are barriers: fsync the open group and
                     # release its acks before the control runs.
-                    stack = self._close_group(stack)
+                    group = self._close_group(group)
                     self._send(replies)
                     replies = []
                     reply = self._control(corr_id, payload)
@@ -350,14 +349,14 @@ class ServingServer:
                     body = b"\x01" + encode_value(exc)
                     reply = pack_frame(FRAME_RESPONSE, corr_id, body)
                 else:
-                    if op.kind in MUTATING_OPS and stack is None:
-                        stack = self._open_group()
+                    if op.kind in MUTATING_OPS and group is None:
+                        group = self._open_group()
                     reply = self._execute(shard_id, op, corr_id)
                 replies.append((conn, reply))
                 room[conn] = left - len(reply)
         finally:
             # The fsync barrier: replies must not leave before it.
-            stack = self._close_group(stack)
+            group = self._close_group(group)
         self._send(replies)
         for conn in room:
             if conn.held:
@@ -391,17 +390,15 @@ class ServingServer:
             body = b"\x01" + encode_value(exc)
         return pack_frame(FRAME_RESPONSE, corr_id, body)
 
-    def _open_group(self) -> ExitStack:
+    def _open_group(self) -> group_commit:
         """Open the batch's fsync group; each file it writes joins it."""
         self.grouped_batches += 1
-        stack = ExitStack()
-        stack.enter_context(group_commit())
-        return stack
+        return group_commit().__enter__()
 
     @staticmethod
-    def _close_group(stack: Optional[ExitStack]) -> None:
-        if stack is not None:
-            stack.close()
+    def _close_group(group: Optional[group_commit]) -> None:
+        if group is not None:
+            group.close()
         return None
 
     # ------------------------------------------------------------------

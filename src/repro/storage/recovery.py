@@ -24,8 +24,8 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
   log tail is discarded — those operations were never acknowledged.
   Durable input that parses but does not fit the schema (a MANIFEST
   key of the wrong type, engine params that build no file, a checkpoint
-  header or a logged payload of the wrong shape, a bucket section that
-  does not decode, an unknown record type) raises
+  header of the wrong shape, a logged record body that does not decode,
+  a bucket section that does not decode, an unknown record type) raises
   :class:`RecoveryError`. When the checkpoint's *index* section (the
   trie image) is lost or does not decode but the bucket sections
   survive, trie-hashing files fall back to the Section-6 reconstruction
@@ -37,10 +37,13 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
 * **The session front-end** — :class:`DurableFile` wraps any of the four
   engines (``th`` on either trie backend, ``thcl`` via its split
   policy, ``mlth``, ``btree``)
-  and enforces the ack protocol: apply in memory, append the operation
-  record, fsync, *then* return. An operation that returns was durable at
-  the instant it returned; one interrupted by a crash may or may not
-  survive, which is exactly the contract the crash-point tests assert.
+  and enforces the ack protocol: encode the operation record's body,
+  apply in memory, append the record, fsync, *then* return. Encoding
+  first refuses, with :class:`StorageError` and before anything
+  changes, a key or value that no record or bucket can hold. An
+  operation that returns was durable at the instant it returned; one
+  interrupted by a crash may or may not survive, which is exactly the
+  contract the crash-point tests assert.
 
 See ``docs/DURABILITY.md`` for the wire formats and the full protocol.
 """
@@ -52,7 +55,7 @@ import io
 import json
 import struct
 import zlib
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import nullcontext
 from contextvars import ContextVar
 from collections.abc import Iterable, Iterator
 from typing import Any, Optional
@@ -77,8 +80,8 @@ from .wal import (
     REC_INSERT,
     REC_PUT,
     StableStore,
-    WALRecord,
     WALWriter,
+    encode_body,
     read_records,
 )
 
@@ -182,28 +185,6 @@ def _header_ok(header) -> bool:
         and isinstance(dedup, list)
         and all(isinstance(e, list) and len(e) == 3 and _is_rid(e[:2]) for e in dedup)
     )
-
-
-def _op_payload(key: str, value: Optional[str], rid: Optional[RequestId]) -> dict:
-    """The logged body of one operation record (read by :func:`_op_fields`)."""
-    payload = {"k": key} if value is None else {"k": key, "v": value}
-    if rid is not None:
-        payload["rid"] = [rid[0], rid[1]]
-    return payload
-
-
-def _op_fields(record: WALRecord) -> tuple[str, Optional[str], Optional[RequestId]]:
-    """``(key, value, rid)`` of a logged operation; a bad shape fails typed."""
-    payload = record.payload
-    if isinstance(payload, dict):
-        key, value, rid = payload.get("k"), payload.get("v"), payload.get("rid")
-        if (
-            isinstance(key, str)
-            and (value is None or isinstance(value, str))
-            and (rid is None or _is_rid(rid))
-        ):
-            return key, value, None if rid is None else (rid[0], rid[1])
-    raise RecoveryError(f"malformed operation record at LSN {record.lsn}")
 
 
 def _str_values(items: Iterable[tuple[str, Optional[str]]]) -> list:
@@ -650,30 +631,49 @@ class RecoveryReport:
 _GROUP: ContextVar[Optional[list]] = ContextVar("group_commit", default=None)
 
 
-@contextmanager
-def group_commit() -> Iterator[None]:
+class group_commit:
     """Defer the fsync of every durable file written inside the block.
 
     A :class:`DurableFile` joins the group on its first append in it;
     the outermost exit, an exception exit too, commits each joined file
-    once (fsync, WAL taps, then any due checkpoint). The caller must
-    withhold every acknowledgement until then. The group closes first,
-    so a tap that ships to a backup opens the backup's own group; a
-    failed fsync poisons its file and propagates once every other
-    joined file has reached its barrier.
+    once (fsync, WAL taps, then any due checkpoint), last joined first.
+    The caller must withhold every acknowledgement until then. The group
+    closes first, so a tap that ships to a backup opens the backup's
+    own group; a failed fsync poisons its file, and the first failure
+    propagates once every joined file has reached its barrier.
+
+    Used as ``with group_commit():``, or held open across calls by
+    entering it and calling :meth:`close` (the serving batch does).
     """
-    if _GROUP.get() is not None:
-        yield  # nested: only the outermost block commits
-        return
-    joined: list[DurableFile] = []
-    token = _GROUP.set(joined)
-    try:
-        yield
-    finally:
+
+    __slots__ = ("_joined", "_token")
+
+    def __enter__(self) -> group_commit:
+        if _GROUP.get() is None:
+            self._joined: list[DurableFile] = []
+            self._token = _GROUP.set(self._joined)
+        else:
+            self._token = None  # nested: only the outermost block commits
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Commit every joined file: the outermost group's barrier."""
+        token, self._token = self._token, None
+        if token is None:
+            return
         _GROUP.reset(token)
-        with ExitStack() as barriers:
-            for file in joined:
-                barriers.callback(file._group_barrier)
+        failure: Optional[BaseException] = None
+        for file in reversed(self._joined):
+            try:
+                file._group_barrier()
+            except BaseException as exc:  # repro-lint: disable=TH002 -- fault boundary: every joined file must reach its barrier before the first failure propagates
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
 
 
 class DurableFile:
@@ -739,7 +739,9 @@ class DurableFile:
         """
         if checkpoint_every < 1:
             raise StorageError("checkpoint_every must be at least 1")
-        records = _str_values(records)
+        records = list(records)
+        for key, value in records:
+            encode_body(key, value)  # refuses what no record or bucket holds
         if stable.exists(cls.MANIFEST):
             if records or dedup is not None:
                 raise StorageError("only a fresh durable file takes records or dedup")
@@ -854,14 +856,13 @@ class DurableFile:
             for record in records:
                 if record.lsn <= manifest["lsn"]:
                     continue
-                key, value, rid = _op_fields(record)
                 try:
-                    out = apply_op(file, record.type, key, value)
+                    out = apply_op(file, record.type, record.key, record.value)
                 except TrieHashingError as exc:
                     raise RecoveryError(
                         f"replay of operation LSN {record.lsn} failed: {exc}"
                     ) from exc
-                self.dedup.record(rid, out)
+                self.dedup.record(record.rid, out)
                 report.replayed += 1
             self.last_recovery = report
             if TRACER.enabled:
@@ -919,8 +920,7 @@ class DurableFile:
         self._check_usable()
         if rec_type not in (REC_INSERT, REC_PUT, REC_DELETE):
             raise StorageError(f"unknown operation record type {rec_type}")
-        if value is not None and not isinstance(value, str):
-            raise StorageError("durable files store str or None values only")
+        body = encode_body(key, value, rid)  # a refusal here changes nothing
         try:
             out = apply_op(self.file, rec_type, key, value)
         except (InvalidKeyError, DuplicateKeyError, KeyNotFoundError):
@@ -929,7 +929,7 @@ class DurableFile:
             self._poisoned = True
             raise
         try:
-            self.wal.append(rec_type, _op_payload(key, value, rid))
+            self.wal.append(rec_type, key, value, rid, body)
             self._commit_barrier()
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a failure before the fsync ack leaves WAL state unknown; poison, then re-raise
             self._poisoned = True
@@ -1023,7 +1023,7 @@ class DurableFile:
         re-records it per record, converging on the same ``None`` reply.
         """
         self._check_usable()
-        pending = _str_values(items)
+        pending = list(items)
         if hasattr(self.file, "put_many"):
             # Canonicalise up front: an invalid key is rejected before
             # any mutation, exactly like the per-key ack protocol.
@@ -1032,6 +1032,7 @@ class DurableFile:
             for key, value in pending:
                 last_wins[validate(key)] = value
             pending = sorted(last_wins.items())
+        bodies = [encode_body(key, value, rid) for key, value in pending]
         if not pending:
             self.dedup.record(rid, None)
             return
@@ -1041,8 +1042,8 @@ class DurableFile:
             self._poisoned = True
             raise
         try:
-            for key, value in pending:
-                self.wal.append(REC_PUT, _op_payload(key, value, rid))
+            for (key, value), body in zip(pending, bodies):
+                self.wal.append(REC_PUT, key, value, rid, body)
             self._commit_barrier()  # one fsync barrier for the whole batch
         except BaseException:  # repro-lint: disable=TH002 -- fault boundary: a failure before the group fsync leaves WAL state unknown; poison, then re-raise
             self._poisoned = True

@@ -33,6 +33,7 @@ from .buckets import Bucket
 
 __all__ = [
     "CELL_BYTES",
+    "MAX_STRING_BYTES",
     "serialize_trie",
     "deserialize_trie",
     "serialize_bucket",
@@ -41,6 +42,10 @@ __all__ = [
 
 #: Size of one encoded cell — the paper's practical figure.
 CELL_BYTES = 6
+
+#: The longest key or value a bucket record holds, in UTF-8 bytes: the
+#: ``u16`` lengths of the record layout, which the WAL record shares.
+MAX_STRING_BYTES = 0xFFFF
 
 _NIL16 = 0xFFFF
 _EDGE_BIT = 0x8000
@@ -71,12 +76,18 @@ def serialize_trie(trie: Trie) -> bytes:
     """Encode a trie into the standard 6-bytes-per-cell layout.
 
     Live cells are compacted (freed slots are not written); the root
-    pointer and alphabet travel in a small header.
+    pointer and alphabet travel in a small header. A DV is one byte, so
+    an alphabet with a digit beyond latin-1 raises :class:`StorageError`.
     """
     live = list(trie.cells.live_items())
     remap = {index: new for new, (index, _) in enumerate(live)}
     out = bytearray()
-    alphabet_bytes = trie.alphabet.digits.encode("latin-1")
+    try:
+        alphabet_bytes = trie.alphabet.digits.encode("latin-1")
+    except UnicodeEncodeError:
+        raise StorageError(
+            f"alphabet {trie.alphabet.digits!r} has digits beyond the one-byte DV"
+        ) from None
     out += struct.pack(">HH", len(live), len(alphabet_bytes))
     out += alphabet_bytes
     out += struct.pack(">H", _encode_ptr(trie.root, remap))
@@ -139,25 +150,33 @@ def serialize_bucket(bucket: Bucket) -> bytes:
 
     Values must be ``None`` or UTF-8 strings for the binary form (the
     in-memory simulation allows arbitrary payloads; persistence is only
-    offered for string payloads, which all examples use).
+    offered for string payloads, which all examples use), and no key or
+    value may exceed :data:`MAX_STRING_BYTES`; anything else raises
+    :class:`StorageError`.
     """
     out = bytearray()
-    header = bucket.header_path.encode()
-    out += struct.pack(">HH", len(header), len(bucket.keys))
-    out += header
-    for key, value in bucket.items():
-        kb = key.encode()
-        if value is None:
-            vb = b""
-            has_value = 0
-        elif isinstance(value, str):
-            vb = value.encode()
-            has_value = 1
-        else:
-            raise StorageError("binary bucket format stores str/None values only")
-        out += struct.pack(">HBH", len(kb), has_value, len(vb))
-        out += kb
-        out += vb
+    try:
+        header = bucket.header_path.encode()
+        out += struct.pack(">HH", len(header), len(bucket.keys))
+        out += header
+        for key, value in bucket.items():
+            kb = key.encode()
+            if value is None:
+                vb = b""
+                has_value = 0
+            elif isinstance(value, str):
+                vb = value.encode()
+                has_value = 1
+            else:
+                raise StorageError("binary bucket format stores str/None values only")
+            out += struct.pack(">HBH", len(kb), has_value, len(vb))
+            out += kb
+            out += vb
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise StorageError(
+            f"a record the bucket format cannot hold (UTF-8, at most "
+            f"{MAX_STRING_BYTES} bytes a string): {exc}"
+        ) from None
     return bytes(out)
 
 

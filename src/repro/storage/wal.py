@@ -12,40 +12,51 @@ durability substrate in two layers:
   unflushed tail (a partially written last block).
 
 * The WAL itself — a stream of checksummed, LSN-stamped operation
-  records (``insert``/``put``/``delete``), the REDO unit: a record is
-  appended after the in-memory apply succeeds and the operation is
-  acknowledged only once the record is fsynced. Nothing else is logged.
-  Re-executing the deterministic operations rebuilds the identical
-  structure, and a lost trie is rebuilt from the bucket headers
-  (Section 6, /TOR83/), so no reader needs a log of structure edits.
-  LSNs count operation records: consecutive records carry consecutive
-  LSNs.
+  records (``insert``/``put``/``delete``), the REDO unit: a record's
+  body is encoded before the in-memory apply, appended after the apply
+  succeeds, and the operation is acknowledged only once the record is
+  fsynced. Nothing else is logged. Re-executing the deterministic
+  operations rebuilds the identical structure, and a lost trie is
+  rebuilt from the bucket headers (Section 6, /TOR83/), so no reader
+  needs a log of structure edits. LSNs count operation records:
+  consecutive records carry consecutive LSNs.
 
 Record wire format (see ``docs/DURABILITY.md``)::
 
-    magic(2) | lsn(8) | type(1) | len(4) | payload(len) | crc32(4)
+    magic(2) | lsn(8) | type(1) | len(4) | body(len) | crc32(4)
+    body := u8 flags | u16 key_len | u16 value_len | key | value
+            | [i64 client | i64 seq]
 
-The CRC covers lsn, type, length and payload. A reader stops cleanly at
+The CRC covers lsn, type, length and body. A reader stops cleanly at
 the first record whose magic, length or CRC does not check out — the
-torn tail a crash may leave behind.
+torn tail a crash may leave behind. Flag bit 0 marks a value, bit 1 a
+request id; key and value are UTF-8 and at most
+:data:`~repro.storage.serializer.MAX_STRING_BYTES` long, the bucket
+format's own limit. :func:`encode_body` refuses what a body cannot
+hold with :class:`StorageError` (:class:`InvalidKeyError` for a key
+that is not a string); a body whose CRC checks but which does not
+decode raises :class:`RecoveryError`.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from collections.abc import Iterator
 from typing import Optional
 
-from ..core.errors import StorageError
+from ..core.errors import InvalidKeyError, RecoveryError, StorageError
 from ..obs.tracer import TRACER
+from .dedup import RequestId
+from .serializer import MAX_STRING_BYTES
 
 __all__ = [
     "StableStore",
     "StableStats",
     "WALRecord",
     "WALWriter",
+    "encode_body",
+    "encode_record",
     "read_records",
     "stream_ops",
     "REC_INSERT",
@@ -63,7 +74,12 @@ REC_PUT = 2
 REC_DELETE = 3
 
 _REC_MAGIC = b"\xd7\x1e"  # two fixed marker bytes
-_HEADER = struct.Struct(">QBI")  # lsn, type, payload length
+_HEADER = struct.Struct(">QBI")  # lsn, type, body length
+_CRC = struct.Struct(">I")
+_BODY_HEAD = struct.Struct(">BHH")  # flags, key length, value length
+_RID = struct.Struct(">qq")  # client, seq
+_HAS_VALUE = 1
+_HAS_RID = 2
 
 
 # ----------------------------------------------------------------------
@@ -216,30 +232,120 @@ class StableStore:
 class WALRecord:
     """One decoded operation record."""
 
-    __slots__ = ("lsn", "type", "payload")
+    __slots__ = ("lsn", "type", "key", "value", "rid")
 
-    def __init__(self, lsn: int, rec_type: int, payload: dict):
+    def __init__(
+        self,
+        lsn: int,
+        rec_type: int,
+        key: str,
+        value: Optional[str] = None,
+        rid: Optional[RequestId] = None,
+    ):
         self.lsn = lsn
         self.type = rec_type
-        self.payload = payload
+        self.key = key
+        self.value = value
+        self.rid = rid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WALRecord(lsn={self.lsn}, type={self.type}, {self.payload!r})"
+        return (
+            f"WALRecord(lsn={self.lsn}, type={self.type}, key={self.key!r}, "
+            f"value={self.value!r}, rid={self.rid!r})"
+        )
 
 
-def encode_record(lsn: int, rec_type: int, payload: dict) -> bytes:
-    """Encode one record (magic, header, payload, CRC trailer)."""
-    body = json.dumps(payload, separators=(",", ":")).encode()
+def encode_body(
+    key: str, value: Optional[str] = None, rid: Optional[RequestId] = None
+) -> bytes:
+    """The body of one operation record.
+
+    Refuses, before anything is applied, what neither a record nor a
+    bucket can hold: a key that is not a string
+    (:class:`InvalidKeyError`), a value that is neither a string nor
+    ``None``, a string that is not UTF-8 encodable (a lone surrogate),
+    one longer than :data:`MAX_STRING_BYTES`, and a request id that is
+    not two integers in the signed 64-bit range (all
+    :class:`StorageError`).
+    """
+    try:
+        raw_key = key.encode("utf-8")
+        if value is None:
+            flags, raw_value = 0, b""
+        else:
+            flags, raw_value = _HAS_VALUE, value.encode("utf-8")
+        if rid is None:
+            tail = b""
+        else:
+            flags |= _HAS_RID
+            tail = _RID.pack(*rid)
+        head = _BODY_HEAD.pack(flags, len(raw_key), len(raw_value))
+    except (AttributeError, TypeError, UnicodeEncodeError, struct.error):
+        raise _refusal(key, value, rid) from None
+    return head + raw_key + raw_value + tail
+
+
+def _refusal(key: object, value: object, rid: object) -> Exception:
+    """Why :func:`encode_body` refused its fields (the error path only)."""
+    if not isinstance(key, str):
+        return InvalidKeyError(f"keys must be str, got {type(key).__name__}")
+    if value is not None and not isinstance(value, str):
+        return StorageError("durable files store str or None values only")
+    for text in (key, value or ""):
+        try:
+            size = len(text.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            return StorageError(f"a key or value is not UTF-8 encodable: {exc}")
+        if size > MAX_STRING_BYTES:
+            return StorageError(
+                f"a key or value of {size} UTF-8 bytes exceeds the "
+                f"{MAX_STRING_BYTES}-byte limit of a record and a bucket"
+            )
+    return StorageError(f"request id {rid!r} is not two signed 64-bit integers")
+
+
+def encode_record(lsn: int, rec_type: int, body: bytes) -> bytes:
+    """Frame one record body (magic, header, body, CRC trailer)."""
     header = _HEADER.pack(lsn, rec_type, len(body))
-    crc = zlib.crc32(header + body) & 0xFFFFFFFF
-    return _REC_MAGIC + header + body + struct.pack(">I", crc)
+    crc = zlib.crc32(body, zlib.crc32(header))
+    return _REC_MAGIC + header + body + _CRC.pack(crc)
+
+
+def _read_body(
+    data: bytes, pos: int, end: int, lsn: int
+) -> tuple[str, Optional[str], Optional[RequestId]]:
+    """``(key, value, rid)`` of the body ``data[pos:end]``; a body that
+    does not decode raises :class:`RecoveryError`."""
+    try:
+        if end - pos < _BODY_HEAD.size:
+            raise ValueError("the body is shorter than its head")
+        flags, key_len, value_len = _BODY_HEAD.unpack_from(data, pos)
+        if flags & ~(_HAS_VALUE | _HAS_RID):
+            raise ValueError(f"unknown flag bits {flags:#04x}")
+        if value_len and not flags & _HAS_VALUE:
+            raise ValueError("a value length without a value")
+        key_at = pos + _BODY_HEAD.size
+        value_at = key_at + key_len
+        rid_at = value_at + value_len
+        stop = rid_at + _RID.size if flags & _HAS_RID else rid_at
+        if stop > end:
+            raise ValueError("its lengths run past the body")
+        if stop < end:
+            raise ValueError(f"{end - stop} trailing bytes")
+        key = data[key_at:value_at].decode("utf-8")
+        value = data[value_at:rid_at].decode("utf-8") if flags & _HAS_VALUE else None
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise RecoveryError(f"malformed operation record at LSN {lsn}: {exc}") from None
+    return key, value, _RID.unpack_from(data, rid_at) if flags & _HAS_RID else None
 
 
 def read_records(data: bytes) -> tuple[list[WALRecord], bool]:
     """Decode a log image; stop cleanly at a torn or corrupt tail.
 
     Returns ``(records, clean)`` where ``clean`` is False when trailing
-    bytes had to be discarded (torn last record or trailing garbage).
+    bytes had to be discarded (torn last record or trailing garbage). A
+    record whose CRC checks but whose body does not decode raises
+    :class:`RecoveryError`: no crash writes one.
     """
     records: list[WALRecord] = []
     offset = 0
@@ -253,18 +359,15 @@ def read_records(data: bytes) -> tuple[list[WALRecord], bool]:
         lsn, rec_type, length = _HEADER.unpack_from(data, offset + len(_REC_MAGIC))
         body_at = offset + header_size
         crc_at = body_at + length
-        if crc_at + 4 > len(data):
+        if crc_at + _CRC.size > len(data):
             return records, False
-        expected = zlib.crc32(data[offset + len(_REC_MAGIC) : crc_at]) & 0xFFFFFFFF
-        (stored,) = struct.unpack_from(">I", data, crc_at)
+        expected = zlib.crc32(data[offset + len(_REC_MAGIC) : crc_at])
+        (stored,) = _CRC.unpack_from(data, crc_at)
         if stored != expected:
             return records, False
-        try:
-            payload = json.loads(data[body_at:crc_at].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return records, False
-        records.append(WALRecord(lsn, rec_type, payload))
-        offset = crc_at + 4
+        key, value, rid = _read_body(data, body_at, crc_at, lsn)
+        records.append(WALRecord(lsn, rec_type, key, value, rid))
+        offset = crc_at + _CRC.size
     return records, True
 
 
@@ -314,14 +417,26 @@ class WALWriter:
         """LSN of the most recently appended record (0 when none)."""
         return self.next_lsn - 1
 
-    def append(self, rec_type: int, payload: dict) -> int:
-        """Append one record (volatile until :meth:`commit`)."""
+    def append(
+        self,
+        rec_type: int,
+        key: str,
+        value: Optional[str],
+        rid: Optional[RequestId],
+        body: bytes,
+    ) -> int:
+        """Append one record (volatile until :meth:`commit`).
+
+        ``body`` is ``encode_body(key, value, rid)``, which the caller
+        encodes before its in-memory apply so that a write no record can
+        hold is refused before anything changes.
+        """
         lsn = self.next_lsn
         self.next_lsn += 1
-        encoded = encode_record(lsn, rec_type, payload)
+        encoded = encode_record(lsn, rec_type, body)
         self.store.append(self.name, encoded)
         if self.taps:
-            self._pending_ops.append(WALRecord(lsn, rec_type, payload))
+            self._pending_ops.append(WALRecord(lsn, rec_type, key, value, rid))
         if TRACER.enabled:
             TRACER.emit("wal_append", lsn=lsn, type=rec_type, bytes=len(encoded))
         return lsn

@@ -26,11 +26,11 @@ import string
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.boundaries import gap_index
-from repro.core.errors import CrashError, RecoveryError, StorageError
+from repro.core.errors import CrashError, InvalidKeyError, RecoveryError, StorageError
 from repro.core.policies import SplitPolicy
 from repro.core.reconstruct import reconstruct_model
 from repro.obs.tracer import trace
@@ -48,6 +48,7 @@ from repro.storage.wal import (
     REC_INSERT,
     REC_PUT,
     StableStore,
+    encode_body,
     encode_record,
     read_records,
 )
@@ -371,7 +372,7 @@ def test_torn_op_record_append(torn_bytes):
     without its fsync, so the unacked op may legitimately reappear — but
     nothing else ever does.
     """
-    store = CrashOnAppendContaining(b'"unacked"', torn_bytes=torn_bytes)
+    store = CrashOnAppendContaining(b"unacked", torn_bytes=torn_bytes)
     f = DurableFile.open(store, engine="th", capacity=4, checkpoint_every=1000)
     acked = {}
     for key in ["apple", "beta", "cedar", "delta", "elm"]:
@@ -398,7 +399,7 @@ def test_torn_wal_tail_is_discarded():
         f.insert(key)
     wal_name = f.manifest["wal"]
     # A torn record: half of a valid frame beyond the durable tail.
-    frame = encode_record(999, REC_INSERT, {"k": "ghost", "v": None})
+    frame = encode_record(999, REC_INSERT, encode_body("ghost"))
     store.append(wal_name, frame[: len(frame) // 2])
     g = DurableFile.open(store, engine="th")
     assert sorted(g.keys()) == ["alpha", "bravo", "charlie", "dog"]
@@ -419,13 +420,16 @@ def test_trailing_garbage_after_valid_records():
 
 def test_wal_codec_roundtrip_and_tear_points():
     records = [
-        encode_record(1, REC_INSERT, {"k": "a", "v": "1"}),
-        encode_record(2, REC_INSERT, {"k": "b", "v": None}),
-        encode_record(3, REC_INSERT, {"k": "c", "v": "3"}),
+        encode_record(1, REC_INSERT, encode_body("a", "1")),
+        encode_record(2, REC_INSERT, encode_body("b")),
+        encode_record(3, REC_INSERT, encode_body("c", "3", (4, 5))),
     ]
     blob = b"".join(records)
     decoded, clean = read_records(blob)
     assert clean and [r.lsn for r in decoded] == [1, 2, 3]
+    assert [(r.key, r.value, r.rid) for r in decoded] == [
+        ("a", "1", None), ("b", None, None), ("c", "3", (4, 5))
+    ]
     # Every proper prefix decodes to a clean-stopping prefix of records.
     for cut in range(len(blob)):
         decoded, clean = read_records(blob[:cut])
@@ -439,6 +443,99 @@ def test_wal_codec_roundtrip_and_tear_points():
     broken[len(records[0]) + 20] ^= 0xFF
     decoded, clean = read_records(bytes(broken))
     assert [r.lsn for r in decoded] == [1] and not clean
+
+
+#: Operation records pinned byte for byte: (id, lsn, type, key, value,
+#: rid, hex). The frame is magic, lsn, type, body length, body, CRC32;
+#: the body is flags, key length, value length, key, value and, when
+#: flagged, the request id as two i64. A change to any of them is a log
+#: format break, not a refactor.
+_WAL_GOLDEN = [
+    (
+        "insert-without-a-value",
+        1, REC_INSERT, "apple", None, None,
+        "d71e0000000000000001010000000a00000500006170706c65a0701f90",
+    ),
+    (
+        # "✓" is one code point and three UTF-8 bytes: value_len is 7.
+        "put-with-a-value-and-a-rid",
+        2, REC_PUT, "apple", "red ✓", (7, 42),
+        "d71e0000000000000002020000002103000500076170706c6572656420e29c93"
+        "0000000000000007000000000000002a6b5a5302",
+    ),
+    (
+        "delete",
+        3, REC_DELETE, "apple", None, None,
+        "d71e0000000000000003030000000a00000500006170706c658f568b62",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "lsn, rec_type, key, value, rid, golden",
+    [row[1:] for row in _WAL_GOLDEN],
+    ids=[row[0] for row in _WAL_GOLDEN],
+)
+def test_wal_record_bytes_are_pinned(lsn, rec_type, key, value, rid, golden):
+    data = bytes.fromhex(golden)
+    assert encode_record(lsn, rec_type, encode_body(key, value, rid)) == data
+    (record,), clean = read_records(data)
+    assert clean
+    assert (record.lsn, record.type, record.key, record.value, record.rid) == (
+        lsn, rec_type, key, value, rid,
+    )
+
+
+_I64 = st.integers(-(2**63), 2**63 - 1)
+#: The longest strings a record holds: 65 535 UTF-8 bytes, ASCII and
+#: mostly non-BMP (four bytes a code point).
+_LONGEST = ("k" * 65_535, "\U0001d11e" * 16_383 + "abc")
+
+
+@given(
+    key=st.text(),
+    value=st.none() | st.text(),
+    rid=st.none() | st.tuples(_I64, _I64),
+    lsn=st.integers(1, 2**64 - 1),
+    rec_type=st.sampled_from([REC_INSERT, REC_PUT, REC_DELETE]),
+)
+@example(key="", value="", rid=(-(2**63), 2**63 - 1), lsn=1, rec_type=REC_PUT)
+@example(key=_LONGEST[0], value=_LONGEST[1], rid=None, lsn=2, rec_type=REC_PUT)
+@example(key=_LONGEST[1], value=None, rid=(0, 0), lsn=3, rec_type=REC_DELETE)
+def test_any_record_roundtrips(key, value, rid, lsn, rec_type):
+    data = encode_record(lsn, rec_type, encode_body(key, value, rid))
+    records, clean = read_records(data + data)  # back to back
+    assert clean and len(records) == 2
+    for record in records:
+        assert (record.lsn, record.type, record.key, record.value, record.rid) == (
+            lsn, rec_type, key, value, rid,
+        )
+
+
+@pytest.mark.parametrize(
+    "key, value, rid, error, match",
+    [
+        ("k" * 65_536, None, None, StorageError, "65536 UTF-8 bytes exceeds"),
+        ("apple", "\U0001d11e" * 16_384, None, StorageError, "65536 UTF-8 bytes exceeds"),
+        ("apple", "v\udfff", None, StorageError, "not UTF-8 encodable"),
+        ("x\ud800", None, None, StorageError, "not UTF-8 encodable"),
+        ("apple", 5, None, StorageError, "str or None"),
+        ("apple", b"v", None, StorageError, "str or None"),
+        ("apple", None, (1, 2**63), StorageError, "signed 64-bit"),
+        ("apple", None, ("a", "b"), StorageError, "signed 64-bit"),
+        ("apple", None, (1, 2, 3), StorageError, "signed 64-bit"),
+        ("apple", None, 5, StorageError, "signed 64-bit"),
+        (5, "v", None, InvalidKeyError, "keys must be str"),
+    ],
+    ids=[
+        "key-too-long", "value-too-long", "value-lone-surrogate",
+        "key-lone-surrogate", "value-an-int", "value-bytes", "rid-past-i64",
+        "rid-strings", "rid-of-three", "rid-an-int", "key-an-int",
+    ],
+)
+def test_a_body_no_record_can_hold_is_refused_typed(key, value, rid, error, match):
+    with pytest.raises(error, match=match):
+        encode_body(key, value, rid)
 
 
 # ----------------------------------------------------------------------
@@ -915,7 +1012,7 @@ def test_live_segment_holds_one_op_record_per_acked_mutation(config):
     assert since_checkpoint, "the workload must end between checkpoints"
     records, clean = read_records(store.read(f.manifest["wal"]))
     assert clean
-    assert [(r.type, r.payload["k"]) for r in records] == since_checkpoint
+    assert [(r.type, r.key) for r in records] == since_checkpoint
     first = f.manifest["lsn"] + 1
     assert [r.lsn for r in records] == list(range(first, first + len(records)))
 
@@ -1001,6 +1098,52 @@ def test_born_file_refuses_bad_values_and_an_existing_manifest():
 
 
 # ----------------------------------------------------------------------
+# A write no record or bucket can hold is refused before it applies
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "value", ["x" * 70_000, "v\udfff"], ids=["oversized", "lone-surrogate"]
+)
+def test_an_unloggable_write_is_refused_and_the_file_lives_on(value):
+    store = StableStore()
+    f = DurableFile.open(store, engine="th", capacity=4, checkpoint_every=4)
+    f.insert("abc", "a")
+    appends = store.stats.appends
+    with pytest.raises(StorageError):
+        f.put("abc", value)
+    with pytest.raises(StorageError):
+        f.insert("abd", value)
+    # Refused before the apply: nothing changed, nothing was logged.
+    assert store.stats.appends == appends
+    assert f.get("abc") == "a" and "abd" not in f
+    for i in range(10):  # through two checkpoints
+        f.put("ab" + "cdefghijkl"[i], str(i))
+    store.lose_volatile()
+    g = DurableFile.open(store)
+    assert dict(g.items()) == dict(f.items())
+    g.check()
+
+
+def test_put_many_and_a_born_file_refuse_an_unloggable_pair_whole():
+    store = StableStore()
+    f = DurableFile.open(store, engine="th", capacity=4)
+    with pytest.raises(StorageError):
+        f.put_many([("abc", "ok"), ("abd", "x" * 70_000)])
+    assert len(f) == 0 and store.stats.appends == 0
+    f.put_many([("abc", "ok")])
+    store.lose_volatile()
+    assert dict(DurableFile.open(store).items()) == {"abc": "ok"}
+    with pytest.raises(StorageError):
+        born_file("th", {}, [("abc", "ok"), ("abd", "v\udfff")], None)
+
+
+def test_an_alphabet_beyond_the_one_byte_dv_is_refused_typed():
+    from repro.core.alphabet import Alphabet
+
+    with pytest.raises(StorageError, match="one-byte DV"):
+        DurableFile.open(StableStore(), engine="th", alphabet=Alphabet("abcαβ"))
+
+
+# ----------------------------------------------------------------------
 # Malformed durable input fails typed
 # ----------------------------------------------------------------------
 def _durable_image():
@@ -1045,15 +1188,20 @@ def _edit_header(at=-1, **fields):
     return apply
 
 
-def _logged(payload, rec_type=REC_INSERT):
+def _logged(body, rec_type=REC_INSERT):
+    """Append one record holding ``body`` under a valid frame and CRC."""
+
     def apply(store):
         manifest = json.loads(store.read("MANIFEST"))
         records, _clean = read_records(store.read(manifest["wal"]))
-        frame = encode_record(records[-1].lsn + 1, rec_type, payload)
+        frame = encode_record(records[-1].lsn + 1, rec_type, body)
         store.append(manifest["wal"], frame)
         store.fsync(manifest["wal"])
 
     return apply
+
+
+_BODY_HEAD = struct.Struct(">BHH")  # flags, key length, value length
 
 
 def _params_without(key):
@@ -1085,13 +1233,21 @@ MALFORMED = {
     "header-dedup-an-int-oldest": _edit_header(0, dedup=5),
     "header-dedup-entry-short-oldest": _edit_header(0, dedup=[[1, 2]]),
     "header-dedup-rid-strings-oldest": _edit_header(0, dedup=[["a", "b", None]]),
-    "op-without-key": _logged({"v": "x"}),
-    "op-key-an-int": _logged({"k": 5}),
-    "op-value-an-int": _logged({"k": "hotel", "v": 5}),
-    "op-rid-an-int": _logged({"k": "hotel", "rid": 5}),
-    "op-rid-strings": _logged({"k": "hotel", "rid": ["a", "b"]}),
-    "op-payload-a-list": _logged(["hotel"]),
-    "op-type-unknown": _logged({"k": "hotel"}, rec_type=99),
+    # The head promises a five-byte key that is not there.
+    "op-without-key": _logged(_BODY_HEAD.pack(0, 5, 0)),
+    "op-key-length-past-the-body": _logged(_BODY_HEAD.pack(0, 9, 0) + b"hotel"),
+    "op-key-bad-utf8": _logged(_BODY_HEAD.pack(0, 2, 0) + b"\xff\xfe"),
+    "op-value-bad-utf8": _logged(_BODY_HEAD.pack(1, 5, 2) + b"hotel\xc3\x28"),
+    "op-value-length-without-a-value": _logged(_BODY_HEAD.pack(0, 5, 1) + b"hotelx"),
+    # A flagged request id cut to one of its two integers.
+    "op-rid-an-int": _logged(encode_body("hotel", None, (1, 2))[:-8]),
+    "op-trailing-bytes": _logged(encode_body("hotel") + b"\x00"),
+    "op-unknown-flag-bits": _logged(_BODY_HEAD.pack(4, 5, 0) + b"hotel"),
+    "op-body-shorter-than-its-head": _logged(b"\x00\x00"),
+    # The JSON list the record layout before this one would hold: its
+    # first byte, "[", sets flag bits no body has.
+    "op-payload-a-list": _logged(b'["hotel"]'),
+    "op-type-unknown": _logged(encode_body("hotel"), rec_type=99),
 }
 
 
@@ -1101,6 +1257,42 @@ def test_malformed_durable_input_raises_recovery_error(case):
     MALFORMED[case](store)
     with pytest.raises(RecoveryError):
         DurableFile.open(store)
+
+
+#: Manglings of a record body that leave nothing decodable.
+_UNKNOWN_FLAGS = st.sampled_from([4, 8, 16, 32, 64, 128])
+
+
+@given(
+    value=st.none() | st.text(max_size=4),
+    rid=st.none() | st.tuples(_I64, _I64),
+    rec_type=st.sampled_from([REC_INSERT, REC_PUT, REC_DELETE]),
+    how=st.sampled_from(["cut", "extend", "flag", "byte"]),
+    data=st.data(),
+)
+def test_any_mangled_body_under_a_valid_crc_fails_typed(value, rid, rec_type, how, data):
+    """A body whose CRC checks (so no tear) but which was mangled: the
+    reopen raises RecoveryError, never another type. A cut, trailing
+    bytes or an unknown flag bit never decode; one byte changed may
+    still decode to a valid operation, which then replays."""
+    body = encode_body("hotel", value, rid)
+    if how == "cut":
+        mangled = body[: data.draw(st.integers(0, len(body) - 1))]
+    elif how == "extend":
+        mangled = body + data.draw(st.binary(min_size=1, max_size=9))
+    elif how == "flag":
+        mangled = bytes([body[0] | data.draw(_UNKNOWN_FLAGS)]) + body[1:]
+    else:
+        at = data.draw(st.integers(0, len(body) - 1))
+        mangled = body[:at] + bytes([data.draw(st.integers(0, 255))]) + body[at + 1:]
+    store = StableStore.from_snapshot(_durable_image())
+    _logged(mangled, rec_type)(store)
+    try:
+        g = DurableFile.open(store)
+    except RecoveryError:
+        return
+    assert how == "byte", mangled
+    g.check()
 
 
 _DROP = object()

@@ -25,8 +25,14 @@ from repro import (
 )
 from repro.core.alphabet import DEFAULT_ALPHABET
 from repro.core.boundaries import boundary_sort_key, gap_index
-from repro.core.errors import InvalidKeyError, TrieCorruptionError, TrieHashingError
+from repro.core.errors import (
+    InvalidKeyError,
+    StorageError,
+    TrieCorruptionError,
+    TrieHashingError,
+)
 from repro.core.policies import SplitPolicy
+from repro.distributed.errors import ProtocolError
 from repro.distributed.faults import FaultPlan
 from repro.distributed.messages import Op
 from repro.obs.metrics import MetricsRegistry
@@ -847,6 +853,33 @@ class TestWireBoundary:
         for _, value in f.range_items():
             value.append(4)
         assert f.get("alias") == [1, 2, 3]
+
+    def test_a_string_the_wire_cannot_carry_fails_typed_at_the_client(self):
+        cluster = Cluster(shards=1)
+        f = cluster.client()
+        with pytest.raises(ProtocolError, match="not UTF-8 encodable"):
+            f.put("abc", "v\udfff")
+        f.put("abc", "v")
+        assert f.get("abc") == "v"
+
+    def test_a_durable_shard_refuses_an_oversized_put_and_serves_on(self):
+        # At 70 000 bytes the value fits no WAL record or bucket: the
+        # shard refuses it before the apply, so no later checkpoint, and
+        # no recovery, ever meets it.
+        cluster = Cluster(shards=1, durable=True)
+        f = cluster.client()
+        f.put("abc", "kept")
+        with pytest.raises(StorageError, match="65535"):
+            f.put("abc", "x" * 70_000)
+        keys = ["ab" + a + b for a in "bcdefghij" for b in "abcdefgh"]
+        for key in keys:  # past the next checkpoints
+            f.put(key, key.upper())
+        server = cluster.coordinator.servers[0]
+        server.crash()
+        server.restart()
+        assert f.get("abc") == "kept"
+        assert dict(f.items()) == {"abc": "kept", **{k: k.upper() for k in keys}}
+        cluster.check()
 
 
 # ======================================================================

@@ -302,6 +302,102 @@ class TestTH010:
         assert codes(found) == ["TH010"]
         assert "Conn.data_received -> storage.log.Log.append" in found[0].message
 
+    @pytest.mark.parametrize(
+        "setup, call",
+        [
+            ("_Q: dict = {}", "_Q.get(data)"),
+            ("_Q = {}", "_Q.get(data)"),
+            ("_Q = {k: 1 for k in 'ab'}", "_Q.get(data)"),
+            ("_Q = list()\n_Q += [1]", "_Q.append(data)"),
+            ("try:\n    _Q = set()\nexcept ImportError:\n    _Q = {1}", "_Q.add(data)"),
+            (
+                "from contextvars import ContextVar\n"
+                "_Q: ContextVar = ContextVar('q', default=None)",
+                "_Q.get()",
+            ),
+            ("import contextvars\n_Q = contextvars.ContextVar('q')", "_Q.get()"),
+        ],
+        ids=[
+            "annotated-dict", "dict-display", "dict-comprehension",
+            "list-constructor", "set-in-a-try", "context-var", "context-var-dotted",
+        ],
+    )
+    def test_a_module_level_container_does_not_widen(self, setup, call):
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n"
+                f"{setup}\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def data_received(self, data):\n"
+                f"        {call}\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        assert findings(program, "TH010") == []
+
+    @pytest.mark.parametrize(
+        "setup, body",
+        [
+            # One binding of something else is enough.
+            ("_Q = {}\n_Q = make()", "_Q.get(data)"),
+            # A function may rebind it through global.
+            ("_Q = {}\n\n\ndef reset():\n    global _Q\n    _Q = make()", "_Q.get(data)"),
+            # The function's own name hides the module's...
+            ("_Q = {}", "_Q = make()\n        _Q.get(data)"),
+            ("_Q = {}", "for _Q in data:\n            _Q.get(data)"),
+            # ...and so does an enclosing function's.
+            (
+                "_Q = {}",
+                "_Q = make()\n\n"
+                "        def inner():\n"
+                "            _Q.get(data)\n\n"
+                "        inner()",
+            ),
+            # A ContextVar of another module's making is unknown.
+            ("from repro.util import ContextVar\n_Q = ContextVar('q')", "_Q.get()"),
+            ("from repro.util import _Q", "_Q.get(data)"),
+        ],
+        ids=[
+            "bound-to-another-value", "rebound-by-global", "shadowed-by-a-local",
+            "shadowed-by-a-loop", "shadowed-by-an-encloser", "foreign-context-var",
+            "imported",
+        ],
+    )
+    def test_a_module_name_not_only_a_container_still_widens(self, setup, body):
+        program = build({
+            "repro.serving.server": (
+                "import asyncio\n"
+                "from repro.util import make\n"
+                f"{setup}\n\n\n"
+                "class Conn(asyncio.Protocol):\n"
+                "    def data_received(self, data):\n"
+                f"        {body}\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert "-> storage.log.Log." in found[0].message
+
+    def test_the_real_module_containers_do_not_widen(self):
+        # group_commit's ContextVar and the codec's error registries.
+        program = build_program(_real_summaries())
+        for function, receiver in (
+            ("repro.storage.recovery.DurableFile._commit_barrier", "_GROUP"),
+            ("repro.storage.recovery.group_commit.__enter__", "_GROUP"),
+            ("repro.distributed.codec._error_code", "_CODE_OF"),
+            ("repro.distributed.codec._read_value", "ERROR_CODES"),
+        ):
+            node = program.functions[function]
+            sites = [
+                i for i, site in enumerate(node.summary.calls)
+                if site.recv == receiver
+            ]
+            assert sites, function
+            for index in sites:
+                assert node.summary.calls[index].form == "builtin"
+                assert node.widened[index] == [] and node.edges[index] == []
+
     def test_the_real_pending_list_does_not_widen(self):
         # ServingServer._accept appends to its own pending list; that
         # append must not stand for StableStore.append.

@@ -9,6 +9,7 @@ from repro.core.cells import NIL, edge_to
 from repro.storage.buckets import Bucket
 from repro.storage.serializer import (
     CELL_BYTES,
+    MAX_STRING_BYTES,
     deserialize_bucket,
     deserialize_trie,
     serialize_bucket,
@@ -173,3 +174,27 @@ class TestDecodersFailTyped:
         data[-1] = 0xFF  # not UTF-8
         with pytest.raises(StorageError, match="corrupt bucket image"):
             deserialize_bucket(bytes(data))
+
+
+class TestEncodersFailTyped:
+    def test_an_alphabet_beyond_the_one_byte_dv_is_refused(self):
+        from repro.core.alphabet import Alphabet
+
+        with pytest.raises(StorageError, match="one-byte DV"):
+            serialize_trie(Trie(Alphabet("abcαβ"), root_ptr=0))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("a", "x" * (MAX_STRING_BYTES + 1)), ("a", "v\udfff"), ("a\ud800", None)],
+        ids=["value-too-long", "value-lone-surrogate", "key-lone-surrogate"],
+    )
+    def test_a_record_the_bucket_cannot_hold_is_refused(self, key, value):
+        b = Bucket()
+        b.insert(key, value)
+        with pytest.raises(StorageError, match="cannot hold"):
+            serialize_bucket(b)
+
+    def test_the_longest_strings_roundtrip(self):
+        b = Bucket()
+        b.insert("k" * MAX_STRING_BYTES, "\U0001d11e" * (MAX_STRING_BYTES // 4))
+        assert list(deserialize_bucket(serialize_bucket(b)).items()) == list(b.items())

@@ -154,7 +154,10 @@ _BYTES = [bytes([byte]) for byte in range(256)]
 
 
 _TEXT_OR_NONE = st.none() | st.text(max_size=8)
-_WIRE_IDS = st.none() | st.tuples(st.integers(0, 2**40), st.integers(0, 2**40))
+#: Request ids and trace contexts: two integers, over a rid's whole i64
+#: range.
+_I64 = st.integers(-(2**63), 2**63 - 1)
+_WIRE_IDS = st.none() | st.tuples(_I64, _I64)
 _OPS = st.builds(
     Op,
     st.text(max_size=12),  # any kind crosses; the server judges it
@@ -293,11 +296,12 @@ def _put_with_rid_and_ctx():
     return op
 
 
-#: Wire bytes pinned under ``WIRE_VERSION`` 3: (id, encode, decode,
+#: Wire bytes pinned under ``WIRE_VERSION`` 4: (id, encode, decode,
 #: make, hex). Version 3 re-pinned every op and reply (a fixed head,
 #: then only the fields set; the IAM as a count and its entries); the
-#: values kept their version-2 bytes. A change to any of them is a wire
-#: break, not a refactor.
+#: values kept their version-2 bytes. Version 4 re-pinned the op with a
+#: request id, which is now two i64 (16 bytes, not a 23-byte tagged
+#: tuple). A change to any of them is a wire break, not a refactor.
 _GOLDEN = [
     (
         "get-op",
@@ -312,8 +316,8 @@ _GOLDEN = [
         decode_op,
         _put_with_rid_and_ctx,
         "630370757473000000036b657964000000017300000001766c00000002690000"
-        "0000000000016640040000000000007400000002690000000000000007690000"
-        "00000000002a740000000269000000000000007b6900000000000001c8",
+        "0000000000016640040000000000000000000000000007000000000000002a74"
+        "0000000269000000000000007b6900000000000001c8",
     ),
     (
         "reply-with-one-iam-entry",
@@ -404,7 +408,7 @@ class TestValueCodec:
     )
     def test_wire_bytes_are_pinned(self, encode, decode, make, golden):
         data = bytes.fromhex(golden)
-        assert WIRE_VERSION == 3
+        assert WIRE_VERSION == 4
         assert encode(make()) == data
         # And the bytes decode to a message that encodes back to them.
         assert encode(decode(data)) == data
@@ -493,8 +497,11 @@ class TestValueCodec:
         assert "replayed off the wire" in str(err)
 
     def test_unencodable_type_rejected(self):
-        with pytest.raises(ProtocolError):
-            encode_value(object())
+        # A type of no wire tag, and strings no UTF-8 holds (lone
+        # surrogates), at any depth.
+        for value in (object(), "x\ud800", ["ok", ("v\udfff",)], {"\udc80": 1}):
+            with pytest.raises(ProtocolError):
+                encode_value(value)
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ProtocolError):
@@ -670,11 +677,50 @@ class TestMessageCodec:
         with pytest.raises(ProtocolError):
             encode_op(Op(["get"], key="a"))
         with pytest.raises(ProtocolError):
+            encode_op(Op("get\ud800", key="a"))
+        with pytest.raises(ProtocolError):
             encode_reply(Reply(forwards=1 << 16))
         with pytest.raises(ProtocolError):
             encode_reply(Reply(iam=[("g", "t")]))
         with pytest.raises(ProtocolError):
             encode_reply(Reply(iam=[("g", "t", 1 << 40)]))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            Op.put("abc", "v\udfff"),
+            Op.get("x\ud800"),
+            Op("scan", low="a", high="\udfff"),
+            Op("put", key="abc", value="v", rid=(1, 2), ctx=("\ud800",)),
+        ],
+        ids=["value", "key", "scan-bound", "ctx"],
+    )
+    def test_lone_surrogates_in_an_op_fail_typed(self, op):
+        with pytest.raises(ProtocolError, match="not UTF-8 encodable"):
+            encode_op(op)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            Reply(value="v\udfff"),
+            Reply(records=[("abc", "\ud800")]),
+            Reply(region_high="\udfff"),
+            Reply(error=KeyNotFoundError("\ud800")),
+        ],
+        ids=["value", "records", "region-high", "error-message"],
+    )
+    def test_lone_surrogates_in_a_reply_fail_typed(self, reply):
+        with pytest.raises(ProtocolError, match="not UTF-8 encodable"):
+            encode_reply(reply)
+
+    @pytest.mark.parametrize(
+        "rid",
+        [(1,), (1, 2, 3), (1, 2**63), (-(2**63) - 1, 0), ("a", "b"), (1.0, 2), 5],
+        ids=["one", "three", "past-i64", "below-i64", "strings", "float", "an-int"],
+    )
+    def test_a_rid_not_two_i64_fails_typed_at_encode(self, rid):
+        with pytest.raises(ProtocolError, match="request id"):
+            encode_op(Op("put", key="abc", value="v", rid=rid))
 
     @given(op=_OPS)
     @settings(max_examples=150)
@@ -780,9 +826,9 @@ class TestFrames:
         assert unpack_frame(frame[4:]) == (FRAME_REQUEST, 77, b"payload")
 
     def test_foreign_wire_version_rejected(self):
-        # Version 1 (no record block), version 2 (tagged-tuple messages)
-        # and a future version alike.
-        for version in (1, 2, WIRE_VERSION + 1):
+        # Version 1 (no record block), version 2 (tagged-tuple messages),
+        # version 3 (a tagged-tuple request id) and a future version alike.
+        for version in (1, 2, 3, WIRE_VERSION + 1):
             body = bytearray(pack_frame(FRAME_REQUEST, 0, b"x")[4:])
             body[0] = version
             with pytest.raises(ProtocolError, match=f"wire version {version}"):
@@ -886,6 +932,26 @@ class TestServingEndToEnd:
                     runner.call(conn.request(0, Op.get("apple"), 5.0), 10.0)
                 runner.call(conn.control({"cmd": "restart", "shard": 0}), 10.0)
                 assert session.file.get("apple") == "A"
+
+    def test_an_unloggable_put_is_refused_and_the_shard_serves_on(self):
+        # A value no WAL record or bucket can hold: refused before the
+        # apply, as a StorageError that crosses the wire as itself; a
+        # lone surrogate never leaves the client's encoder.
+        with ServingFixture(Cluster(shards=1, durable=True)) as fx:
+            runner, conn = fx.open_conn()
+            with fx.open_session() as session:
+                f = session.file
+                f.put("abc", "kept")
+                with pytest.raises(StorageError, match="65535"):
+                    f.put("abc", "x" * 70_000)
+                with pytest.raises(ProtocolError, match="not UTF-8 encodable"):
+                    f.put("abc", "v\udfff")
+                for i in range(70):  # past the next checkpoint
+                    f.put("ab" + "bcdefghij"[i % 9] + "abcdefgh"[i // 9], str(i))
+                runner.call(conn.control({"cmd": "crash", "shard": 0}), 10.0)
+                runner.call(conn.control({"cmd": "restart", "shard": 0}), 10.0)
+                assert f.get("abc") == "kept"
+                assert len(list(f.items())) == 71
 
     def test_scale_out_behind_the_wire(self):
         keys = sorted(set(_keys(60)))
@@ -1176,8 +1242,9 @@ class TestTransportEdges:
 
         with ServingFixture(Cluster(shards=1)) as fx:
             # Version 1 (no record block), version 2 (tagged-tuple
-            # messages) and a future version alike.
-            for version in (1, 2, WIRE_VERSION + 1):
+            # messages), version 3 (a tagged-tuple request id) and a
+            # future version alike.
+            for version in (1, 2, 3, WIRE_VERSION + 1):
                 runner, conn = fx.open_conn()
                 poison = bytearray(pack_frame(FRAME_REQUEST, 0, b""))
                 poison[4] = version  # bytes 0-3 are the length
