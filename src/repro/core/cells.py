@@ -24,6 +24,7 @@ All tree logic lives in :mod:`repro.core.trie`.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import Optional
 
 from .errors import TrieCorruptionError
 
@@ -37,10 +38,15 @@ __all__ = [
     "leaf_bucket",
     "Cell",
     "CellTable",
+    "Row",
 ]
 
 #: The nil pointer of the basic method (no bucket allocated yet).
 NIL: int = -(1 << 60)
+
+#: One cell as plain values, ``(dv, dn, lp, rp)`` with the digit as its
+#: code point: what both cell stores read out and load in bulk.
+Row = tuple[int, int, int, int]
 
 
 def is_nil(ptr: int) -> bool:
@@ -161,3 +167,18 @@ class CellTable:
         for index, cell in enumerate(self._cells):
             if cell is not None:
                 yield index, cell
+
+    def rows(self) -> list[Optional[Row]]:
+        """Every slot as a ``(dv, dn, lp, rp)`` row (``dv`` as its code
+        point), or ``None`` for a freed slot, in table order."""
+        return [
+            None if cell is None else (ord(cell.dv), cell.dn, cell.lp, cell.rp)
+            for cell in self._cells
+        ]
+
+    def load_rows(self, rows: list[Row]) -> None:
+        """Replace the table with ``rows``, live cells in table order and
+        no freed slot: the bulk form of :meth:`allocate`, and the inverse
+        of :meth:`rows` on a table with no freed slot."""
+        self._cells = [Cell(chr(dv), dn, lp, rp) for dv, dn, lp, rp in rows]
+        self._free = []

@@ -42,9 +42,13 @@ and serialisation code runs unchanged over either backend and, crucially,
 so the *structural evolution* of a compact-backed file is byte-identical
 to a cells-backed one under the same operation sequence (the property
 the differential test suite in ``tests/test_compact.py`` pins down).
-A checkpoint or whole-file image is read straight into the columns:
-:func:`~repro.storage.serializer.deserialize_trie` allocates its cells
-through the same surface.
+Both stores also read their live cells out as plain ``(dv, dn, lp,
+rp)`` rows and load such rows in bulk (``rows`` / ``load_rows``), so a
+checkpoint or whole-file image is written straight off the columns
+and read straight back into them: one build per column, no row
+view and no per-cell :meth:`~CompactCells.allocate`
+(:func:`~repro.storage.serializer.serialize_trie` and
+:func:`~repro.storage.serializer.deserialize_trie`).
 
 :class:`CompactTrie` subclasses :class:`~repro.core.trie.Trie`, swaps
 the cell table for the columns, and overrides the hot entry points with
@@ -63,7 +67,7 @@ from collections.abc import Iterator
 from typing import Optional
 
 from .alphabet import Alphabet
-from .cells import NIL, is_edge, is_leaf
+from .cells import NIL, Row, is_edge, is_leaf
 from .errors import TrieCorruptionError
 from .trie import ROOT_LOCATION, Location, SearchResult, Trie
 
@@ -241,6 +245,27 @@ class CompactCells:
         for index in range(len(dn)):
             if dn[index] != _FREED:
                 yield index, CompactCellView(self, index)
+
+    def rows(self) -> list[Optional[Row]]:
+        """:meth:`CellTable.rows <repro.core.cells.CellTable.rows>` read
+        straight off the columns: no row view is built."""
+        rows: list[Optional[Row]] = list(zip(self._dv, self._dn, self._lp, self._rp))
+        for index in self._free:
+            rows[index] = None
+        return rows
+
+    def load_rows(self, rows: list[Row]) -> None:
+        """:meth:`CellTable.load_rows <repro.core.cells.CellTable.load_rows>`
+        as one build per column."""
+        dv, dn, lp, rp = zip(*rows) if rows else ((), (), (), ())
+        if min(dn, default=0) < 0:
+            raise TrieCorruptionError("digit numbers must be non-negative")
+        self._dv = array("I", dv)
+        self._dn = array("i", dn)
+        self._md = [(n << _DV_BITS) | v for v, n in zip(dv, dn)]
+        self._lp = list(lp)
+        self._rp = list(rp)
+        self._free = []
 
     def columns(self) -> dict[str, memoryview]:
         """Read-only memoryviews over the numeric coordinate columns."""

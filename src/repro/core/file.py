@@ -461,10 +461,11 @@ class THFile:
     # Ordered iteration
     # ------------------------------------------------------------------
     def items(self) -> Iterator[tuple[str, object]]:
-        """Iterate every record in key order (reads each bucket once)."""
+        """Iterate every record in key order (reads each bucket once, as
+        one snapshot, like a scan)."""
         for address in self._buckets(self.trie.trail("")):
             keys, values = self._records(address)
-            yield from zip(keys, values)
+            yield from zip(keys[:], values[:])
 
     def _buckets(
         self,

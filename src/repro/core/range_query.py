@@ -37,10 +37,15 @@ def scan(
     access costs directly: a bounded scan reads exactly the distinct
     buckets between the leaves of ``low`` and ``high``.
 
-    The scan snapshots the file's structure generation when iteration
-    starts; a split or merge under a live scan raises
-    :class:`~repro.core.cursor.CursorInvalidError` (the cursor's
-    contract) instead of silently skipping or duplicating records.
+    Each bucket is read as one snapshot: its in-range records are
+    sliced out when the walk reaches it, so an insert, delete or update
+    that lands in that bucket while the scan is suspended neither
+    repeats nor drops a record of it (the scan yields the bucket as it
+    was when reached). The scan also snapshots the file's structure
+    generation when iteration starts; a split or merge under a live
+    scan raises :class:`~repro.core.cursor.CursorInvalidError` (the
+    cursor's contract) at the next record instead of silently skipping
+    or duplicating records.
     """
     alphabet = file.alphabet
     if low is not None:
@@ -61,17 +66,21 @@ def scan(
         stop = Location(*last[-1]) if last else ROOT_LOCATION
     for address in file._buckets(trail, stop=stop):
         keys, values = file._records(address)
+        size = len(keys)
         begin = 0 if low is None else bisect.bisect_left(keys, low)
-        for i in range(begin, len(keys)):
-            if high is not None and keys[i] > high:
-                return
-            yield keys[i], values[i]
+        end = size if high is None else bisect.bisect_right(keys, high)
+        # One snapshot of the bucket's in-range records: a write that
+        # lands in it while the scan is suspended shifts the live lists.
+        for record in zip(keys[begin:end], values[begin:end]):
+            yield record
             # Resumed: a stale trail may name a freed cell, so check
             # before the next record and before the walk steps on.
             if file.structure_generation != generation:
                 raise CursorInvalidError(
                     "the file split or merged buckets during this scan"
                 )
+        if end < size:
+            return  # a key past ``high``: the range ends in this bucket
 
 
 def count_range(

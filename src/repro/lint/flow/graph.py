@@ -31,7 +31,11 @@ Resolution policy (the soundness contract rules rely on):
   bound only that way in its owning class, or a name of the module
   itself bound only that way or to a ``contextvars.ContextVar`` (and
   not rebound by the function), calls no program code (``form`` is
-  ``"builtin"``).
+  ``"builtin"``). Nor does a ``self.`` attribute its owning class does
+  not bind when every class of its in-program ancestry that binds it
+  binds it only that way (``form`` stays ``"attr"``, marked
+  :data:`CallSite.on_self`, and the :class:`Program` gives it no edge);
+  a class on the way down that rebinds it to anything else widens it.
 * A call that resolves to nothing at all is *opaque* ("may call
   anything"); rules treat it per their own policy.
 * A callable handed to ``loop.call_soon``, ``call_soon_threadsafe``,
@@ -68,7 +72,7 @@ __all__ = [
 ]
 
 #: Bump whenever the summary layout changes (invalidates every cache).
-SUMMARY_VERSION = 5
+SUMMARY_VERSION = 6
 
 #: Loop methods that schedule a callback, and the position of the
 #: callable among their arguments.
@@ -128,6 +132,9 @@ class CallSite:
     #: True for a callable handed to a loop scheduler rather than
     #: called here (see :data:`_SCHEDULERS`).
     scheduled: bool = False
+    #: True for an ``"attr"`` call on ``self.<recv>`` in a method: the
+    #: receiver may be a container the class's bases bind.
+    on_self: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -138,6 +145,7 @@ class CallSite:
             "target": self.target,
             "recv": self.recv,
             "scheduled": self.scheduled,
+            "on_self": self.on_self,
         }
 
     @classmethod
@@ -216,17 +224,24 @@ class FunctionSummary:
 
 @dataclass
 class ClassSummary:
-    """One class definition: bases (resolved dotted) and method names."""
+    """One class definition: bases (resolved dotted), method names, and
+    the ``self.`` attributes it binds."""
 
     name: str
     bases: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
+    #: Attributes the class binds only to builtin containers.
+    container_attrs: list[str] = field(default_factory=list)
+    #: Attributes the class binds to anything else at least once.
+    other_attrs: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "bases": list(self.bases),
             "methods": list(self.methods),
+            "container_attrs": list(self.container_attrs),
+            "other_attrs": list(self.other_attrs),
         }
 
     @classmethod
@@ -235,6 +250,8 @@ class ClassSummary:
             name=data["name"],
             bases=list(data["bases"]),
             methods=list(data["methods"]),
+            container_attrs=list(data["container_attrs"]),
+            other_attrs=list(data["other_attrs"]),
         )
 
 
@@ -644,7 +661,8 @@ class _FunctionExtractor:
                         target=resolved, recv=dotted.rsplit(".", 1)[0],
                     )
             return CallSite(
-                line, col, "attr", attr, recv=_terminal_name(owner)
+                line, col, "attr", attr, recv=_terminal_name(owner),
+                on_self=self.cls is not None and _self_attribute(owner) is not None,
             )
         return CallSite(line, col, "opaque", "")
 
@@ -867,14 +885,16 @@ def _local_containers(fn: ast.AST, shadows: frozenset) -> frozenset:
     return frozenset((good | stored) - (bad - good) - other)
 
 
-def _attribute_containers(klass: ast.ClassDef, shadows: frozenset) -> frozenset:
-    """The ``self.`` attributes ``klass`` binds only to builtin containers.
+def _attribute_containers(klass: ast.ClassDef, shadows: frozenset) -> tuple:
+    """``(containers, others)``: the ``self.`` attributes ``klass`` binds
+    only to builtin containers, and those it binds otherwise.
 
-    Counted: every store of ``self.<name>`` in the class's methods is an
-    ``Assign`` or ``AnnAssign`` of a container display, constructor or
-    annotation, and a class-body declaration of the name, if any, is one
-    too. Bindings made outside the class (a subclass, another object)
-    are not seen.
+    Counted as a container: every store of ``self.<name>`` in the
+    class's methods is an ``Assign`` or ``AnnAssign`` of a container
+    display, constructor or annotation, and a class-body declaration of
+    the name, if any, is one too. Bindings made outside the class (a
+    subclass, another object) are not seen here; the :class:`Program`
+    reads a class's bases through their own summaries.
     """
     declared = [s for s in klass.body if isinstance(s, (ast.Assign, ast.AnnAssign))]
     good, bad = _container_stores(declared, _name_id, shadows)
@@ -885,7 +905,7 @@ def _attribute_containers(klass: ast.ClassDef, shadows: frozenset) -> frozenset:
         for node in ast.walk(stmt)
     ]
     stored, other = _container_stores(methods, _self_attribute, shadows)
-    return frozenset((good | stored) - bad - other)
+    return frozenset((good | stored) - bad - other), frozenset(bad | other)
 
 
 def _is_context_var(value: Optional[ast.AST], imports: _ImportMap) -> bool:
@@ -1013,11 +1033,16 @@ def summarize_source(source: str, path: Path, module: str) -> ModuleSummary:
                     bases.append(f"{module}.{dotted}")
                 else:
                     bases.append(imports.resolve(dotted) or dotted)
-            klass = ClassSummary(name=node.name, bases=bases)
-            summary.classes[node.name] = klass
-            containers = _attribute_containers(
+            containers, others = _attribute_containers(
                 node, _shadows(imports, local_symbols)
             )
+            klass = ClassSummary(
+                name=node.name,
+                bases=bases,
+                container_attrs=sorted(containers),
+                other_attrs=sorted(others),
+            )
+            summary.classes[node.name] = klass
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     klass.methods.append(child.name)
@@ -1258,12 +1283,26 @@ class Program:
                 if owner is not None:
                     direct.extend(self._super_targets(owner, site.attr))
             elif site.form == "attr":
-                widened.extend(self.methods_by_name.get(site.attr, []))
+                owner = self._owning_class(node) if site.on_self else None
+                if owner is None or not self._inherited_container(owner, site.recv):
+                    widened.extend(self.methods_by_name.get(site.attr, []))
             # "builtin" (a list, dict, set or bytearray method) and
             # "opaque" calls get no edge.
             node.edges.append(direct)
             node.widened.append(widened)
             node.externals.append(externals)
+
+    def _inherited_container(self, class_qual: str, attr: str) -> bool:
+        """Does every class of ``class_qual``'s in-program ancestry that
+        binds ``self.attr`` bind it only to a builtin container (and at
+        least one bind it)?"""
+        bound = False
+        for ancestor in self.ancestry(class_qual):
+            klass = self.classes[ancestor][1]
+            if attr in klass.other_attrs:
+                return False
+            bound = bound or attr in klass.container_attrs
+        return bound
 
     def _super_targets(self, class_qual: str, name: str) -> list[str]:
         """What ``super().name`` in ``class_qual`` may call: the first

@@ -14,7 +14,10 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
   checkpoint is full and resets the chain. The request-dedup window
   rides in each header the same way: whole in a full checkpoint, the
   entries recorded since the previous one in an incremental, and
-  recovery folds the chain's windows oldest to newest.
+  recovery folds the chain's windows oldest to newest. An image is
+  encoded in one pass (one list of parts, one join) and decoded in
+  one pass by offset, with the bytes and the typed failures of the
+  earlier stream codec.
 
 * **Recovery** — :func:`DurableFile.open` on a store holding a MANIFEST
   loads the chain newest-to-oldest, re-materialises the file, and
@@ -24,12 +27,14 @@ This module closes the durability loop opened by :mod:`repro.storage.wal`:
   log tail is discarded — those operations were never acknowledged.
   Durable input that parses but does not fit the schema (a MANIFEST
   key of the wrong type, engine params that build no file, a checkpoint
-  header of the wrong shape, a logged record body that does not decode,
-  a bucket section that does not decode, an unknown record type) raises
-  :class:`RecoveryError`. When the checkpoint's *index* section (the
-  trie image) is lost or does not decode but the bucket sections
-  survive, trie-hashing files fall back to the Section-6 reconstruction
-  of /TOR83/ (:func:`~repro.core.reconstruct.reconstruct_model`);
+  header of the wrong shape, a TH header whose ``max_address`` no
+  16-bit bucket pointer reaches, a logged record body that does not
+  decode, a bucket section that does not decode, an unknown record
+  type) raises :class:`RecoveryError`. When the checkpoint's *index*
+  section (the trie image) is lost or does not decode but the bucket
+  sections survive, trie-hashing files fall back to the Section-6
+  reconstruction of /TOR83/
+  (:func:`~repro.core.reconstruct.reconstruct_model`);
   multilevel files rebuild by re-inserting the surviving records. The
   step after the chain walk (:func:`restore_file`) also loads every
   whole-file image of :mod:`repro.storage.persistence`.
@@ -51,7 +56,6 @@ See ``docs/DURABILITY.md`` for the wire formats and the full protocol.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import struct
 import zlib
@@ -74,7 +78,13 @@ from ..core.errors import (
 from ..core.policies import SplitPolicy
 from ..obs.tracer import TRACER
 from .dedup import DedupWindow, RequestId
-from .serializer import deserialize_bucket, deserialize_trie, serialize_bucket, serialize_trie
+from .serializer import (
+    POINTER_LIMIT,
+    deserialize_bucket,
+    deserialize_trie,
+    serialize_bucket,
+    serialize_trie,
+)
 from .wal import (
     REC_DELETE,
     REC_INSERT,
@@ -94,35 +104,48 @@ _CKPT_MAGIC = b"THCK1\n"
 # ----------------------------------------------------------------------
 # Sectioned checkpoint codec
 # ----------------------------------------------------------------------
-def _section(payload: bytes) -> bytes:
-    """Frame one section: length, CRC32, payload."""
-    return struct.pack(">II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
-
-
-def _read_section(stream: io.BytesIO) -> tuple[Optional[bytes], bool]:
-    """Read one section; ``(payload, crc_ok)`` — payload None if truncated."""
-    frame = stream.read(8)
-    if len(frame) < 8:
-        return None, False
-    length, stored = struct.unpack(">II", frame)
-    payload = stream.read(length)
-    if len(payload) < length:
-        return None, False
-    return payload, (zlib.crc32(payload) & 0xFFFFFFFF) == stored
+_FRAME = struct.Struct(">II")  # a section's length and CRC32
+_BUCKET_FRAME = struct.Struct(">III")  # a bucket's address, then its frame
+#: The JSON of checkpoint headers, JSON indexes and MANIFESTs: compact
+#: separators, one encoder for every write.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def encode_checkpoint(
     header: dict, index: bytes, buckets: list[tuple[int, bytes]]
 ) -> bytes:
-    """Build a checkpoint image: magic, header, index, bucket sections."""
-    out = io.BytesIO()
-    out.write(_CKPT_MAGIC)
-    out.write(_section(json.dumps(header, separators=(",", ":")).encode()))
-    out.write(_section(index))
+    """Build a checkpoint image: magic, header, index, bucket sections.
+
+    Each section is framed by its length and CRC32, a bucket's frame
+    preceded by its address; the parts are joined once.
+    """
+    head = _JSON.encode(header).encode()
+    parts = [
+        _CKPT_MAGIC,
+        _FRAME.pack(len(head), zlib.crc32(head)),
+        head,
+        _FRAME.pack(len(index), zlib.crc32(index)),
+        index,
+    ]
+    frame = _BUCKET_FRAME.pack
+    crc32 = zlib.crc32
     for address, payload in buckets:
-        out.write(struct.pack(">I", address))
-        out.write(_section(payload))
-    return out.getvalue()
+        parts += (frame(address, len(payload), crc32(payload)), payload)
+    return b"".join(parts)
+
+
+def _section_at(data: bytes, offset: int) -> tuple[Optional[bytes], bool, int]:
+    """The section framed at ``offset``: ``(payload, crc_ok, end)``, the
+    payload ``None`` (and ``end`` the image's) when the image is cut."""
+    start = offset + _FRAME.size
+    if start > len(data):
+        return None, False, len(data)
+    length, stored = _FRAME.unpack_from(data, offset)
+    end = start + length
+    if end > len(data):
+        return None, False, len(data)
+    payload = data[start:end]
+    return payload, zlib.crc32(payload) == stored, end
 
 
 def decode_checkpoint(
@@ -130,15 +153,15 @@ def decode_checkpoint(
 ) -> tuple[dict, Optional[bytes], dict[int, bytes]]:
     """Parse a checkpoint image, verifying every section CRC.
 
-    A corrupt header or bucket section raises :class:`RecoveryError`
-    (there is no second source for either). A corrupt *index* section is
-    survivable — the caller falls back to reconstruction — so it comes
-    back as ``None`` instead.
+    The sections are read in one pass by offset. A corrupt header or
+    bucket section raises :class:`RecoveryError` (there is no second
+    source for either). A corrupt *index* section is survivable — the
+    caller falls back to reconstruction — so it comes back as ``None``
+    instead.
     """
-    stream = io.BytesIO(data)
-    if stream.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+    if data[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise RecoveryError(f"{name} is not a checkpoint image")
-    raw_header, header_ok = _read_section(stream)
+    raw_header, header_ok, offset = _section_at(data, len(_CKPT_MAGIC))
     if raw_header is None or not header_ok:
         raise RecoveryError(f"corrupt checkpoint header in {name}")
     try:
@@ -147,17 +170,22 @@ def decode_checkpoint(
         raise RecoveryError(f"corrupt checkpoint header in {name}: {exc}") from None
     if not _header_ok(header):
         raise RecoveryError(f"malformed checkpoint header in {name}")
-    index, index_ok = _read_section(stream)
+    index, index_ok, offset = _section_at(data, offset)
     buckets: dict[int, bytes] = {}
-    while True:
-        chunk = stream.read(4)
-        if not chunk:
-            break
-        if len(chunk) < 4:
-            raise RecoveryError(f"truncated bucket directory in {name}")
-        (address,) = struct.unpack(">I", chunk)
-        payload, ok = _read_section(stream)
-        if payload is None or not ok:
+    size = len(data)
+    frame = _BUCKET_FRAME.unpack_from
+    crc32 = zlib.crc32
+    while offset < size:
+        if size - offset < _BUCKET_FRAME.size:
+            if size - offset < 4:
+                raise RecoveryError(f"truncated bucket directory in {name}")
+            address = int.from_bytes(data[offset : offset + 4], "big")
+            raise RecoveryError(f"corrupt bucket {address} in checkpoint {name}")
+        address, length, stored = frame(data, offset)
+        start = offset + _BUCKET_FRAME.size
+        offset = start + length
+        payload = data[start:offset]
+        if offset > size or crc32(payload) != stored:
             raise RecoveryError(f"corrupt bucket {address} in checkpoint {name}")
         buckets[address] = payload
     return header, (index if index_ok else None), buckets
@@ -278,6 +306,13 @@ class _THEngine:
     ):
         from ..core.reconstruct import reconstruct_model
 
+        if header["max_address"] >= POINTER_LIMIT:
+            # No index can point there, so no TH file that reached it
+            # could checkpoint: refuse before restore allocates up to it.
+            raise RecoveryError(
+                f"max_address {header['max_address']} is past the 16-bit "
+                f"bucket pointers"
+            )
         file = _create(cls, params)
         file.store.restore(header["max_address"], header["live"], buckets)
         backend = type(file.trie)
@@ -351,7 +386,7 @@ class _MLTHEngine:
                 for pid in file._all_page_ids()
             },
         }
-        return json.dumps(spec, separators=(",", ":")).encode()
+        return _JSON.encode(spec).encode()
 
     @classmethod
     def materialize(
@@ -469,7 +504,7 @@ class _BTreeEngine:
     @staticmethod
     def index_bytes(file) -> bytes:
         items = [[key, value] for key, value in _str_values(file.items())]
-        return json.dumps(items, separators=(",", ":")).encode()
+        return _JSON.encode(items).encode()
 
     @classmethod
     def materialize(
@@ -1120,9 +1155,7 @@ class DurableFile:
             "lsn": self.wal.last_lsn,
             "next_ckpt": ckpt_id + 1,
         }
-        self.stable.write_atomic(
-            self.MANIFEST, json.dumps(manifest, separators=(",", ":")).encode()
-        )
+        self.stable.write_atomic(self.MANIFEST, _JSON.encode(manifest).encode())
         # The new MANIFEST is durable: everything it no longer references
         # is garbage. A crash inside this cleanup only leaks orphans.
         self.manifest = manifest

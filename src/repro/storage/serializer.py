@@ -11,6 +11,15 @@ over its cells — raise :class:`~repro.core.errors.StorageError`. They
 guard every on-disk image the storage layer reads back (checkpoints and
 whole-file images alike).
 
+Each codec is one pass each way over precompiled ``struct`` layouts,
+with one ``join`` per image: the trie encoder reads the cell store's
+plain ``(dv, dn, lp, rp)`` rows (:meth:`~repro.core.cells.CellTable.rows`,
+straight off the columns on the compact backend, with no cell view),
+and the decoder loads them back in bulk
+(:meth:`~repro.core.cells.CellTable.load_rows`); the bucket encoder
+walks ``zip(keys, values)``. The bytes are those of the paper's layout
+above, whichever backend wrote them.
+
 Pointer encoding in the 16-bit on-disk form (per pointer):
 
 * ``0xFFFF``         — nil
@@ -26,7 +35,7 @@ from __future__ import annotations
 import struct
 
 from ..core.alphabet import Alphabet
-from ..core.cells import NIL, edge_target, edge_to, is_edge, is_nil
+from ..core.cells import NIL, edge_to
 from ..core.errors import StorageError
 from ..core.trie import Trie
 from .buckets import Bucket
@@ -34,6 +43,7 @@ from .buckets import Bucket
 __all__ = [
     "CELL_BYTES",
     "MAX_STRING_BYTES",
+    "POINTER_LIMIT",
     "serialize_trie",
     "deserialize_trie",
     "serialize_bucket",
@@ -47,21 +57,17 @@ CELL_BYTES = 6
 #: ``u16`` lengths of the record layout, which the WAL record shares.
 MAX_STRING_BYTES = 0xFFFF
 
+#: The first bucket address, and the first cell position, that a 16-bit
+#: pointer cannot hold: no index encodes either.
+POINTER_LIMIT = 0x7FFF
+
 _NIL16 = 0xFFFF
 _EDGE_BIT = 0x8000
 
-
-def _encode_ptr(ptr: int, cell_remap) -> int:
-    if is_nil(ptr):
-        return _NIL16
-    if is_edge(ptr):
-        target = cell_remap[edge_target(ptr)]
-        if target >= 0x7FFF:
-            raise StorageError("trie too large for 16-bit cell pointers")
-        return _EDGE_BIT | target
-    if ptr >= 0x7FFF:
-        raise StorageError("bucket address too large for 16-bit pointers")
-    return ptr
+_HEAD = struct.Struct(">HH")  # trie: cells, alphabet length; bucket: header, records
+_PTR = struct.Struct(">H")
+_CELL = struct.Struct(">BBHH")  # DV, DN, LP, RP
+_RECORD = struct.Struct(">HBH")  # key length, has value, value length
 
 
 def _decode_ptr(raw: int) -> int:
@@ -77,34 +83,49 @@ def serialize_trie(trie: Trie) -> bytes:
 
     Live cells are compacted (freed slots are not written); the root
     pointer and alphabet travel in a small header. A DV is one byte, so
-    an alphabet with a digit beyond latin-1 raises :class:`StorageError`.
+    an alphabet with a digit beyond latin-1 raises :class:`StorageError`;
+    so does a trie of more than :data:`POINTER_LIMIT` cells or a leaf at
+    a bucket address the pointers cannot hold.
+
+    One pass over the cell store's ``(dv, dn, lp, rp)`` rows
+    (:meth:`~repro.core.cells.CellTable.rows`, read straight off the
+    columns on the compact backend), one packed row per live cell.
     """
-    live = list(trie.cells.live_items())
-    remap = {index: new for new, (index, _) in enumerate(live)}
-    out = bytearray()
     try:
         alphabet_bytes = trie.alphabet.digits.encode("latin-1")
     except UnicodeEncodeError:
         raise StorageError(
             f"alphabet {trie.alphabet.digits!r} has digits beyond the one-byte DV"
         ) from None
-    out += struct.pack(">HH", len(live), len(alphabet_bytes))
-    out += alphabet_bytes
-    out += struct.pack(">H", _encode_ptr(trie.root, remap))
-    for _, cell in live:
-        out += struct.pack(
-            ">BBHH",
-            ord(cell.dv),
-            cell.dn,
-            _encode_ptr(cell.lp, remap),
-            _encode_ptr(cell.rp, remap),
-        )
-    return bytes(out)
+    rows = trie.cells.rows()
+    # An edge to the cell in slot i is stored as -(i + 1), i.e. ~i; on
+    # disk it names the cell's position among the live ones.
+    edges = [~index for index, row in enumerate(rows) if row is not None]
+    if len(edges) > POINTER_LIMIT:
+        raise StorageError("trie too large for 16-bit cell pointers")
+    codes = dict(zip(edges, range(_EDGE_BIT, _EDGE_BIT + len(edges))))
+    codes[NIL] = _NIL16
+    code = codes.get
+    root = trie.root
+    parts = [_HEAD.pack(len(edges), len(alphabet_bytes)), alphabet_bytes]
+    parts.append(_PTR.pack(code(root, root)))
+    pack = _CELL.pack
+    top = root  # the largest pointer; only a leaf can reach POINTER_LIMIT
+    for row in rows:
+        if row is not None:
+            dv, dn, lp, rp = row
+            if lp > top or rp > top:
+                top = max(lp, rp)
+            parts.append(pack(dv, dn, code(lp, lp), code(rp, rp)))
+    if top >= POINTER_LIMIT:
+        raise StorageError("bucket address too large for 16-bit pointers")
+    return b"".join(parts)
 
 
 def deserialize_trie(data: bytes, trie_class: type[Trie] = Trie) -> Trie:
     """Inverse of :func:`serialize_trie`, built straight into ``trie_class``
-    (:class:`~repro.core.trie.Trie` or a backend subclass).
+    (:class:`~repro.core.trie.Trie` or a backend subclass) by one bulk
+    load of its rows (:meth:`~repro.core.cells.CellTable.load_rows`).
 
     Raises :class:`StorageError` on bytes that do not decode and on edges
     that are not one tree over the cells (an edge past the last cell, a
@@ -112,19 +133,28 @@ def deserialize_trie(data: bytes, trie_class: type[Trie] = Trie) -> Trie:
     index must not send Algorithm A1 round a loop.
     """
     try:
-        count, alpha_len = struct.unpack_from(">HH", data, 0)
+        count, alpha_len = _HEAD.unpack_from(data, 0)
         offset = 4 + alpha_len
         alphabet = Alphabet(data[4:offset].decode("latin-1"))
-        (raw_root,) = struct.unpack_from(">H", data, offset)
-        rows = list(struct.iter_unpack(">BBHH", data[offset + 2 :]))
+        (raw_root,) = _PTR.unpack_from(data, offset)
+        rows = list(_CELL.iter_unpack(data[offset + 2 :]))
     except (struct.error, ValueError) as exc:
         raise StorageError(f"corrupt trie image: {exc}") from None
     if len(rows) != count or not _one_tree(raw_root, rows):
         raise StorageError("corrupt trie image: its edges are not one tree")
     trie = trie_class(alphabet, root_ptr=_decode_ptr(raw_root))
-    allocate = trie.cells.allocate
-    for dv, dn, lp, rp in rows:
-        allocate(chr(dv), dn, _decode_ptr(lp), _decode_ptr(rp))
+    # _decode_ptr inlined: a raw edge 0x8000 | i is edge_to(i) == 0x7FFF - raw.
+    trie.cells.load_rows(
+        [
+            (
+                dv,
+                dn,
+                lp if lp < _EDGE_BIT else NIL if lp == _NIL16 else 0x7FFF - lp,
+                rp if rp < _EDGE_BIT else NIL if rp == _NIL16 else 0x7FFF - rp,
+            )
+            for dv, dn, lp, rp in rows
+        ]
+    )
     return trie
 
 
@@ -152,32 +182,27 @@ def serialize_bucket(bucket: Bucket) -> bytes:
     in-memory simulation allows arbitrary payloads; persistence is only
     offered for string payloads, which all examples use), and no key or
     value may exceed :data:`MAX_STRING_BYTES`; anything else raises
-    :class:`StorageError`.
+    :class:`StorageError`. One pass over the records, one join.
     """
-    out = bytearray()
     try:
         header = bucket.header_path.encode()
-        out += struct.pack(">HH", len(header), len(bucket.keys))
-        out += header
-        for key, value in bucket.items():
+        parts = [_HEAD.pack(len(header), len(bucket.keys)), header]
+        pack = _RECORD.pack
+        for key, value in zip(bucket.keys, bucket.values):
             kb = key.encode()
             if value is None:
-                vb = b""
-                has_value = 0
+                parts += (pack(len(kb), 0, 0), kb)
             elif isinstance(value, str):
                 vb = value.encode()
-                has_value = 1
+                parts += (pack(len(kb), 1, len(vb)), kb, vb)
             else:
                 raise StorageError("binary bucket format stores str/None values only")
-            out += struct.pack(">HBH", len(kb), has_value, len(vb))
-            out += kb
-            out += vb
     except (struct.error, UnicodeEncodeError) as exc:
         raise StorageError(
             f"a record the bucket format cannot hold (UTF-8, at most "
             f"{MAX_STRING_BYTES} bytes a string): {exc}"
         ) from None
-    return bytes(out)
+    return b"".join(parts)
 
 
 def deserialize_bucket(data: bytes) -> Bucket:
@@ -185,21 +210,23 @@ def deserialize_bucket(data: bytes) -> Bucket:
     (short, overlong, keys not strictly ascending) raise
     :class:`StorageError`."""
     bucket = Bucket()
+    keys = bucket.keys
+    values = bucket.values
+    unpack = _RECORD.unpack_from
     try:
-        header_len, count = struct.unpack_from(">HH", data, 0)
+        header_len, count = _HEAD.unpack_from(data, 0)
         offset = 4 + header_len
-        bucket.header_path = data[4:offset].decode("utf-8")
+        bucket.header_path = data[4:offset].decode()
         for _ in range(count):
-            klen, has_value, vlen = struct.unpack_from(">HBH", data, offset)
-            offset += 5
-            bucket.keys.append(data[offset : offset + klen].decode("utf-8"))
-            offset += klen
-            value = data[offset : offset + vlen].decode("utf-8") if has_value else None
-            bucket.values.append(value)
+            klen, has_value, vlen = unpack(data, offset)
+            start = offset + 5
+            offset = start + klen
+            keys.append(data[start:offset].decode())
+            start = offset
             offset += vlen
+            values.append(data[start:offset].decode() if has_value else None)
     except (struct.error, ValueError) as exc:
         raise StorageError(f"corrupt bucket image: {exc}") from None
-    keys = bucket.keys
     if offset != len(data) or any(a >= b for a, b in zip(keys, keys[1:])):
         raise StorageError("corrupt bucket image: trailing bytes or keys out of order")
     return bucket

@@ -24,6 +24,7 @@ import json
 import random
 import string
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -1257,6 +1258,29 @@ def test_malformed_durable_input_raises_recovery_error(case):
     MALFORMED[case](store)
     with pytest.raises(RecoveryError):
         DurableFile.open(store)
+
+
+@pytest.mark.parametrize("top", [0x7FFF, 300_000, 10**9])
+def test_a_forged_max_address_is_refused_before_restore_allocates(top):
+    # No TH index can point at bucket 0x7FFF or past it, so no TH file
+    # that reached it could have checkpointed: a header naming such a
+    # top is forged, and restoring it would allocate every address up
+    # to it (10**9 of them exhaust memory).
+    store = StableStore()
+    f = DurableFile.open(store, engine="th", capacity=4)
+    f.insert("alpha", "a")
+    f.insert("bravo", "b")
+    f.checkpoint(full=True)
+    assert len(json.loads(store.read("MANIFEST"))["chain"]) == 1
+    _edit_header(max_address=top)(store)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecoveryError, match="max_address"):
+            DurableFile.open(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 #: Manglings of a record body that leave nothing decodable.

@@ -272,6 +272,105 @@ class TestTH010:
         assert "Conn.data_received -> storage.log.Log.append" in found[0].message
 
     @pytest.mark.parametrize(
+        "base, mid",
+        [
+            ("self._q = []", "pass"),
+            ("self._q: dict[str, int] = {}", "pass"),
+            ("self._q = dict()\n        self._q = {}", "pass"),
+            # Two levels up, past a class that does not bind it.
+            ("self._q = bytearray()", "self._r = make()"),
+            # A middle class may bind it as a container too.
+            ("self._q = set()", "self._q = {k for k in 'ab'}"),
+        ],
+        ids=[
+            "list-display", "annotated-dict", "rebound-to-a-dict",
+            "two-levels-up", "middle-class-container",
+        ],
+    )
+    def test_a_container_a_base_class_binds_does_not_widen(self, base, mid):
+        # StableStore binds self._objects as a dict; its subclass's
+        # self._objects.get is dict.get, not every get in the program.
+        program = build({
+            "repro.serving.base": (
+                "import asyncio\n\n\n"
+                "class Base(asyncio.Protocol):\n"
+                "    def __init__(self):\n"
+                f"        {base}\n"
+            ),
+            "repro.serving.server": (
+                "from repro.serving.base import Base\n"
+                "from repro.util import make\n\n\n"
+                "class Mid(Base):\n"
+                "    def reset(self):\n"
+                f"        {mid}\n\n\n"
+                "class Conn(Mid):\n"
+                "    def data_received(self, data):\n"
+                "        self._q.get(data)\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        assert findings(program, "TH010") == []
+
+    @pytest.mark.parametrize(
+        "base, mid, own",
+        [
+            # The base binds it to something else as well.
+            ("self._q = []\n        self._q = make()", "pass", "pass"),
+            # A class on the way down rebinds it.
+            ("self._q = []", "self._q = make()", "pass"),
+            # The calling class rebinds it itself.
+            ("self._q = []", "pass", "self._q = make()"),
+            # No in-program base binds it at all.
+            ("pass", "pass", "pass"),
+        ],
+        ids=["base-rebinds", "middle-class-rebinds", "own-class-rebinds", "unbound"],
+    )
+    def test_an_attribute_a_subclass_rebinds_still_widens(self, base, mid, own):
+        program = build({
+            "repro.serving.base": (
+                "import asyncio\n"
+                "from repro.util import make\n\n\n"
+                "class Base(asyncio.Protocol):\n"
+                "    def __init__(self):\n"
+                f"        {base}\n"
+            ),
+            "repro.serving.server": (
+                "from repro.serving.base import Base\n"
+                "from repro.util import make\n\n\n"
+                "class Mid(Base):\n"
+                "    def reset(self):\n"
+                f"        {mid}\n\n\n"
+                "class Conn(Mid):\n"
+                "    def connection_made(self, transport):\n"
+                f"        {own}\n\n"
+                "    def data_received(self, data):\n"
+                "        self._q.get(data)\n"
+            ),
+            "repro.storage.log": _BLOCKING_LOG,
+        })
+        found = findings(program, "TH010")
+        assert codes(found) == ["TH010"]
+        assert "Conn.data_received -> storage.log.Log.get" in found[0].message
+
+    def test_the_real_stable_store_dict_does_not_widen(self):
+        # StableStore.__init__ binds self._objects as a dict; the
+        # crash-point stores read it in their _physical overrides.
+        program = build_program(_real_summaries())
+        for function in (
+            "repro.storage.crashpoints.RecordingStableStore._physical",
+            "repro.storage.crashpoints.CrashingStore._physical",
+        ):
+            node = program.functions[function]
+            sites = [
+                i for i, site in enumerate(node.summary.calls)
+                if site.recv == "_objects" and site.attr == "get"
+            ]
+            assert sites, function
+            for index in sites:
+                assert node.summary.calls[index].on_self
+                assert node.widened[index] == [] and node.edges[index] == []
+
+    @pytest.mark.parametrize(
         "call",
         [
             # The list a nested def builds is its own local: the outer

@@ -211,3 +211,50 @@ class TestScanStaleness:
             i += 1
         with pytest.raises(CursorInvalidError):
             list(it)
+
+
+class TestScanSnapshot:
+    """Regression: a write landing in the bucket a live scan is reading.
+
+    An insert or delete that does not split leaves the structure
+    generation alone, so the scan must not read the bucket's live lists
+    by position: each bucket is read as one snapshot when the walk
+    reaches it.
+    """
+
+    @staticmethod
+    def suspended(backend, mode):
+        f = THFile(bucket_capacity=8, trie_backend=backend)
+        for k in "bdfh":
+            f.insert(k, k.upper())
+        it = f.items() if mode == "items" else f.range_items("a", "z")
+        out = [next(it), next(it)]
+        return f, it, out
+
+    @pytest.mark.parametrize("backend", ["compact", "cells"])
+    def test_an_insert_before_the_position_repeats_nothing(self, backend):
+        f, it, out = self.suspended(backend, "scan")
+        f.insert("c", "C")
+        out += list(it)
+        assert out == [(k, k.upper()) for k in "bdfh"]
+        assert [k for k, _ in f.range_items("a", "z")] == list("bcdfh")
+
+    @pytest.mark.parametrize("backend", ["compact", "cells"])
+    def test_a_delete_inside_the_bucket_drops_nothing(self, backend):
+        f, it, out = self.suspended(backend, "scan")
+        f.delete("b")
+        out += list(it)
+        assert out == [(k, k.upper()) for k in "bdfh"]
+
+    @pytest.mark.parametrize("backend", ["compact", "cells"])
+    def test_items_reads_each_bucket_as_one_snapshot(self, backend):
+        f, it, out = self.suspended(backend, "items")
+        f.insert("c", "C")
+        out += list(it)
+        assert out == [(k, k.upper()) for k in "bdfh"]
+
+    def test_a_bounded_scan_still_stops_at_its_high_key(self):
+        f, it, out = self.suspended("compact", "scan")
+        assert [k for k, _ in f.range_items("c", "f")] == ["d", "f"]
+        assert [k for k, _ in f.range_items("c", "e")] == ["d"]
+        assert list(f.range_items("i", "z")) == []
