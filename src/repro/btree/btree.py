@@ -494,11 +494,16 @@ class BPlusTree:
             leaf_id = self._descend(low)[-1][0]
         while leaf_id is not None:
             leaf = self.pool.read(leaf_id)
-            begin = 0 if low is None else bisect.bisect_left(leaf.keys, low)
-            for i in range(begin, len(leaf.keys)):
-                if high is not None and leaf.keys[i] > high:
-                    return
-                yield leaf.keys[i], leaf.values[i]
+            keys, values = leaf.keys, leaf.values
+            size = len(keys)
+            begin = 0 if low is None else bisect.bisect_left(keys, low)
+            end = size if high is None else bisect.bisect_right(keys, high)
+            # One snapshot of the leaf's in-range records: a write
+            # landing in this leaf while the scan is suspended shifts
+            # the live lists.
+            yield from zip(keys[begin:end], values[begin:end])
+            if end < size:
+                return  # a key past ``high``: the range ends here
             leaf_id = leaf.next_leaf
 
     # ------------------------------------------------------------------

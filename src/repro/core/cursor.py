@@ -55,7 +55,7 @@ class Cursor:
 
     # ------------------------------------------------------------------
     def _check_generation(self) -> None:
-        if self._file.structure_generation != self._generation:
+        if self._file.stats.generation != self._generation:
             raise CursorInvalidError(
                 "the file split or merged buckets since this cursor opened"
             )

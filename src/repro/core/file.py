@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator
-from typing import Optional
+from typing import Any, Optional
 
 from ..check.hook import maybe_audit
 from ..obs.tracer import TRACER
@@ -37,15 +37,46 @@ from .policies import SplitPolicy
 from .redistribution import try_redistribute
 from .split import expand_basic, plan_split
 from .thcl_split import collapse_equal_leaf_nodes, insert_boundary
-from .trie import ROOT_LOCATION, Location, SearchResult, Trie
+from .trie import Location, SearchResult, Trie
 
 __all__ = ["FileStats", "THFile"]
 
 
-class FileStats:
-    """Operation counters of one file (disk counters live on the store)."""
+class _Structural:
+    """A structural counter of :class:`FileStats`.
 
-    __slots__ = (
+    It stores its value in the slot ``_<name>``, and every change to it
+    moves ``generation`` by the same amount, so ``generation`` is the
+    sum of the structural counters without adding them on each read.
+    """
+
+    __slots__ = ("slot",)
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = owner.__dict__["_" + name]
+
+    def __get__(self, stats: Any, owner: Any = None) -> int:
+        return self.slot.__get__(stats, owner)
+
+    def __set__(self, stats: Any, value: int) -> None:
+        slot = self.slot
+        stats.generation += value - slot.__get__(stats)
+        slot.__set__(stats, value)
+
+
+class FileStats:
+    """Operation counters of one file (disk counters live on the store).
+
+    ``generation`` is the running sum of the seven structural counters
+    (``splits``, ``nil_allocations``, ``nil_reversions``,
+    ``redistributions``, ``merges``, ``borrows``, ``nodes_collapsed``):
+    each ``+=`` or ``=`` on one of them moves it by the same amount. It
+    is :attr:`THFile.structure_generation`, which a scan compares after
+    every record.
+    """
+
+    #: The counters in report order (:meth:`as_dict`).
+    _COUNTERS = (
         "inserts",
         "deletes",
         "searches",
@@ -60,23 +91,48 @@ class FileStats:
         "nodes_collapsed",
     )
 
+    __slots__ = (
+        "inserts",
+        "deletes",
+        "searches",
+        "nodes_added",
+        "leaves_repointed",
+        "generation",
+        "_splits",
+        "_nil_allocations",
+        "_nil_reversions",
+        "_redistributions",
+        "_merges",
+        "_borrows",
+        "_nodes_collapsed",
+    )
+
+    splits = _Structural()
+    nil_allocations = _Structural()
+    nil_reversions = _Structural()
+    redistributions = _Structural()
+    merges = _Structural()
+    borrows = _Structural()
+    nodes_collapsed = _Structural()
+
     def __init__(self) -> None:
         self.inserts = 0
         self.deletes = 0
         self.searches = 0
-        self.splits = 0
-        self.nil_allocations = 0
-        self.nil_reversions = 0
-        self.redistributions = 0
-        self.merges = 0
-        self.borrows = 0
         self.nodes_added = 0
         self.leaves_repointed = 0
-        self.nodes_collapsed = 0
+        self.generation = 0
+        self._splits = 0
+        self._nil_allocations = 0
+        self._nil_reversions = 0
+        self._redistributions = 0
+        self._merges = 0
+        self._borrows = 0
+        self._nodes_collapsed = 0
 
     def as_dict(self) -> dict:
         """All counters as a plain dictionary (for reports)."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._COUNTERS}
 
 
 class THFile:
@@ -138,17 +194,10 @@ class THFile:
 
         Cursors (:class:`repro.core.cursor.Cursor`) snapshot it to detect
         structural changes under them; plain record updates don't count.
+        It is the sum of the structural counters, kept running by
+        :class:`FileStats` as ``stats.generation``.
         """
-        s = self.stats
-        return (
-            s.splits
-            + s.nil_allocations
-            + s.nil_reversions
-            + s.redistributions
-            + s.merges
-            + s.borrows
-            + s.nodes_collapsed
-        )
+        return self.stats.generation
 
     # ------------------------------------------------------------------
     # Lookup
@@ -471,27 +520,30 @@ class THFile:
         self,
         trail: list[tuple[int, str]],
         forward: bool = True,
-        stop: Optional[Location] = None,
+        stop: Optional[tuple[int, str]] = None,
     ) -> Iterator[int]:
         """Walk the distinct buckets from ``trail``'s leaf on, in key order.
 
         The walk steps ``trail`` in place (:meth:`Trie.step`), so at each
-        yield it names a leaf of the yielded bucket. Nil leaves, and the
+        yield it names a leaf of the yielded bucket. It reads the first
+        leaf's pointer once and then takes each leaf's pointer from
+        :meth:`Trie.step`, which has just read it. Nil leaves, and the
         repeated leaves of a bucket shared by several leaves, are skipped
         (Section 4.1: they cost no access). The walk ends after the leaf
-        at ``stop``, or at the last (first) leaf of the trie. The caller
-        must not resume it across a structural change of the file.
+        whose last trail step is ``stop`` (a ``(cell, side)`` tuple), or
+        at the last (first) leaf of the trie. The caller must not resume
+        it across a structural change of the file.
         """
         trie = self.trie
+        ptr = trie.get_ptr(Location(*trail[-1])) if trail else trie.root
         previous = None
-        while True:
-            here = Location(*trail[-1]) if trail else ROOT_LOCATION
-            ptr = trie.get_ptr(here)
-            if ptr != previous and not is_nil(ptr):
+        while ptr is not None:
+            if ptr != previous and ptr != NIL:
                 previous = ptr
                 yield ptr
-            if here == stop or trie.step(trail, forward) is None:
+            if trail and trail[-1] == stop:
                 return
+            ptr = trie.step(trail, forward)
 
     def _records(self, address: int) -> tuple[list[str], list[object]]:
         """The sorted keys and values of bucket ``address`` (one read).

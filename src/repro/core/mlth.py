@@ -690,11 +690,16 @@ class MLTHFile:
                 continue
             previous = child
             bucket = self.store.read(child)
-            begin = 0 if low is None else bisect.bisect_left(bucket.keys, low)
-            for i in range(begin, len(bucket.keys)):
-                if high is not None and bucket.keys[i] > high:
-                    return
-                yield bucket.keys[i], bucket.values[i]
+            keys, values = bucket.keys, bucket.values
+            size = len(keys)
+            begin = 0 if low is None else bisect.bisect_left(keys, low)
+            end = size if high is None else bisect.bisect_right(keys, high)
+            # One snapshot of the bucket's in-range records, as
+            # range_query.scan takes: a write landing in this bucket
+            # while the scan is suspended shifts the live lists.
+            yield from zip(keys[begin:end], values[begin:end])
+            if end < size:
+                return  # a key past ``high``: the range ends here
 
     # ------------------------------------------------------------------
     # Batched operations

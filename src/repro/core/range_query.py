@@ -10,6 +10,11 @@ of the high bound. A scan
 therefore costs in proportion to its range, not to the file. THCL's
 shared leaves even make some scans cheaper: consecutive leaves carrying
 the same bucket cost a single access (Section 4.1).
+
+A scan pays per bucket, not per record: it reads each bucket once, as
+one snapshot of its in-range records, and between records it only
+compares one counter, the file's running structure generation
+(:class:`~repro.core.file.FileStats`), with the value it started from.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from collections.abc import Iterator
 from typing import Optional, TYPE_CHECKING
 
 from .cursor import CursorInvalidError
-from .trie import ROOT_LOCATION, Location
 
 if TYPE_CHECKING:  # pragma: no cover
     from .file import THFile
@@ -45,7 +49,8 @@ def scan(
     generation when iteration starts; a split or merge under a live
     scan raises :class:`~repro.core.cursor.CursorInvalidError` (the
     cursor's contract) at the next record instead of silently skipping
-    or duplicating records.
+    or duplicating records. The check after each record reads the one
+    ``stats.generation`` slot that every structural counter moves.
     """
     alphabet = file.alphabet
     if low is not None:
@@ -55,15 +60,17 @@ def scan(
     if low is not None and high is not None and low > high:
         return
 
-    generation = file.structure_generation
+    stats = file.stats
+    generation = stats.generation
     trie = file.trie
     # The empty key pads to all min digits: A1 maps it to the first leaf.
     trail = trie.trail("" if low is None else low)
     stop = None
     if high is not None:
-        # The walk stops at the high bound's leaf: its last trail step.
+        # The walk stops at the high bound's leaf: its last trail step
+        # (an empty trail is the root leaf, where the walk ends anyway).
         last = trie.trail(high)
-        stop = Location(*last[-1]) if last else ROOT_LOCATION
+        stop = last[-1] if last else None
     for address in file._buckets(trail, stop=stop):
         keys, values = file._records(address)
         size = len(keys)
@@ -75,7 +82,7 @@ def scan(
             yield record
             # Resumed: a stale trail may name a freed cell, so check
             # before the next record and before the walk steps on.
-            if file.structure_generation != generation:
+            if stats.generation != generation:
                 raise CursorInvalidError(
                     "the file split or merged buckets during this scan"
                 )

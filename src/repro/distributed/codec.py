@@ -22,12 +22,17 @@ Three layers:
   interpreter's cap on decimal conversion.
   A non-empty list of ``(str, str)`` tuples — scan replies,
   ``put_many`` legs and their leftovers, ``get_many`` results, resync
-  snapshots — travels as one **record block** instead: the keys as one
-  UTF-8 run and the values as another, each preceded by its strings'
-  lengths in code points, so a run is decoded once and then sliced. A
-  block decodes to exactly the list of tuples the generic list layout
-  gives, so no caller knows which layout carried it; records with any
-  other value keep the generic layout.
+  snapshots — travels as one **record block** instead::
+
+      records := u32 count | run (keys) | run (values)
+      run     := u32 n | the strings joined by U+0000 (n bytes UTF-8)
+
+  so a run is one UTF-8 decode and one ``str.split``, and a run that
+  does not split into exactly ``count`` strings is refused. A block
+  decodes to exactly the list of tuples the generic list layout gives,
+  so no caller knows which layout carried it; records with any other
+  value, or with a key or value holding U+0000, keep the generic
+  layout.
 * **Messages** — :func:`encode_op` / :func:`decode_op` and
   :func:`encode_reply` / :func:`decode_reply` write an
   :class:`~repro.distributed.messages.Op` or a
@@ -77,7 +82,6 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable
-from itertools import accumulate
 from typing import Optional
 
 from ..check.framework import ParanoidAuditError
@@ -109,8 +113,10 @@ __all__ = [
 #: Bump on any incompatible change to the value or message layout.
 #: Version 2 added the record block and carries big ints as bytes;
 #: version 3 sends each message as a fixed head plus the fields it sets;
-#: version 4 carries an op's request id as two fixed-width integers.
-WIRE_VERSION = 4
+#: version 4 carries an op's request id as two fixed-width integers;
+#: version 5 joins a record block's strings with U+0000 instead of
+#: prefixing their lengths.
+WIRE_VERSION = 5
 
 #: Frame kinds.
 FRAME_REQUEST = 1  # payload: u32 shard_id | encoded Op
@@ -188,6 +194,8 @@ _TAG_U32 = struct.Struct(">cI")  # string, bytes and container heads
 _TAG_I64 = struct.Struct(">cq")
 _TAG_F64 = struct.Struct(">cd")
 _ERROR_HEAD = struct.Struct(">cHI")  # tag, error code, message length
+_RECORDS_HEAD = struct.Struct(">cII")  # tag, record count, key run length
+_SEPARATOR = "\0"  # U+0000: joins the strings of a record run
 _u32_at = _U32.unpack_from
 _NONE, _TRUE, _FALSE, _INT, _BIG_INT, _FLOAT = b"NTFiIf"
 _STR, _BYTES, _TUPLE, _LIST, _DICT, _SET, _ERROR, _RECORDS = b"sbtldSer"
@@ -262,19 +270,12 @@ def _write_value(write: Callable[[bytes], None], value: object) -> None:
         )
 
 
-def _write_run(write: Callable[[bytes], None], strings: tuple) -> None:
-    """Append ``strings`` as one run: their lengths, then their UTF-8."""
-    data = "".join(strings).encode("utf-8")
-    write(struct.pack(">%dI" % len(strings), *map(len, strings)))
-    write(_U32.pack(len(data)))
-    write(data)
-
-
 def _write_records(write: Callable[[bytes], None], records: list) -> bool:
     """Append ``records`` as one record block, if they all fit it.
 
     Returns ``False``, having written nothing, when some item is not a
-    2-tuple of ``str``; the caller then writes a generic list.
+    2-tuple of ``str`` or some string holds U+0000, the separator; the
+    caller then writes a generic list.
     """
     for item in records:
         if (
@@ -285,9 +286,20 @@ def _write_records(write: Callable[[bytes], None], records: list) -> bool:
         ):
             return False
     keys, values = zip(*records)
-    write(_TAG_U32.pack(b"r", len(keys)))
-    _write_run(write, keys)
-    _write_run(write, values)
+    key_run = _SEPARATOR.join(keys)
+    value_run = _SEPARATOR.join(values)
+    separators = len(keys) - 1
+    if (
+        key_run.count(_SEPARATOR) != separators
+        or value_run.count(_SEPARATOR) != separators
+    ):
+        return False
+    key_data = key_run.encode("utf-8")
+    value_data = value_run.encode("utf-8")
+    write(_RECORDS_HEAD.pack(b"r", len(keys), len(key_data)))
+    write(key_data)
+    write(_U32.pack(len(value_data)))
+    write(value_data)
     return True
 
 
@@ -332,24 +344,16 @@ def _read_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
 def _read_run(data: bytes, pos: int, count: int) -> tuple[list[str], int]:
     """The ``count`` strings of the run at ``pos``, and the offset past it.
 
-    The run is decoded once and sliced by its code-point lengths, which
-    must add up to exactly the decoded run. The lengths are checked to
-    fit the payload before they are read, so a forged count allocates
-    nothing.
+    The run is decoded once and split at its separators, which must cut
+    it into exactly ``count`` strings. ``count`` sizes nothing, so a
+    forged one allocates nothing.
     """
-    end = pos + 4 * count
-    if end > len(data):
-        raise ProtocolError(f"record count {count} exceeds its payload")
-    lengths = struct.unpack_from(">%dI" % count, data, pos)
-    text, pos = _read_str(data, end)
-    strings: list[str] = []
-    append = strings.append
-    start = 0
-    for stop in accumulate(lengths):
-        append(text[start:stop])
-        start = stop
-    if start != len(text):
-        raise ProtocolError("record lengths do not add up to their run")
+    text, pos = _read_str(data, pos)
+    strings = text.split(_SEPARATOR)
+    if len(strings) != count:
+        raise ProtocolError(
+            f"a record run of {len(strings)} strings under a count of {count}"
+        )
     return strings, pos
 
 

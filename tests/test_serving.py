@@ -224,9 +224,23 @@ def _damaged_encodings(draw, encode=encode_value, values=_VALUES):
     return bytes(data)
 
 
-def _run(lengths, raw):
-    """A record block run: code-point lengths, then the UTF-8 bytes."""
-    return b"".join(_U32.pack(n) for n in lengths) + _U32.pack(len(raw)) + raw
+def _run(raw):
+    """A record block run: its length, then its U+0000-joined UTF-8."""
+    return _U32.pack(len(raw)) + raw
+
+
+def _takes_the_block(value):
+    """Whether ``value`` is a non-empty list of ``(str, str)`` tuples."""
+    return (
+        type(value) is list
+        and len(value) > 0
+        and all(
+            type(item) is tuple
+            and len(item) == 2
+            and all(type(s) is str for s in item)
+            for item in value
+        )
+    )
 
 
 def _canon(value):
@@ -296,12 +310,14 @@ def _put_with_rid_and_ctx():
     return op
 
 
-#: Wire bytes pinned under ``WIRE_VERSION`` 4: (id, encode, decode,
+#: Wire bytes pinned under ``WIRE_VERSION`` 5: (id, encode, decode,
 #: make, hex). Version 3 re-pinned every op and reply (a fixed head,
 #: then only the fields set; the IAM as a count and its entries); the
 #: values kept their version-2 bytes. Version 4 re-pinned the op with a
 #: request id, which is now two i64 (16 bytes, not a 23-byte tagged
-#: tuple). A change to any of them is a wire break, not a refactor.
+#: tuple). Version 5 re-pinned the reply whose records take the block,
+#: whose runs are now strings joined by U+0000 (40 bytes, not 54). A
+#: change to any of them is a wire break, not a refactor.
 _GOLDEN = [
     (
         "get-op",
@@ -343,8 +359,8 @@ _GOLDEN = [
         "0000000174",
     ),
     (
-        # All values strings: two runs, lengths in code points ("✓" is
-        # one code point and three UTF-8 bytes).
+        # All values strings: two runs, each its strings joined by
+        # U+0000 behind its length in UTF-8 bytes ("✓" is three).
         "str-scan-reply",
         encode_reply,
         decode_reply,
@@ -355,8 +371,7 @@ _GOLDEN = [
             owner=1,
         ),
         "4c0000000000010000000100000001ffffffff000000016d7200000002000000"
-        "05000000050000000a6170706c656d616e676f00000007000000060000000f63"
-        "72756e6368797269706520e29c93",
+        "0b6170706c65006d616e676f000000106372756e636879007269706520e29c93",
     ),
     (
         "errored-reply",
@@ -408,7 +423,7 @@ class TestValueCodec:
     )
     def test_wire_bytes_are_pinned(self, encode, decode, make, golden):
         data = bytes.fromhex(golden)
-        assert WIRE_VERSION == 4
+        assert WIRE_VERSION == 5
         assert encode(make()) == data
         # And the bytes decode to a message that encodes back to them.
         assert encode(decode(data)) == data
@@ -521,7 +536,14 @@ class TestValueCodec:
     @given(value=_VALUES)
     @settings(max_examples=150)
     def test_every_value_roundtrips(self, value):
-        assert _canon(decode_value(encode_value(value))) == _canon(value)
+        data = encode_value(value)
+        assert _canon(decode_value(data)) == _canon(value)
+        # Records take the block exactly when no string holds U+0000,
+        # the block's separator.
+        if _takes_the_block(value):
+            assert (data[:1] == b"r") == all(
+                "\x00" not in s for item in value for s in item
+            )
 
     @given(data=_damaged_encodings())
     @settings(max_examples=300)
@@ -557,12 +579,22 @@ class TestValueCodec:
         assert back == value
 
     def test_records_take_the_block_and_decode_as_the_list_does(self):
-        records = [("a\x00b", "é✓"), ("", ""), ("k", "\U0001f600")]
-        data = encode_value(records)
-        assert data[:1] == b"r"
-        back = decode_value(data)
-        assert back == records
-        assert all(type(item) is tuple for item in back)
+        # Empty, multi-byte and astral strings take the block; a string
+        # holding U+0000, the block's separator, in a key or a value
+        # takes the generic list layout. Both decode to the same tuples.
+        for records, tag in (
+            ([("ab", "é✓"), ("", ""), ("k", "\U0001f600")], b"r"),
+            ([("", "")], b"r"),
+            ([("", "x"), ("y", "")], b"r"),
+            ([("a\x00b", "é✓"), ("", ""), ("k", "\U0001f600")], b"l"),
+            ([("ab", "x"), ("k", "\x00")], b"l"),
+            ([("\x00", "\x00")], b"l"),
+        ):
+            data = encode_value(records)
+            assert data[:1] == tag
+            back = decode_value(data)
+            assert back == records
+            assert all(type(item) is tuple for item in back)
         # Not every item a (str, str) pair: the generic list layout,
         # whether the first item or a later one is the odd one out.
         for mixed in (
@@ -580,12 +612,12 @@ class TestValueCodec:
         "payload",
         [
             b"r\x00\x00",
-            b"r" + _U32.pack(2**32 - 1) + _run([2], b"ab"),
-            b"r" + _U32.pack(2) + _run([1, 1], b"ab")[:-1],
-            b"r" + _U32.pack(2) + _run([1, 1], b"ab") + _run([1, 1], b"cd")[:-1],
-            b"r" + _U32.pack(2) + _run([1, 1], b"a\xff") + _run([1, 1], b"cd"),
-            b"r" + _U32.pack(2) + _run([1, 1], b"abc") + _run([1, 1], b"cd"),
-            b"r" + _U32.pack(2) + _run([1, 1], b"ab") + _run([2, 1], b"cd"),
+            b"r" + _U32.pack(2**32 - 1) + _run(b"a\x00b") + _run(b"c\x00d"),
+            b"r" + _U32.pack(2) + _run(b"a\x00b")[:-1],
+            b"r" + _U32.pack(2) + _run(b"a\x00b") + _run(b"c\x00d")[:-1],
+            b"r" + _U32.pack(2) + _run(b"a\x00\xff") + _run(b"c\x00d"),
+            b"r" + _U32.pack(3) + _run(b"a\x00b") + _run(b"c\x00d\x00e"),
+            b"r" + _U32.pack(2) + _run(b"a\x00b") + _run(b"c\x00d\x00e"),
         ],
         ids=[
             "short-count",
@@ -593,8 +625,8 @@ class TestValueCodec:
             "cut-key-run",
             "cut-value-run",
             "bad-utf8",
-            "lengths-short-of-run",
-            "lengths-past-run",
+            "fewer-pieces-than-count",
+            "more-pieces-than-count",
         ],
     )
     def test_damaged_record_blocks_raise_protocol_error(self, payload):
@@ -827,8 +859,9 @@ class TestFrames:
 
     def test_foreign_wire_version_rejected(self):
         # Version 1 (no record block), version 2 (tagged-tuple messages),
-        # version 3 (a tagged-tuple request id) and a future version alike.
-        for version in (1, 2, 3, WIRE_VERSION + 1):
+        # version 3 (a tagged-tuple request id), version 4 (record runs
+        # behind their lengths) and a future version alike.
+        for version in (1, 2, 3, 4, WIRE_VERSION + 1):
             body = bytearray(pack_frame(FRAME_REQUEST, 0, b"x")[4:])
             body[0] = version
             with pytest.raises(ProtocolError, match=f"wire version {version}"):
@@ -1242,9 +1275,10 @@ class TestTransportEdges:
 
         with ServingFixture(Cluster(shards=1)) as fx:
             # Version 1 (no record block), version 2 (tagged-tuple
-            # messages), version 3 (a tagged-tuple request id) and a
-            # future version alike.
-            for version in (1, 2, 3, WIRE_VERSION + 1):
+            # messages), version 3 (a tagged-tuple request id), version
+            # 4 (record runs behind their lengths) and a future version
+            # alike.
+            for version in (1, 2, 3, 4, WIRE_VERSION + 1):
                 runner, conn = fx.open_conn()
                 poison = bytearray(pack_frame(FRAME_REQUEST, 0, b""))
                 poison[4] = version  # bytes 0-3 are the length
